@@ -32,7 +32,9 @@ from .verifier import (
     FACTOR_PRESETS,
     InstanceGrid,
     PropositionReport,
+    default_grid,
     enumerate_filters,
+    grid_fields,
     search_counterexample,
     verify_proposition,
 )
@@ -108,7 +110,9 @@ def _load_instance(path: str) -> ProductSpec:
     return serialize.parse_instance(data)
 
 
-def _grid_from_args(args: argparse.Namespace, default: InstanceGrid) -> InstanceGrid:
+def _grid_from_args(args: argparse.Namespace, check_id: str, claim: bool = False) -> InstanceGrid:
+    """The check's default grid with the flags applied; a flag the check does not read exits 2."""
+    default = default_grid(check_id, claim)
     updates: dict = {}
     if args.index_size is not None:
         updates["index_sizes"] = (args.index_size,)
@@ -127,39 +131,25 @@ def _grid_from_args(args: argparse.Namespace, default: InstanceGrid) -> Instance
             )
     if args.budget is not None:
         updates["max_instances"] = args.budget
-    return dataclasses.replace(default, **updates) if updates else default
+    grid = dataclasses.replace(default, **updates) if updates else default
+    unread = sorted(set(updates) - grid_fields(check_id, grid))
+    if unread:
+        raise InputError(f"{check_id} does not read {', '.join(unread)} from the grid")
+    return grid
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    grid = _grid_from_args(args, _default_grid_for(args.prop))
-    report = verify_proposition(args.prop, grid)
+    report = verify_proposition(args.prop, _grid_from_args(args, args.prop))
     _emit(args, _report_body("verify", report), started)
     if not report.complete:
         return 3
     return 0 if report.passed else 1
 
 
-def _default_grid_for(prop_id: str) -> InstanceGrid:
-    from .verifier import _PROPS, OUT_OF_SCOPE  # internal registry
-
-    if prop_id in OUT_OF_SCOPE:
-        raise InputError(f"proposition {prop_id} is out of scope: {OUT_OF_SCOPE[prop_id]}")
-    if prop_id not in _PROPS:
-        raise InputError(
-            f"unknown proposition id {prop_id!r}; known ids: {sorted(_PROPS) + sorted(OUT_OF_SCOPE)}"
-        )
-    return _PROPS[prop_id].default_grid
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    from .verifier import _CLAIMS
-
-    if args.claim not in _CLAIMS:
-        raise InputError(f"unknown claim id {args.claim!r}; known ids: {sorted(_CLAIMS)}")
-    grid = _grid_from_args(args, _CLAIMS[args.claim].default_grid)
-    report = search_counterexample(args.claim, grid)
+    report = search_counterexample(args.claim, _grid_from_args(args, args.claim, claim=True))
     _emit(args, _report_body("search", report), started)
     return 0 if not report.passed else 1
 

@@ -20,23 +20,16 @@ class Filter:
     """A finite-intersection-closed, superset-closed family, normalized to principal form."""
 
     universe_size: int
-    minimal: SetFamily
+    core: SubsetMask
     trivial: bool = False
 
     def __post_init__(self) -> None:
-        if self.minimal.universe_size != self.universe_size:
-            raise InputError("minimal family universe mismatch")
-        if len(self.minimal) != 1:
-            raise InputError("a normalized filter has exactly one minimal member")
-        core = self.minimal.members[0]
-        if self.trivial and not core.is_empty:
+        if self.core.universe_size != self.universe_size:
+            raise InputError("filter core universe mismatch")
+        if self.trivial and not self.core.is_empty:
             raise InputError("the trivial filter's minimal member is the empty set")
-        if not self.trivial and core.is_empty:
+        if not self.trivial and self.core.is_empty:
             raise InputError("a proper filter has a nonempty minimal member")
-
-    @property
-    def core(self) -> SubsetMask:
-        return self.minimal.members[0]
 
     @property
     def is_proper(self) -> bool:
@@ -108,12 +101,12 @@ def principal_filter(core: SubsetMask) -> Filter:
     """All supersets of a fixed nonempty set."""
     if core.is_empty:
         raise InputError("a principal filter needs a nonempty core; use trivial_filter")
-    return Filter(core.universe_size, SetFamily.of(core.universe_size, [core]))
+    return Filter(core.universe_size, core)
 
 
 def trivial_filter(n: int) -> Filter:
     """The full powerset admitted as a filter; contains the empty set."""
-    return Filter(n, SetFamily.of(n, [SubsetMask.empty(n)]), trivial=True)
+    return Filter(n, SubsetMask.empty(n), trivial=True)
 
 
 def frechet_filter(n: int) -> Filter:

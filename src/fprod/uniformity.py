@@ -24,15 +24,6 @@ from .foundations import (
 from .fproduct import Box, ProductSpec, box_delta
 from .topology import Topology, generate_topology
 
-_ROW_MASK_CACHE: dict[int, int] = {}
-
-
-def _row_mask(n: int) -> int:
-    if n not in _ROW_MASK_CACHE:
-        _ROW_MASK_CACHE[n] = (1 << n) - 1
-    return _ROW_MASK_CACHE[n]
-
-
 @dataclass(frozen=True)
 class Relation:
     """A binary relation on range(point_count), stored on the squared universe."""
@@ -65,7 +56,7 @@ class Relation:
 
     def row_bits(self, x: int) -> int:
         n = self.point_count
-        return self.pairs.bits >> (x * n) & _row_mask(n)
+        return self.pairs.bits >> (x * n) & ((1 << n) - 1)
 
     def pair_list(self) -> tuple[tuple[int, int], ...]:
         n = self.point_count

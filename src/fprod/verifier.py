@@ -1,21 +1,22 @@
 """Exhaustive desk-scale verification of the product-construction propositions.
 
-Each proposition id maps to a deterministic instance generator and a
-single-instance check. A verification run walks the grid in canonical order,
-stops at the first failing instance, and reports it as a replayable witness
-(the witness is the instance payload itself, so re-running the check on it
-reproduces the verdict). Hypotheses are enforced by each proposition's
-default grid; a custom grid may inject hypothesis violations, in which case
-the run honestly fails and exhibits the violation.
+Each proposition or claim id maps to one registry entry: a deterministic
+instance generator, a single-instance check, and the encode/decode pair that
+turns an instance into JSON and back. A run walks the grid in canonical order
+on typed in-memory instances, stops at the first failing instance, and
+reports it as a replayable witness (the witness is the encoded instance
+itself, so decoding it and re-running the check reproduces the verdict).
+Hypotheses are enforced by each entry's default grid; a custom grid may
+inject hypothesis violations, in which case the run honestly fails and
+exhibits the violation.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Any, Callable, Iterator
 
 from . import serialize
 from .filters import (
@@ -108,11 +109,13 @@ def preset_factor(name: str) -> Factor:
 class InstanceGrid:
     """Deterministic instance enumeration bounds for one verification run.
 
-    Propositions interpret the fields they use: index_sizes picks the index
-    set sizes, factor_universe_max bounds enumerated factor spaces,
-    factor_preset fixes factors when factor_source is "fixed", and
-    filter_source selects the index filters ("all", "proper", "trivial", or
-    "named" with named_filters entries that are either "trivial" or
+    Each check reads only the fields its registry entry declares (see
+    grid_fields): index_sizes picks the index set sizes, factor_source picks
+    the factors ("fixed" for factor_preset, "all-topologies" for every
+    topology on 1..factor_universe_max points, "all-filters" for the proper
+    filters and "all-uniformity-bases" for the uniformity bases on 2 points),
+    and filter_source selects the index filters ("all", "proper", "trivial",
+    or "named" with named_filters entries that are either "trivial" or
     comma-joined core labels such as "1,2").
     """
 
@@ -123,7 +126,6 @@ class InstanceGrid:
     filter_source: str = "all"
     named_filters: tuple[str, ...] = ()
     max_instances: int | None = None
-    max_seconds: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index_sizes", tuple(self.index_sizes))
@@ -171,6 +173,10 @@ class PropositionReport:
         }
 
 
+# ---------------------------------------------------------------------------
+# the grid: index filters, factor choices, and the product-instance generator
+
+
 def _grid_filters(grid: InstanceGrid, n: int) -> list[Filter]:
     src = grid.filter_source
     if src == "all":
@@ -200,68 +206,83 @@ def _grid_filters(grid: InstanceGrid, n: int) -> list[Filter]:
     raise InputError(f"unknown filter source {src!r}")
 
 
-def _all_topology_factors(max_size: int) -> list[Factor]:
-    out = []
-    for size in range(1, max_size + 1):
-        for t in enumerate_topologies(size):
-            out.append(Factor(Universe.points(size), topology=t))
-    return out
+def _factor_choices(grid: InstanceGrid) -> list[Factor]:
+    src = grid.factor_source
+    if src == "fixed":
+        return [preset_factor(grid.factor_preset)]
+    if src == "all-topologies":
+        return [
+            Factor(Universe.points(n), topology=t)
+            for n in range(1, grid.factor_universe_max + 1)
+            for t in enumerate_topologies(n)
+        ]
+    if src == "all-filters":
+        return [
+            Factor(Universe.points(2), filter=f)
+            for f in enumerate_filters(2, include_trivial=False)
+        ]
+    if src == "all-uniformity-bases":
+        return [
+            Factor(Universe.points(2), uniformity_base=b)
+            for b in enumerate_uniformity_bases(2)
+        ]
+    raise InputError(f"unknown factor source {src!r}")
 
 
-def _nontrivial_topology_factors(max_size: int) -> list[Factor]:
-    out = []
-    for size in range(1, max_size + 1):
-        for t in enumerate_topologies(size):
-            if len(t.opens()) > 2:
-                out.append(Factor(Universe.points(size), topology=t))
-    return out
+def _product_instances(
+    grid: InstanceGrid, keep: Callable[[Factor], bool] = lambda f: True
+) -> Iterator[ProductSpec]:
+    """index_sizes x factor choices (those passing keep) x index filters, lazily."""
+    choices = [f for f in _factor_choices(grid) if keep(f)]
+    for k in grid.index_sizes:
+        uni = Universe.indices(k)
+        fils = _grid_filters(grid, k)
+        for combo in itertools.product(choices, repeat=k):
+            for fil in fils:
+                yield ProductSpec(uni, combo, fil)
 
 
-def _proper_filter_factors(size: int = 2) -> list[Factor]:
-    return [
-        Factor(Universe.points(size), filter=f)
-        for f in enumerate_filters(size, include_trivial=False)
-    ]
+def _nontrivial_topology(f: Factor) -> bool:
+    return len(f.topology.opens()) > 2  # type: ignore[union-attr]
 
 
-def _uniformity_factors() -> list[Factor]:
-    return [
-        Factor(Universe.points(2), uniformity_base=b)
-        for b in enumerate_uniformity_bases(2)
-    ]
-
-
-def _spec_payload(spec: ProductSpec) -> dict:
+def _encode_spec(spec: ProductSpec) -> dict:
     return {"instance": serialize.spec_to_dict(spec)}
 
 
+def _decode_spec(payload: dict) -> ProductSpec:
+    return serialize.parse_instance(payload["instance"])
+
+
 # ---------------------------------------------------------------------------
-# per-proposition instance generators and single-instance checks
+# entries with extra fields: generators, encode/decode pairs and checks
 
 
-def _p21_instances(grid: InstanceGrid) -> Iterator[dict]:
+def _p21_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, SetFamily]]:
     for k in grid.index_sizes:
-        factors = tuple(preset_factor(grid.factor_preset) for _ in range(k))
-        spec = product_spec(factors)
-        inst = serialize.spec_to_dict(spec)
-        uni = spec.index_universe
         subset_count = 1 << k
-        for fam_bits in range(1, 1 << subset_count):
-            fam = [
-                serialize.mask_to_labels(SubsetMask(k, m), uni)
-                for m in range(subset_count)
-                if fam_bits >> m & 1
-            ]
-            yield {"instance": inst, "delta_family": fam}
+        for combo in itertools.product(_factor_choices(grid), repeat=k):
+            spec = product_spec(combo)
+            for fam_bits in range(1, 1 << subset_count):
+                fam = SetFamily(
+                    k,
+                    tuple(SubsetMask(k, m) for m in range(subset_count) if fam_bits >> m & 1),
+                )
+                yield spec, fam
 
 
-def _p21_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
-    uni = spec.index_universe
-    fam = SetFamily.of(
-        uni.size,
-        (serialize.labels_to_mask(s, uni) for s in payload["delta_family"]),
-    )
+def _p21_encode(inst: tuple[ProductSpec, SetFamily]) -> dict:
+    spec, fam = inst
+    return {**_encode_spec(spec), "delta_family": serialize.family_to_json(fam, spec.index_universe)}
+
+
+def _p21_decode(payload: dict) -> tuple[ProductSpec, SetFamily]:
+    spec = _decode_spec(payload)
+    return spec, serialize.family_from_json(payload["delta_family"], spec.index_universe)
+
+
+def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
+    spec, fam = inst
     base = f_topology_base(spec, delta_family=fam)
     is_base = validate_base(base)
     closed = is_intersection_closed(fam)
@@ -273,23 +294,28 @@ def _p21_check(payload: dict) -> tuple[bool, dict | None]:
     }
 
 
-def _p23_instances(grid: InstanceGrid) -> Iterator[dict]:
-    for k in grid.index_sizes:
-        factors = tuple(preset_factor(grid.factor_preset) for _ in range(k))
-        uni = Universe.indices(k)
-        fils = _grid_filters(grid, k)
-        for f, g in itertools.product(fils, fils):
-            spec = ProductSpec(uni, factors, f)
-            yield {
-                "instance": serialize.spec_to_dict(spec),
-                "second_index_filter": serialize.filter_to_dict(g, uni),
-            }
+def _p23_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, Filter]]:
+    for spec in _product_instances(grid):
+        for g in _grid_filters(grid, spec.index_universe.size):
+            yield spec, g
 
 
-def _p23_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p23_encode(inst: tuple[ProductSpec, Filter]) -> dict:
+    spec, g = inst
+    return {
+        **_encode_spec(spec),
+        "second_index_filter": serialize.filter_to_dict(g, spec.index_universe),
+    }
+
+
+def _p23_decode(payload: dict) -> tuple[ProductSpec, Filter]:
+    spec = _decode_spec(payload)
+    return spec, serialize.filter_from_dict(payload["second_index_filter"], spec.index_universe)
+
+
+def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
+    spec, g = inst
     assert spec.index_filter is not None
-    g = serialize.filter_from_dict(payload["second_index_filter"], spec.index_universe)
     lhs = filter_leq(spec.index_filter, g)
     rhs = topology_leq(
         f_topology(spec),
@@ -300,17 +326,22 @@ def _p23_check(payload: dict) -> tuple[bool, dict | None]:
     return False, {"filter_leq": lhs, "topology_leq": rhs}
 
 
-def _p25_instances(grid: InstanceGrid) -> Iterator[dict]:
+def _p25_instances(grid: InstanceGrid) -> Iterator[Filter]:
     for k in grid.index_sizes:
-        uni = Universe.indices(k)
-        for fil in _grid_filters(grid, k):
-            yield {"index_size": k, "index_filter": serialize.filter_to_dict(fil, uni)}
+        yield from _grid_filters(grid, k)
 
 
-def _p25_check(payload: dict) -> tuple[bool, dict | None]:
-    k = payload["index_size"]
-    uni = Universe.indices(k)
-    fil = serialize.filter_from_dict(payload["index_filter"], uni)
+def _p25_encode(fil: Filter) -> dict:
+    k = fil.universe_size
+    return {"index_size": k, "index_filter": serialize.filter_to_dict(fil, Universe.indices(k))}
+
+
+def _p25_decode(payload: dict) -> Filter:
+    return serialize.filter_from_dict(payload["index_filter"], Universe.indices(payload["index_size"]))
+
+
+def _p25_check(fil: Filter) -> tuple[bool, dict | None]:
+    k = fil.universe_size
     members = fil.members().members
     misses_each_point = all(
         any(not (m.bits >> i & 1) for m in members) for i in range(k)
@@ -326,16 +357,77 @@ def _p25_check(payload: dict) -> tuple[bool, dict | None]:
     }
 
 
-def _p27_instances(grid: InstanceGrid) -> Iterator[dict]:
-    choices = _nontrivial_topology_factors(grid.factor_universe_max)
-    for k in grid.index_sizes:
-        for combo in itertools.product(choices, repeat=k):
-            for fil in _grid_filters(grid, k):
-                yield _spec_payload(ProductSpec(Universe.indices(k), combo, fil))
+def _e29_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, bool]]:
+    k = grid.index_sizes[0]
+    factors = tuple(preset_factor("discrete2") for _ in range(k))
+    uni = Universe.indices(k)
+    yield ProductSpec(uni, factors, principal_filter(SubsetMask.of(k, [0]))), False
+    yield ProductSpec(uni, factors, trivial_filter(k)), True
 
 
-def _p27_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _e29_encode(inst: tuple[ProductSpec, bool]) -> dict:
+    spec, expect_hausdorff = inst
+    return {**_encode_spec(spec), "expect_hausdorff": expect_hausdorff}
+
+
+def _e29_decode(payload: dict) -> tuple[ProductSpec, bool]:
+    return _decode_spec(payload), payload["expect_hausdorff"]
+
+
+def _e29_check(inst: tuple[ProductSpec, bool]) -> tuple[bool, dict | None]:
+    spec, expect_hausdorff = inst
+    t = f_topology(spec)
+    h = t.is_hausdorff()
+    if h != expect_hausdorff:
+        return False, {"hausdorff": h, "expected": expect_hausdorff}
+    if expect_hausdorff:
+        return True, None
+    idx = spec.indexing
+    k = len(spec.factors)
+    x = idx.encode_point([1] + [0] * (k - 1))
+    y = idx.encode_point([0] * k)
+    if (t.minimal_neighborhood(x) & t.minimal_neighborhood(y)).is_empty:
+        return False, {"pair_unexpectedly_separated": True}
+    pair = sorted(
+        [serialize.product_point_label(y, spec), serialize.product_point_label(x, spec)]
+    )
+    return True, {"inseparable_pair": pair}
+
+
+def _p210_instances(grid: InstanceGrid) -> Iterator[Topology]:
+    for n in range(1, grid.factor_universe_max + 1):
+        yield from enumerate_topologies(n)
+
+
+def _p210_encode(t: Topology) -> dict:
+    n = t.universe_size
+    return {"space_size": n, "base": serialize.family_to_json(t.base, Universe.points(n))}
+
+
+def _p210_decode(payload: dict) -> Topology:
+    uni = Universe.points(payload["space_size"])
+    return generate_topology(serialize.family_from_json(payload["base"], uni))
+
+
+def _p210_check(t: Topology) -> tuple[bool, dict | None]:
+    if not t.is_hausdorff():
+        return True, None  # hypothesis empty; every finite space is compact
+    for other in enumerate_topologies(t.universe_size):
+        if topologies_equal(other, t):
+            continue
+        if topology_leq(other, t) and other.is_hausdorff():
+            return False, {"strictly_coarser_hausdorff_exists": True}
+        if topology_leq(t, other):
+            # a strictly finer topology would be a compact refinement
+            return False, {"strictly_finer_topology_exists": True}
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# checks on a bare product spec
+
+
+def _p27_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     assert spec.index_filter is not None
     continuous = all_projections_continuous(spec)
     finer_than_cofinite = spec.index_filter.trivial
@@ -345,14 +437,6 @@ def _p27_check(payload: dict) -> tuple[bool, dict | None]:
         "all_projections_continuous": continuous,
         "filter_contains_all_cofinite_sets": finer_than_cofinite,
     }
-
-
-def _p28_instances(grid: InstanceGrid) -> Iterator[dict]:
-    choices = _all_topology_factors(grid.factor_universe_max)
-    for k in grid.index_sizes:
-        for combo in itertools.product(choices, repeat=k):
-            for fil in _grid_filters(grid, k):
-                yield _spec_payload(ProductSpec(Universe.indices(k), combo, fil))
 
 
 def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
@@ -380,8 +464,7 @@ def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
     return None
 
 
-def _p28_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p28_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     assert spec.index_filter is not None
     t = f_topology(spec)
     product_h = t.is_hausdorff()
@@ -398,73 +481,7 @@ def _p28_check(payload: dict) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _e29_instances(grid: InstanceGrid) -> Iterator[dict]:
-    k = grid.index_sizes[0]
-    factors = tuple(preset_factor("discrete2") for _ in range(k))
-    uni = Universe.indices(k)
-    pinned = ProductSpec(uni, factors, principal_filter(SubsetMask.of(k, [0])))
-    yield {"instance": serialize.spec_to_dict(pinned), "expect_hausdorff": False}
-    boxed = ProductSpec(uni, factors, trivial_filter(k))
-    yield {"instance": serialize.spec_to_dict(boxed), "expect_hausdorff": True}
-
-
-def _e29_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
-    t = f_topology(spec)
-    h = t.is_hausdorff()
-    if h != payload["expect_hausdorff"]:
-        return False, {"hausdorff": h, "expected": payload["expect_hausdorff"]}
-    if payload["expect_hausdorff"]:
-        return True, None
-    idx = spec.indexing
-    k = len(spec.factors)
-    x = idx.encode_point([1] + [0] * (k - 1))
-    y = idx.encode_point([0] * k)
-    if (t.minimal_neighborhood(x) & t.minimal_neighborhood(y)).is_empty:
-        return False, {"pair_unexpectedly_separated": True}
-    pair = sorted(
-        [serialize.product_point_label(y, spec), serialize.product_point_label(x, spec)]
-    )
-    return True, {"inseparable_pair": pair}
-
-
-def _p210_instances(grid: InstanceGrid) -> Iterator[dict]:
-    for n in range(1, grid.factor_universe_max + 1):
-        uni = Universe.points(n)
-        for t in enumerate_topologies(n):
-            yield {
-                "space_size": n,
-                "base": [serialize.mask_to_labels(m, uni) for m in t.base],
-            }
-
-
-def _p210_check(payload: dict) -> tuple[bool, dict | None]:
-    n = payload["space_size"]
-    uni = Universe.points(n)
-    fam = SetFamily.of(n, (serialize.labels_to_mask(s, uni) for s in payload["base"]))
-    t = generate_topology(fam)
-    if not t.is_hausdorff():
-        return True, None  # hypothesis empty; every finite space is compact
-    for other in enumerate_topologies(n):
-        if topologies_equal(other, t):
-            continue
-        if topology_leq(other, t) and other.is_hausdorff():
-            return False, {"strictly_coarser_hausdorff_exists": True}
-        if topology_leq(t, other):
-            # a strictly finer topology would be a compact refinement
-            return False, {"strictly_finer_topology_exists": True}
-    return True, None
-
-
-def _p31_instances(grid: InstanceGrid) -> Iterator[dict]:
-    for k in grid.index_sizes:
-        factors = tuple(preset_factor(grid.factor_preset) for _ in range(k))
-        for fil in _grid_filters(grid, k):
-            yield _spec_payload(ProductSpec(Universe.indices(k), factors, fil))
-
-
-def _p31_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p31_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology(spec)
     total = spec.indexing.total
     sigmas = [equalizer(spec, x) for x in range(total)]
@@ -485,24 +502,14 @@ def _p31_check(payload: dict) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _filtered_factor_instances(grid: InstanceGrid) -> Iterator[dict]:
-    choices = _proper_filter_factors(2)
-    for k in grid.index_sizes:
-        for combo in itertools.product(choices, repeat=k):
-            for fil in _grid_filters(grid, k):
-                yield _spec_payload(ProductSpec(Universe.indices(k), combo, fil))
-
-
-def _p41_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p41_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     base = f_filter_base(spec)
     if validate_filter_base(base):
         return True, None
     return False, {"box_family_is_filter_base": False}
 
 
-def _p42_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     assert spec.index_filter is not None
     ffil = f_filter(spec)
     idx = spec.indexing
@@ -517,17 +524,7 @@ def _p42_check(payload: dict) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _p43_instances(grid: InstanceGrid) -> Iterator[dict]:
-    choices = _proper_filter_factors(2)
-    for k in grid.index_sizes:
-        for combo in itertools.product(choices, repeat=k):
-            yield _spec_payload(
-                ProductSpec(Universe.indices(k), combo, trivial_filter(k))
-            )
-
-
-def _p43_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     box_filter = f_filter(spec)
     idx = spec.indexing
     pmaps = [projection_map(i, idx) for i in range(len(spec.factors))]
@@ -545,16 +542,7 @@ def _p43_check(payload: dict) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _p45_instances(grid: InstanceGrid) -> Iterator[dict]:
-    choices = _all_topology_factors(grid.factor_universe_max)
-    for k in grid.index_sizes:
-        for combo in itertools.product(choices, repeat=k):
-            for fil in _grid_filters(grid, k):
-                yield _spec_payload(ProductSpec(Universe.indices(k), combo, fil))
-
-
-def _p45_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology(spec)
     idx = spec.indexing
     for code in range(idx.total):
@@ -574,24 +562,14 @@ def _p45_check(payload: dict) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _uniformity_instances(grid: InstanceGrid) -> Iterator[dict]:
-    choices = _uniformity_factors()
-    for k in grid.index_sizes:
-        for combo in itertools.product(choices, repeat=k):
-            for fil in _grid_filters(grid, k):
-                yield _spec_payload(ProductSpec(Universe.indices(k), combo, fil))
-
-
-def _p52_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p52_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     base = f_uniformity_base(spec)
     if validate_uniformity_base(base):
         return True, None
     return False, {"box_family_is_uniformity_base": False}
 
 
-def _p5ind_check(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     from_uniformity = induced_topology(f_uniformity(spec))
     topo_factors = tuple(
         Factor(
@@ -608,286 +586,10 @@ def _p5ind_check(payload: dict) -> tuple[bool, dict | None]:
     return False, {"induced_topology_differs": True}
 
 
-# ---------------------------------------------------------------------------
-# catalog
+# checks of the false generalizations that search_counterexample refutes
 
 
-@dataclass(frozen=True)
-class _Prop:
-    prop_id: str
-    description: str
-    notes: tuple[str, ...]
-    default_grid: InstanceGrid
-    instances: Callable[[InstanceGrid], Iterator[dict]]
-    check: Callable[[dict], tuple[bool, dict | None]]
-
-
-_PROPS: dict[str, _Prop] = {}
-
-
-def _register(prop: _Prop) -> None:
-    _PROPS[prop.prop_id] = prop
-
-
-_register(
-    _Prop(
-        "P2.1",
-        "open boxes with accepted distinguished indexes form a topology base "
-        "iff the accepting family is intersection-closed",
-        ("grid restricted to non-trivial factors: with a trivial factor topology "
-         "boxes cannot realize every distinguished index set",),
-        InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski"),
-        _p21_instances,
-        _p21_check,
-    )
-)
-_register(
-    _Prop(
-        "P2.3",
-        "the map from index filters to product topologies is an order immersion",
-        (),
-        InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski",
-                     filter_source="all"),
-        _p23_instances,
-        _p23_check,
-    )
-)
-_register(
-    _Prop(
-        "P2.5",
-        "a filter misses each index from some member iff every point complement is a member",
-        (_NOTE_SATURATED,),
-        InstanceGrid(index_sizes=(1, 2, 3, 4), factor_source="none", filter_source="all"),
-        _p25_instances,
-        _p25_check,
-    )
-)
-_register(
-    _Prop(
-        "P2.7",
-        "all projections are continuous iff the index filter contains every cofinite set",
-        (_NOTE_COFINITE,
-         "grid restricted to non-trivial factors: projections onto an indiscrete "
-         "factor are continuous for every index filter"),
-        InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-topologies",
-                     factor_universe_max=2, filter_source="all"),
-        _p27_instances,
-        _p27_check,
-    )
-)
-_register(
-    _Prop(
-        "P2.8",
-        "for a saturated index filter the product is Hausdorff iff every factor is; "
-        "factors embed homeomorphically as slices",
-        (_NOTE_SATURATED,),
-        InstanceGrid(index_sizes=(2,), factor_source="all-topologies",
-                     factor_universe_max=3, filter_source="trivial"),
-        _p28_instances,
-        _p28_check,
-    )
-)
-_register(
-    _Prop(
-        "E2.9",
-        "discrete two-point factors with a principal index filter give a non-Hausdorff "
-        "product; the trivial filter gives a Hausdorff one",
-        ("the points differing only at the pinned index share every basic neighborhood",),
-        InstanceGrid(index_sizes=(3,), factor_source="fixed", factor_preset="discrete2",
-                     filter_source="named", named_filters=("1",)),
-        _e29_instances,
-        _e29_check,
-    )
-)
-_register(
-    _Prop(
-        "P2.10",
-        "a Hausdorff compact topology is Hausdorff-minimal and compact-maximal "
-        "(finite degenerate form)",
-        ("every finite space is compact and every finite Hausdorff space is discrete; "
-         "the compact-maximal direction is vacuous because the discrete topology is "
-         "the top of the lattice",),
-        InstanceGrid(index_sizes=(1,), factor_source="all-topologies", factor_universe_max=3,
-                     filter_source="trivial"),
-        _p210_instances,
-        _p210_check,
-    )
-)
-_register(
-    _Prop(
-        "P3.1",
-        "equalizers are dense, and equalizers of filter-different points are disjoint",
-        ("with the trivial index filter the equalizer is the whole product; "
-         "the disjointness half needs a proper filter",),
-        InstanceGrid(index_sizes=(1, 2, 3), factor_source="fixed", factor_preset="discrete2",
-                     filter_source="proper"),
-        _p31_instances,
-        _p31_check,
-    )
-)
-_register(
-    _Prop(
-        "P4.1",
-        "boxes of factor-filter members with accepted distinguished indexes form a filter base",
-        (),
-        InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-filters", filter_source="all"),
-        _filtered_factor_instances,
-        _p41_check,
-    )
-)
-_register(
-    _Prop(
-        "P4.2",
-        "projections of the product filter are contained in the factor filters, "
-        "with equality for a saturated index filter",
-        (_NOTE_SATURATED,
-         "for a non-saturated filter the containment can be strict; see the "
-         "projection-filter-identity-for-all-filters counterexample search"),
-        InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-filters", filter_source="all"),
-        _filtered_factor_instances,
-        _p42_check,
-    )
-)
-_register(
-    _Prop(
-        "P4.3",
-        "the box product filter is the smallest filter whose projections are the factor filters",
-        (_NOTE_COFINITE,),
-        InstanceGrid(index_sizes=(2,), factor_source="all-filters", filter_source="trivial"),
-        _p43_instances,
-        _p43_check,
-    )
-)
-_register(
-    _Prop(
-        "P4.5",
-        "the neighborhood filter of a product point is the product filter of the "
-        "factor neighborhood filters",
-        (),
-        InstanceGrid(index_sizes=(2,), factor_source="all-topologies", factor_universe_max=3,
-                     filter_source="all"),
-        _p45_instances,
-        _p45_check,
-    )
-)
-_register(
-    _Prop(
-        "P5.2",
-        "boxes of factor entourages with accepted distinguished indexes form a uniformity base",
-        (),
-        InstanceGrid(index_sizes=(2,), factor_source="all-uniformity-bases", filter_source="all"),
-        _uniformity_instances,
-        _p52_check,
-    )
-)
-_register(
-    _Prop(
-        "P5.ind",
-        "the product uniformity induces the product topology of the induced factor topologies",
-        (),
-        InstanceGrid(index_sizes=(2,), factor_source="all-uniformity-bases", filter_source="all"),
-        _uniformity_instances,
-        _p5ind_check,
-    )
-)
-
-OUT_OF_SCOPE: dict[str, str] = {
-    "C2.11": "comparability of Hausdorff compact topologies has no non-degenerate finite "
-             "instance: every finite Hausdorff space is already discrete",
-    "P2.12": "needs a saturated filter distinct from the cofinite filter; on a finite "
-             "index set both collapse to the trivial filter",
-    "C2.13": "needs a free ultrafilter; none exists on a finite index set",
-    "L2.14": "box products over infinitely many nontrivial factors are non-compact; "
-             "every finite space is compact",
-    "P2.15": "needs a saturated filter distinct from the cofinite filter and an "
-             "infinite index set",
-}
-
-
-def proposition_catalog() -> dict[str, dict]:
-    """All known proposition ids with status and description."""
-    out: dict[str, dict] = {}
-    for pid, prop in sorted(_PROPS.items()):
-        out[pid] = {"status": "verifiable", "description": prop.description}
-    for pid, reason in sorted(OUT_OF_SCOPE.items()):
-        out[pid] = {"status": "out-of-scope", "description": reason}
-    return out
-
-
-def _run(
-    check_id: str,
-    description: str,
-    notes: tuple[str, ...],
-    grid: InstanceGrid,
-    instances: Iterator[dict],
-    check: Callable[[dict], tuple[bool, dict | None]],
-) -> PropositionReport:
-    checked = 0
-    failure: dict | None = None
-    exhibit: dict | None = None
-    complete = True
-    start = time.monotonic()
-    for payload in instances:
-        if grid.max_instances is not None and checked >= grid.max_instances:
-            complete = False
-            break
-        if grid.max_seconds is not None and time.monotonic() - start > grid.max_seconds:
-            complete = False
-            break
-        ok, detail = check(payload)
-        checked += 1
-        if not ok:
-            failure = {**payload, "detail": detail}
-            break
-        if detail is not None and exhibit is None:
-            exhibit = {**payload, "detail": detail}
-    passed = failure is None
-    witness = failure if failure is not None else exhibit
-    return PropositionReport(
-        prop_id=check_id,
-        description=description,
-        grid=grid,
-        checked=checked,
-        passed=passed,
-        complete=complete,
-        witness=witness,
-        degenerate_notes=notes,
-    )
-
-
-def verify_proposition(prop_id: str, grid: InstanceGrid | None = None) -> PropositionReport:
-    """Walk the grid for one proposition; stop at the first counterexample."""
-    if prop_id in OUT_OF_SCOPE:
-        raise InputError(
-            f"proposition {prop_id} is out of scope: {OUT_OF_SCOPE[prop_id]}"
-        )
-    prop = _PROPS.get(prop_id)
-    if prop is None:
-        raise InputError(
-            f"unknown proposition id {prop_id!r}; known ids: {sorted(_PROPS) + sorted(OUT_OF_SCOPE)}"
-        )
-    grid = grid if grid is not None else prop.default_grid
-    return _run(
-        prop.prop_id, prop.description, prop.notes, grid, prop.instances(grid), prop.check
-    )
-
-
-# ---------------------------------------------------------------------------
-# counterexample search over a catalog of false generalizations
-
-
-@dataclass(frozen=True)
-class _Claim:
-    claim_id: str
-    description: str
-    notes: tuple[str, ...]
-    default_grid: InstanceGrid
-    instances: Callable[[InstanceGrid], Iterator[dict]]
-    holds: Callable[[dict], tuple[bool, dict | None]]
-
-
-def _claim_hausdorff_holds(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _claim_hausdorff_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
     if not all(f.topology.is_hausdorff() for f in spec.factors):  # type: ignore[union-attr]
         return True, None  # hypothesis not met, nothing to refute
     t = f_topology(spec)
@@ -906,8 +608,7 @@ def _claim_hausdorff_holds(payload: dict) -> tuple[bool, dict | None]:
     return False, None
 
 
-def _claim_projection_identity_holds(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _claim_projection_identity_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
     ffil = f_filter(spec)
     idx = spec.indexing
     for i, f in enumerate(spec.factors):
@@ -922,8 +623,7 @@ def _claim_projection_identity_holds(payload: dict) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _claim_equalizer_dense_holds(payload: dict) -> tuple[bool, dict | None]:
-    spec = serialize.parse_instance(payload["instance"])
+def _claim_equalizer_dense_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology(spec)
     for x in range(spec.indexing.total):
         if not t.is_dense(equalizer(spec, x)):
@@ -933,39 +633,317 @@ def _claim_equalizer_dense_holds(payload: dict) -> tuple[bool, dict | None]:
     return True, None
 
 
-_CLAIMS: dict[str, _Claim] = {
-    "hausdorff-for-all-filters": _Claim(
-        "hausdorff-for-all-filters",
-        "a product of Hausdorff factors is Hausdorff for every index filter",
-        ("false in general; fails at every non-saturated filter",),
-        InstanceGrid(index_sizes=(2,), factor_source="fixed", factor_preset="discrete2",
-                     filter_source="all"),
-        _p31_instances,
-        _claim_hausdorff_holds,
-    ),
-    "projection-filter-identity-for-all-filters": _Claim(
-        "projection-filter-identity-for-all-filters",
-        "projections of the product filter equal the factor filters for every index filter",
-        ("false without saturation: a pinned coordinate projects to the indiscrete filter",),
-        InstanceGrid(index_sizes=(2,), factor_source="all-filters", filter_source="all"),
-        _filtered_factor_instances,
-        _claim_projection_identity_holds,
-    ),
-    "equalizer-dense-for-all-proper-filters": _Claim(
-        "equalizer-dense-for-all-proper-filters",
-        "equalizers are dense for every proper index filter (true on every grid; "
-        "serves as the negative control)",
-        (),
-        InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="discrete2",
-                     filter_source="proper"),
-        _p31_instances,
-        _claim_equalizer_dense_holds,
-    ),
+# ---------------------------------------------------------------------------
+# the registry of propositions and claims
+
+# InstanceGrid fields, grouped by the CLI flag that sets them
+_INDEX = frozenset({"index_sizes"})
+_SIZE = frozenset({"factor_universe_max"})
+_FACTORS = frozenset({"factor_source", "factor_preset"})
+_FILTERS = frozenset({"filter_source", "named_filters"})
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One proposition (or, with claim set, one false generalization to refute).
+
+    check takes the typed instances that instances yields; encode and decode
+    convert one to and from JSON, and are used only for witnesses and replay.
+    """
+
+    check_id: str
+    description: str
+    notes: tuple[str, ...]
+    default_grid: InstanceGrid
+    reads: frozenset[str]
+    check: Callable[[Any], tuple[bool, dict | None]]
+    instances: Callable[[InstanceGrid], Iterator[Any]] = _product_instances
+    encode: Callable[[Any], dict] = _encode_spec
+    decode: Callable[[dict], Any] = _decode_spec
+    claim: bool = False
+
+
+_REGISTRY: dict[str, _Entry] = {
+    e.check_id: e
+    for e in (
+        _Entry(
+            "P2.1",
+            "open boxes with accepted distinguished indexes form a topology base "
+            "iff the accepting family is intersection-closed",
+            ("grid restricted to non-trivial factors: with a trivial factor topology "
+             "boxes cannot realize every distinguished index set",),
+            InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski"),
+            _INDEX | _FACTORS,
+            _p21_check,
+            _p21_instances,
+            _p21_encode,
+            _p21_decode,
+        ),
+        _Entry(
+            "P2.3",
+            "the map from index filters to product topologies is an order immersion",
+            (),
+            InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski",
+                         filter_source="all"),
+            _INDEX | _FACTORS | _FILTERS,
+            _p23_check,
+            _p23_instances,
+            _p23_encode,
+            _p23_decode,
+        ),
+        _Entry(
+            "P2.5",
+            "a filter misses each index from some member iff every point complement is a member",
+            (_NOTE_SATURATED,),
+            InstanceGrid(index_sizes=(1, 2, 3, 4), factor_source="none", filter_source="all"),
+            _INDEX | _FILTERS,
+            _p25_check,
+            _p25_instances,
+            _p25_encode,
+            _p25_decode,
+        ),
+        _Entry(
+            "P2.7",
+            "all projections are continuous iff the index filter contains every cofinite set",
+            (_NOTE_COFINITE,
+             "grid restricted to non-trivial factors: projections onto an indiscrete "
+             "factor are continuous for every index filter"),
+            InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-topologies",
+                         factor_universe_max=2, filter_source="all"),
+            _INDEX | _SIZE | _FACTORS | _FILTERS,
+            _p27_check,
+            partial(_product_instances, keep=_nontrivial_topology),
+        ),
+        _Entry(
+            "P2.8",
+            "for a saturated index filter the product is Hausdorff iff every factor is; "
+            "factors embed homeomorphically as slices",
+            (_NOTE_SATURATED,),
+            InstanceGrid(index_sizes=(2,), factor_source="all-topologies",
+                         factor_universe_max=3, filter_source="trivial"),
+            _INDEX | _SIZE | _FACTORS | _FILTERS,
+            _p28_check,
+        ),
+        _Entry(
+            "E2.9",
+            "discrete two-point factors with a principal index filter give a non-Hausdorff "
+            "product; the trivial filter gives a Hausdorff one",
+            ("the points differing only at the pinned index share every basic neighborhood",),
+            InstanceGrid(index_sizes=(3,), factor_source="fixed", factor_preset="discrete2",
+                         filter_source="named", named_filters=("1",)),
+            _INDEX,
+            _e29_check,
+            _e29_instances,
+            _e29_encode,
+            _e29_decode,
+        ),
+        _Entry(
+            "P2.10",
+            "a Hausdorff compact topology is Hausdorff-minimal and compact-maximal "
+            "(finite degenerate form)",
+            ("every finite space is compact and every finite Hausdorff space is discrete; "
+             "the compact-maximal direction is vacuous because the discrete topology is "
+             "the top of the lattice",),
+            InstanceGrid(index_sizes=(1,), factor_source="all-topologies", factor_universe_max=3,
+                         filter_source="trivial"),
+            _SIZE,
+            _p210_check,
+            _p210_instances,
+            _p210_encode,
+            _p210_decode,
+        ),
+        _Entry(
+            "P3.1",
+            "equalizers are dense, and equalizers of filter-different points are disjoint",
+            ("with the trivial index filter the equalizer is the whole product; "
+             "the disjointness half needs a proper filter",),
+            InstanceGrid(index_sizes=(1, 2, 3), factor_source="fixed", factor_preset="discrete2",
+                         filter_source="proper"),
+            _INDEX | _FACTORS | _FILTERS,
+            _p31_check,
+        ),
+        _Entry(
+            "P4.1",
+            "boxes of factor-filter members with accepted distinguished indexes form a filter base",
+            (),
+            InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-filters", filter_source="all"),
+            _INDEX | _FILTERS,
+            _p41_check,
+        ),
+        _Entry(
+            "P4.2",
+            "projections of the product filter are contained in the factor filters, "
+            "with equality for a saturated index filter",
+            (_NOTE_SATURATED,
+             "for a non-saturated filter the containment can be strict; see the "
+             "projection-filter-identity-for-all-filters counterexample search"),
+            InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-filters", filter_source="all"),
+            _INDEX | _FILTERS,
+            _p42_check,
+        ),
+        _Entry(
+            "P4.3",
+            "the box product filter is the smallest filter whose projections are the factor filters",
+            (_NOTE_COFINITE,),
+            InstanceGrid(index_sizes=(2,), factor_source="all-filters", filter_source="trivial"),
+            _INDEX | _FILTERS,
+            _p43_check,
+        ),
+        _Entry(
+            "P4.5",
+            "the neighborhood filter of a product point is the product filter of the "
+            "factor neighborhood filters",
+            (),
+            InstanceGrid(index_sizes=(2,), factor_source="all-topologies", factor_universe_max=3,
+                         filter_source="all"),
+            _INDEX | _SIZE | _FACTORS | _FILTERS,
+            _p45_check,
+        ),
+        _Entry(
+            "P5.2",
+            "boxes of factor entourages with accepted distinguished indexes form a uniformity base",
+            (),
+            InstanceGrid(index_sizes=(2,), factor_source="all-uniformity-bases", filter_source="all"),
+            _INDEX | _FILTERS,
+            _p52_check,
+        ),
+        _Entry(
+            "P5.ind",
+            "the product uniformity induces the product topology of the induced factor topologies",
+            (),
+            InstanceGrid(index_sizes=(2,), factor_source="all-uniformity-bases", filter_source="all"),
+            _INDEX | _FILTERS,
+            _p5ind_check,
+        ),
+        _Entry(
+            "hausdorff-for-all-filters",
+            "a product of Hausdorff factors is Hausdorff for every index filter",
+            ("false in general; fails at every non-saturated filter",),
+            InstanceGrid(index_sizes=(2,), factor_source="fixed", factor_preset="discrete2",
+                         filter_source="all"),
+            _INDEX | _FACTORS | _FILTERS,
+            _claim_hausdorff_holds,
+            claim=True,
+        ),
+        _Entry(
+            "projection-filter-identity-for-all-filters",
+            "projections of the product filter equal the factor filters for every index filter",
+            ("false without saturation: a pinned coordinate projects to the indiscrete filter",),
+            InstanceGrid(index_sizes=(2,), factor_source="all-filters", filter_source="all"),
+            _INDEX | _FILTERS,
+            _claim_projection_identity_holds,
+            claim=True,
+        ),
+        _Entry(
+            "equalizer-dense-for-all-proper-filters",
+            "equalizers are dense for every proper index filter (true on every grid; "
+            "serves as the negative control)",
+            (),
+            InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="discrete2",
+                         filter_source="proper"),
+            _INDEX | _FACTORS | _FILTERS,
+            _claim_equalizer_dense_holds,
+            claim=True,
+        ),
+    )
+}
+
+OUT_OF_SCOPE: dict[str, str] = {
+    "C2.11": "comparability of Hausdorff compact topologies has no non-degenerate finite "
+             "instance: every finite Hausdorff space is already discrete",
+    "P2.12": "needs a saturated filter distinct from the cofinite filter; on a finite "
+             "index set both collapse to the trivial filter",
+    "C2.13": "needs a free ultrafilter; none exists on a finite index set",
+    "L2.14": "box products over infinitely many nontrivial factors are non-compact; "
+             "every finite space is compact",
+    "P2.15": "needs a saturated filter distinct from the cofinite filter and an "
+             "infinite index set",
 }
 
 
+def _ids(claim: bool) -> list[str]:
+    return sorted(cid for cid, e in _REGISTRY.items() if e.claim == claim)
+
+
+def _entry(check_id: str, claim: bool | None = None) -> _Entry:
+    """The registry entry of a proposition (claim False), a claim (claim True) or either."""
+    entry = _REGISTRY.get(check_id)
+    if entry is not None and claim in (None, entry.claim):
+        return entry
+    if claim is None:
+        raise InputError(f"unknown proposition or claim id {check_id!r}")
+    if claim:
+        raise InputError(f"unknown claim id {check_id!r}; known ids: {_ids(True)}")
+    if check_id in OUT_OF_SCOPE:
+        raise InputError(f"proposition {check_id} is out of scope: {OUT_OF_SCOPE[check_id]}")
+    raise InputError(
+        f"unknown proposition id {check_id!r}; known ids: {_ids(False) + sorted(OUT_OF_SCOPE)}"
+    )
+
+
+def proposition_catalog() -> dict[str, dict]:
+    """All known proposition ids with status and description."""
+    out: dict[str, dict] = {}
+    for pid in _ids(False):
+        out[pid] = {"status": "verifiable", "description": _REGISTRY[pid].description}
+    for pid, reason in sorted(OUT_OF_SCOPE.items()):
+        out[pid] = {"status": "out-of-scope", "description": reason}
+    return out
+
+
 def claim_catalog() -> dict[str, str]:
-    return {cid: c.description for cid, c in sorted(_CLAIMS.items())}
+    return {cid: _REGISTRY[cid].description for cid in _ids(True)}
+
+
+def default_grid(check_id: str, claim: bool = False) -> InstanceGrid:
+    """The grid a proposition (or, with claim, a claim) walks when given none."""
+    return _entry(check_id, claim).default_grid
+
+
+def grid_fields(check_id: str, grid: InstanceGrid) -> frozenset[str]:
+    """The InstanceGrid fields a proposition or claim reads when it walks grid.
+
+    Every check reads max_instances; factor_universe_max counts only where
+    the factors are enumerated rather than fixed.
+    """
+    reads = _entry(check_id).reads | {"max_instances"}
+    if grid.factor_source == "fixed":
+        reads -= _SIZE
+    return reads
+
+
+def _run(entry: _Entry, grid: InstanceGrid | None) -> PropositionReport:
+    grid = grid if grid is not None else entry.default_grid
+    checked = 0
+    failure: dict | None = None
+    exhibit: dict | None = None
+    complete = True
+    for inst in entry.instances(grid):
+        if grid.max_instances is not None and checked >= grid.max_instances:
+            complete = False
+            break
+        ok, detail = entry.check(inst)
+        checked += 1
+        if not ok:
+            failure = {**entry.encode(inst), "detail": detail}
+            break
+        if detail is not None and exhibit is None:
+            exhibit = {**entry.encode(inst), "detail": detail}
+    return PropositionReport(
+        prop_id=entry.check_id,
+        description=entry.description,
+        grid=grid,
+        checked=checked,
+        passed=failure is None,
+        complete=complete,
+        witness=failure if failure is not None else exhibit,
+        degenerate_notes=entry.notes,
+    )
+
+
+def verify_proposition(prop_id: str, grid: InstanceGrid | None = None) -> PropositionReport:
+    """Walk the grid for one proposition; stop at the first counterexample."""
+    return _run(_entry(prop_id, claim=False), grid)
 
 
 def search_counterexample(claim_id: str, grid: InstanceGrid | None = None) -> PropositionReport:
@@ -975,22 +953,11 @@ def search_counterexample(claim_id: str, grid: InstanceGrid | None = None) -> Pr
     survived the whole grid (for a search, finding a witness is the
     interesting outcome).
     """
-    claim = _CLAIMS.get(claim_id)
-    if claim is None:
-        raise InputError(
-            f"unknown claim id {claim_id!r}; known ids: {sorted(_CLAIMS)}"
-        )
-    grid = grid if grid is not None else claim.default_grid
-    return _run(
-        claim.claim_id, claim.description, claim.notes, grid, claim.instances(grid), claim.holds
-    )
+    return _run(_entry(claim_id, claim=True), grid)
 
 
 def replay_witness(check_id: str, witness: dict) -> tuple[bool, dict | None]:
     """Re-run the single-instance check on a serialized witness."""
+    entry = _entry(check_id)
     payload = {k: v for k, v in witness.items() if k != "detail"}
-    if check_id in _PROPS:
-        return _PROPS[check_id].check(payload)
-    if check_id in _CLAIMS:
-        return _CLAIMS[check_id].holds(payload)
-    raise InputError(f"unknown proposition or claim id {check_id!r}")
+    return entry.check(entry.decode(payload))

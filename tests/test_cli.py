@@ -105,6 +105,26 @@ class TestExitCodes:
         assert code == 2
         assert "out of scope" in err
 
+    def test_two_on_a_grid_flag_the_check_does_not_read(self, capsys):
+        for argv, field in (
+            (("--prop", "P2.10", "--index-size", "3"), "index_sizes"),
+            (("--prop", "P2.3", "--factor-size", "3"), "factor_universe_max"),
+            (("--prop", "P3.1", "--factor-size", "3"), "factor_universe_max"),
+            (("--prop", "P2.8", "--factors", "sierpinski", "--factor-size", "2"),
+             "factor_universe_max"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: input:") and field in err
+
+    def test_factors_flag_fixes_the_enumerated_factors(self, capsys):
+        for prop, factors, checked in (("P2.8", "sierpinski", 1), ("P4.5", "discrete2", 4)):
+            code, out, _ = run(capsys, "verify", "--prop", prop, "--factors", factors, "--json")
+            assert code == 0
+            report = json_body(out)["report"]
+            assert report["checked"] == checked
+            assert report["grid"]["factor_source"] == "fixed"
+
     def test_three_on_budget_exhaustion(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import pytest
 
 from fprod.foundations import InputError
 from fprod.verifier import (
+    _REGISTRY,
     InstanceGrid,
     OUT_OF_SCOPE,
     claim_catalog,
@@ -123,6 +125,18 @@ class TestHypothesisProbe:
         assert not ok
         assert detail == report.witness["detail"]
 
+    @pytest.mark.parametrize(
+        "check_id",
+        ["E2.9", "hausdorff-for-all-filters", "projection-filter-identity-for-all-filters"],
+    )
+    def test_default_grid_witnesses_replay(self, check_id):
+        claim = _REGISTRY[check_id].claim
+        report = (search_counterexample if claim else verify_proposition)(check_id)
+        assert report.witness is not None
+        ok, detail = replay_witness(check_id, report.witness)
+        assert ok == (not claim)
+        assert detail == report.witness["detail"]
+
     def test_p31_disjointness_needs_a_proper_filter(self):
         grid = InstanceGrid(
             index_sizes=(2,),
@@ -222,6 +236,18 @@ class TestSearch:
             "projection-filter-identity-for-all-filters",
             "equalizer-dense-for-all-proper-filters",
         }
+
+
+class TestTypedInstances:
+    @pytest.mark.parametrize("check_id", sorted(_REGISTRY))
+    def test_decode_inverts_encode_on_the_default_grid(self, check_id):
+        """Checks run on typed instances; the JSON round trip they skip is the identity."""
+        entry = _REGISTRY[check_id]
+        count = 0
+        for inst in entry.instances(entry.default_grid):
+            assert entry.decode(json.loads(json.dumps(entry.encode(inst)))) == inst
+            count += 1
+        assert count > 0
 
 
 class TestWitnessRoundTrip:
