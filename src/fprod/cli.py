@@ -210,35 +210,26 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     started = time.monotonic()
     spec = _load_instance(args.instance)
     what = args.what
-    body: dict = {
-        "kind": "construct",
-        "what": what,
-        "points": [
-            serialize.product_point_label(c, spec) for c in range(spec.indexing.total)
-        ],
-    }
+    total = spec.indexing.total
+    points = [serialize.product_point_label(c, spec) for c in range(total)]
+
+    def labels(mask: SubsetMask) -> list[str]:
+        return sorted(points[x] for x in mask)
+
+    body: dict = {"kind": "construct", "what": what, "points": points}
     if what == "f-topology":
         t = f_topology(spec)
-        body["base"] = [serialize.product_subset_to_labels(m, spec) for m in t.base]
-        if spec.indexing.total <= 12:
-            body["opens"] = [
-                serialize.product_subset_to_labels(m, spec) for m in t.opens()
-            ]
+        body["base"] = [labels(m) for m in t.base]
+        if total <= 12:
+            body["opens"] = [labels(m) for m in t.opens()]
     elif what == "f-filter":
         fil = f_filter(spec)
         body["trivial"] = fil.trivial
-        body["minimal"] = serialize.product_subset_to_labels(fil.core, spec)
+        body["minimal"] = labels(fil.core)
     elif what == "f-uniformity":
         u = f_uniformity(spec)
-        total = spec.indexing.total
         body["base"] = [
-            [
-                [
-                    serialize.product_point_label(x, spec),
-                    serialize.product_point_label(y, spec),
-                ]
-                for x, y in Relation(total, m).pair_list()
-            ]
+            [[points[x], points[y]] for x, y in Relation(total, m).pair_list()]
             for m in u.base.members
         ]
     else:

@@ -5,12 +5,18 @@ where the choice is the whole factor, and its support sigma is the rest.
 Restricting boxes to those whose delta belongs to the index filter yields,
 depending on what each factor carries, the product topology, the product
 filter, or (in the uniformity module) the product uniformity.
+
+On a finite product each of these structures is principal, so the
+constructions are computed in closed form from one minimal box per point; the
+enumerated box bases stay as the definitional routes that the propositions
+about them read.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .filters import Filter, FilterBase, generate_filter, principal_filter
 from .foundations import (
@@ -49,6 +55,7 @@ class ProductSpec:
     index_universe: Universe
     factors: tuple[Factor, ...]
     index_filter: Filter | None = None
+    _indexing: ProductIndexing | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -62,7 +69,11 @@ class ProductSpec:
 
     @property
     def indexing(self) -> ProductIndexing:
-        return ProductIndexing(tuple(f.universe.size for f in self.factors))
+        # write-once cache, filled on first access so the size cap fires there
+        if self._indexing is None:
+            idx = ProductIndexing(tuple(f.universe.size for f in self.factors))
+            object.__setattr__(self, "_indexing", idx)
+        return self._indexing  # type: ignore[return-value]
 
     def _require_index_filter(self) -> Filter:
         if self.index_filter is None:
@@ -105,17 +116,66 @@ def box_intersection(b1: Box, b2: Box) -> Box:
     return Box(tuple(a & b for a, b in zip(b1.per_factor, b2.per_factor)))
 
 
+def _box_bits(side_bits: Sequence[int], factor_sizes: Sequence[int]) -> int:
+    """Point mask of the box with the given side masks, without decoding a point.
+
+    Mixed-radix Kronecker shift-or, factor 0 the least-significant digit: the
+    mask over factors 0..i ORs one copy of the mask over factors 0..i-1,
+    shifted by c times their point count, for each element c of side i.
+    """
+    acc = 1
+    width = 1
+    for side, size in zip(side_bits, factor_sizes):
+        spread = 0
+        c = 0
+        while side:
+            if side & 1:
+                spread |= acc << (c * width)
+            side >>= 1
+            c += 1
+        acc = spread
+        width *= size
+    return acc
+
+
+def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> list[int]:
+    """For each product point x, in code order, the mask of the box with sides rows[i][x_i]."""
+    return [
+        _box_bits(sides[::-1], factor_sizes)
+        for sides in itertools.product(*reversed(rows))
+    ]
+
+
+def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> list[int]:
+    """For each product point x, the box whole on the index-filter core and rows[i][x_i] elsewhere.
+
+    With factor minimal neighbourhoods as rows this is the minimal
+    neighbourhood of x in the product topology; with the rows of factor
+    minimal entourages it is the row of x in the product's minimal entourage.
+    """
+    core = spec._require_index_filter().core  # empty when the filter is trivial
+    sizes = spec.indexing.factor_sizes
+    sides = [[(1 << s) - 1] * s if i in core else rows[i] for i, s in enumerate(sizes)]
+    return _point_boxes(sides, sizes)
+
+
 def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
     """The box as a concrete subset of the coded product universe."""
     if tuple(m.universe_size for m in box.per_factor) != idx.factor_sizes:
         raise InputError("box factor sizes do not match the indexing")
-    total = idx.total
-    bits = 0
-    for code in range(total):
-        coords = idx.decode_point(code)
-        if all(coords[i] in box.per_factor[i] for i in range(len(coords))):
-            bits |= 1 << code
-    return SubsetMask(total, bits)
+    return SubsetMask(idx.total, _box_bits([m.bits for m in box.per_factor], idx.factor_sizes))
+
+
+def _accepted_boxes(side_lists: Sequence[Sequence[SubsetMask]], member) -> Iterator[Box]:
+    """Every box with one side from each list whose delta bits `member` accepts.
+
+    The one box enumerator: the definitional box bases of the product
+    topology, filter and uniformity all walk it.
+    """
+    for choice in itertools.product(*side_lists):
+        box = Box(choice)
+        if member(box_delta(box).bits):
+            yield box
 
 
 def _delta_member(spec: ProductSpec, delta_family: SetFamily | None):
@@ -141,17 +201,35 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
         if f.topology is None:
             raise InputError("every factor needs a topology for the product topology")
         per_factor_opens.append([m for m in f.topology.opens() if not m.is_empty])
-    pointsets = []
-    for choice in itertools.product(*per_factor_opens):
-        box = Box(choice)
-        if member(box_delta(box).bits):
-            pointsets.append(box_to_pointset(box, idx))
-    return SetFamily.of(idx.total, pointsets)
+    boxes = _accepted_boxes(per_factor_opens, member)
+    return SetFamily.of(idx.total, [box_to_pointset(box, idx) for box in boxes])
 
 
 def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
-    """The product topology generated by the accepted open boxes."""
-    return generate_topology(f_topology_base(spec, delta_family))
+    """The product topology generated by the accepted open boxes.
+
+    Computed in closed form: a finite space is an Alexandroff space, so the
+    accepted boxes through x meet in one box, whole on the index-filter core
+    and the minimal neighbourhood of x_i elsewhere, and these minimal boxes
+    form a base. An arbitrary intersection-closed delta_family has no core;
+    its topology is generated from the enumerated box base.
+    """
+    if delta_family is not None:
+        return generate_topology(f_topology_base(spec, delta_family))
+    rows = []
+    for f in spec.factors:
+        if f.topology is None:
+            raise InputError("every factor needs a topology for the product topology")
+        t = f.topology
+        rows.append([t.minimal_neighborhood(a).bits for a in range(t.universe_size)])
+    total = spec.indexing.total
+    mins = set(_minimal_boxes(spec, rows))
+    return generate_topology(SetFamily.of(total, (SubsetMask(total, b) for b in mins)))
+
+
+def f_topology_via_base(spec: ProductSpec) -> Topology:
+    """Definitional route: generate the topology from the enumerated box base."""
+    return generate_topology(f_topology_base(spec))
 
 
 def projection_preimage(i: int, sub: SubsetMask, idx: ProductIndexing) -> SubsetMask:
@@ -160,11 +238,9 @@ def projection_preimage(i: int, sub: SubsetMask, idx: ProductIndexing) -> Subset
         raise InputError(f"factor index {i} out of range")
     if sub.universe_size != idx.factor_sizes[i]:
         raise InputError("subset lives on the wrong factor")
-    bits = 0
-    for code in range(idx.total):
-        if idx.decode_point(code)[i] in sub:
-            bits |= 1 << code
-    return SubsetMask(idx.total, bits)
+    sides = [(1 << s) - 1 for s in idx.factor_sizes]
+    sides[i] = sub.bits
+    return SubsetMask(idx.total, _box_bits(sides, idx.factor_sizes))
 
 
 def projection_map(i: int, idx: ProductIndexing) -> tuple[int, ...]:
@@ -239,12 +315,8 @@ def f_filter_base(spec: ProductSpec) -> SetFamily:
     fil = spec._require_index_filter()
     idx = spec.indexing
     member_lists = [f.members().members for f in _factor_filters(spec)]
-    pointsets = []
-    for choice in itertools.product(*member_lists):
-        box = Box(choice)
-        if fil.member_bits(box_delta(box).bits):
-            pointsets.append(box_to_pointset(box, idx))
-    return SetFamily.of(idx.total, pointsets)
+    boxes = _accepted_boxes(member_lists, fil.member_bits)
+    return SetFamily.of(idx.total, [box_to_pointset(box, idx) for box in boxes])
 
 
 def f_filter(spec: ProductSpec) -> Filter:
@@ -254,18 +326,13 @@ def f_filter(spec: ProductSpec) -> Filter:
     index-filter core, factor-filter core elsewhere); the definitional route
     through f_filter_base generates the same filter.
     """
-    fil = spec._require_index_filter()
+    forced = spec._require_index_filter().core  # empty mask when the index filter is trivial
     idx = spec.indexing
-    factor_filters = _factor_filters(spec)
-    forced = fil.core  # empty mask when the index filter is trivial
-    sides = []
-    for i, ff in enumerate(factor_filters):
-        if i in forced:
-            sides.append(SubsetMask.full(ff.universe_size))
-        else:
-            sides.append(ff.core)
-    core = box_to_pointset(Box(tuple(sides)), idx)
-    return principal_filter(core)
+    sides = [
+        (1 << ff.universe_size) - 1 if i in forced else ff.core.bits
+        for i, ff in enumerate(_factor_filters(spec))
+    ]
+    return principal_filter(SubsetMask(idx.total, _box_bits(sides, idx.factor_sizes)))
 
 
 def f_filter_via_base(spec: ProductSpec) -> Filter:

@@ -23,25 +23,32 @@ _OPENS_CAP = 20  # union closures approach 2**n members
 _ENUM_CAP = 4
 
 
+def _point_meets(n: int, bits: Sequence[int]) -> list[int]:
+    """For each point x, the intersection of the members through x (the whole set if none).
+
+    Each member is visited once per element, so the cost is the total member
+    size, not points times members.
+    """
+    meets = [(1 << n) - 1] * n
+    for b in bits:
+        rest = b
+        while rest:
+            low = rest & -rest
+            meets[low.bit_length() - 1] &= b
+            rest ^= low
+    return meets
+
+
 def validate_base(fam: SetFamily) -> bool:
     """True iff fam covers the universe and satisfies the point criterion."""
     n = fam.universe_size
-    full = (1 << n) - 1
     bits = [m.bits for m in fam.members]
     union = 0
     for b in bits:
         union |= b
-    if union != full:
+    if union != (1 << n) - 1:
         return False
-    for x in range(n):
-        probe = 1 << x
-        acc = full
-        for b in bits:
-            if b & probe:
-                acc &= b
-        if not fam.contains_bits(acc):
-            return False
-    return True
+    return all(fam.contains_bits(acc) for acc in _point_meets(n, bits))
 
 
 @dataclass(frozen=True)
@@ -67,18 +74,8 @@ class Topology:
     def _minimal_bits(self) -> tuple[int, ...]:
         # write-once cache; any racer computes the same value
         if self._mins is None:
-            n = self.universe_size
-            full = (1 << n) - 1
             bits = [m.bits for m in self.base.members]
-            mins = []
-            for x in range(n):
-                probe = 1 << x
-                acc = full
-                for b in bits:
-                    if b & probe:
-                        acc &= b
-                mins.append(acc)
-            object.__setattr__(self, "_mins", tuple(mins))
+            object.__setattr__(self, "_mins", tuple(_point_meets(self.universe_size, bits)))
         return self._mins  # type: ignore[return-value]
 
     def minimal_neighborhood(self, x: int) -> SubsetMask:

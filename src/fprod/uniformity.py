@@ -21,7 +21,7 @@ from .foundations import (
     SetFamily,
     SubsetMask,
 )
-from .fproduct import Box, ProductSpec, box_delta
+from .fproduct import ProductSpec, _accepted_boxes, _minimal_boxes, _point_boxes
 from .topology import Topology, generate_topology
 
 @dataclass(frozen=True)
@@ -262,40 +262,58 @@ def _factor_uniformity_bases(spec: ProductSpec) -> list[SetFamily]:
     return out
 
 
+def _stacked_rows(rows: Sequence[int]) -> SubsetMask:
+    """The relation on len(rows) points whose row at x is rows[x]."""
+    n = len(rows)
+    bits = 0
+    for x, row in enumerate(rows):
+        bits |= row << (x * n)
+    return SubsetMask(n * n, bits)
+
+
 def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     """Relations on the product from boxes of factor entourages with accepted delta.
 
     Each factor base is augmented with the full square (a base may omit it,
     yet every uniformity contains it and delta needs it to be realizable),
-    then a box is kept when its delta belongs to the index filter. Boxes are
-    carried across the pair-coordinate identification explicitly.
+    then a box is kept when its delta belongs to the index filter. The row of
+    product point x in the box (R_0, ..., R_k) is the point box with sides
+    R_i-row(x_i), so the relation is built row by row.
     """
     fil = spec._require_index_filter()
     idx = spec.indexing
     total = idx.total
-    sq_idx = squared_indexing(idx)  # also enforces the squared-size cap
+    squared_indexing(idx)  # enforces the squared-size cap
+    sizes = idx.factor_sizes
     factor_bases = _factor_uniformity_bases(spec)
     member_lists = []
-    for f, base in zip(spec.factors, factor_bases):
-        s = f.universe.size
+    for s, base in zip(sizes, factor_bases):
         masks = set(base.members) | {SubsetMask.full(s * s)}
         member_lists.append(sorted(masks, key=lambda m: m.bits))
     relations = []
-    for choice in itertools.product(*member_lists):
-        box = Box(choice)
-        if not fil.member_bits(box_delta(box).bits):
-            continue
-        bits = 0
-        for q in range(sq_idx.total):
-            digits = sq_idx.decode_point(q)
-            if all(digits[i] in choice[i] for i in range(len(choice))):
-                x_code, y_code = pair_code_to_product_pair(q, idx)
-                bits |= 1 << (x_code * total + y_code)
-        relations.append(SubsetMask(total * total, bits))
+    for box in _accepted_boxes(member_lists, fil.member_bits):
+        rows = [
+            [Relation(s, m).row_bits(a) for a in range(s)]
+            for s, m in zip(sizes, box.per_factor)
+        ]
+        relations.append(_stacked_rows(_point_boxes(rows, sizes)))
     return SetFamily.of(total * total, relations)
 
 
 def f_uniformity(spec: ProductSpec) -> Uniformity:
-    """The product uniformity generated by the accepted entourage boxes."""
-    base = f_uniformity_base(spec)
-    return generate_uniformity(base)
+    """The product uniformity generated by the accepted entourage boxes.
+
+    Computed in closed form: the accepted boxes meet in one minimal entourage,
+    whose row at x is the box whole on the index-filter core and the factor
+    minimal-entourage row of x_i elsewhere. f_uniformity_base is the
+    definitional route and generates the same uniformity.
+    """
+    idx = spec.indexing
+    total = idx.total
+    squared_indexing(idx)  # enforces the squared-size cap
+    rows = []
+    for s, base in zip(idx.factor_sizes, _factor_uniformity_bases(spec)):
+        minimal = Uniformity(s, base).minimal_entourage()
+        rows.append([minimal.row_bits(a) for a in range(s)])
+    entourage = _stacked_rows(_minimal_boxes(spec, rows))
+    return generate_uniformity(SetFamily.of(total * total, [entourage]))

@@ -45,6 +45,7 @@ from .fproduct import (
     f_filter_base,
     f_topology,
     f_topology_base,
+    f_topology_via_base,
     product_spec,
     projection_map,
 )
@@ -543,7 +544,7 @@ def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
-    t = f_topology(spec)
+    t = f_topology_via_base(spec)
     idx = spec.indexing
     for code in range(idx.total):
         coords = idx.decode_point(code)
@@ -578,7 +579,7 @@ def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
         )
         for f in spec.factors
     )
-    from_factors = f_topology(
+    from_factors = f_topology_via_base(
         ProductSpec(spec.index_universe, topo_factors, spec.index_filter)
     )
     if topologies_equal(from_uniformity, from_factors):

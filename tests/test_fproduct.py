@@ -1,12 +1,22 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from fprod import fproduct
 from fprod.filters import principal_filter, trivial_filter
-from fprod.foundations import InputError, SetFamily, SubsetMask, Universe
+from fprod.foundations import (
+    InputError,
+    ProductIndexing,
+    ResourceLimitError,
+    SetFamily,
+    SubsetMask,
+    Universe,
+)
 from fprod.fproduct import (
     Box,
+    _box_bits,
     Factor,
     ProductSpec,
     all_projections_continuous,
@@ -21,12 +31,14 @@ from fprod.fproduct import (
     f_filter_via_base,
     f_topology,
     f_topology_base,
+    f_topology_via_base,
     product_spec,
     projection_map,
     projection_preimage,
 )
 from fprod.topology import (
     discrete,
+    enumerate_topologies,
     is_continuous,
     sierpinski,
     subspace,
@@ -34,7 +46,7 @@ from fprod.topology import (
     topology_leq,
     validate_base,
 )
-from fprod.verifier import enumerate_filters, preset_factor
+from fprod.verifier import default_grid, enumerate_filters, preset_factor, verify_proposition
 
 
 def mask(n, bits):
@@ -106,6 +118,32 @@ class TestBoxes:
             box_to_pointset(Box((mask(3, 0b111),)), ProductIndexing((2,)))
 
 
+class TestBoxKernel:
+    def test_matches_decoding_oracle_on_mixed_radices(self):
+        sizes = (2, 3, 1, 2)
+        idx = ProductIndexing(sizes)
+        for sides in itertools.product(*(range(1 << s) for s in sizes)):
+            oracle = 0
+            for code in range(idx.total):
+                if all(side >> c & 1 for side, c in zip(sides, idx.decode_point(code))):
+                    oracle |= 1 << code
+            assert _box_bits(sides, sizes) == oracle
+
+
+class TestProductSpecIndexing:
+    def test_built_once(self):
+        spec = product_spec(discrete2_factors(3), trivial_filter(3))
+        assert spec.indexing is spec.indexing
+        assert spec.indexing.factor_sizes == (2, 2, 2)
+        assert spec == product_spec(discrete2_factors(3), trivial_filter(3))
+
+    def test_cap_fires_on_first_access(self, monkeypatch):
+        monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
+        spec = product_spec(discrete2_factors(3), trivial_filter(3))
+        with pytest.raises(ResourceLimitError):
+            spec.indexing
+
+
 class TestFTopologyBase:
     def test_principal_filter_forces_first_coordinate(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
@@ -172,6 +210,62 @@ class TestFTopology:
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
         opens = f_topology(spec).opens()
         assert [m.bits for m in opens] == [0b0000, 0b0011, 0b1100, 0b1111]
+
+
+class TestClosedFormTopology:
+    def test_agrees_with_box_base_on_small_products(self):
+        pool = [
+            Factor(Universe.points(n), topology=t)
+            for n in (1, 2, 3)
+            for t in enumerate_topologies(n)
+        ]
+        checked = 0
+        for k in (1, 2):
+            for factors in itertools.product(pool, repeat=k):
+                for fil in enumerate_filters(k, include_trivial=True):
+                    spec = product_spec(factors, fil)
+                    assert f_topology(spec)._minimal_bits() == f_topology_via_base(spec)._minimal_bits()
+                    checked += 1
+        assert checked == 4692
+
+    def test_delta_family_goes_through_the_box_base(self):
+        spec = product_spec(sierpinski_factors(2))
+        family = SetFamily.of(2, [mask(2, 0b01), mask(2, 0b11)])
+        assert f_topology(spec, family).base == f_topology_base(spec, delta_family=family)
+
+    def test_discrete3_power_7_is_discrete(self):
+        spec = product_spec(tuple(preset_factor("discrete3") for _ in range(7)), trivial_filter(7))
+        t = f_topology(spec)
+        assert t._minimal_bits() == tuple(1 << x for x in range(3**7))
+
+    def test_pinned_sierpinski_power_8_is_kronecker_of_power_4(self):
+        # the first four factors carry the pinned index, the last four none;
+        # their product codes are the two digits of a (16, 16) mixed radix
+        pinned = f_topology_via_base(
+            product_spec(sierpinski_factors(4), principal_filter(mask(4, 0b0001)))
+        )._minimal_bits()
+        free = f_topology_via_base(
+            product_spec(sierpinski_factors(4), trivial_filter(4))
+        )._minimal_bits()
+        spec = product_spec(sierpinski_factors(8), principal_filter(mask(8, 0b00000001)))
+        expected = tuple(
+            _box_bits((pinned[a], free[b]), (16, 16)) for b in range(16) for a in range(16)
+        )
+        assert f_topology(spec)._minimal_bits() == expected
+
+    @pytest.mark.parametrize("prop", ["P4.5", "P5.ind"])
+    def test_definitional_checks_build_the_box_base(self, monkeypatch, prop):
+        calls = []
+        original = fproduct.f_topology_base
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fproduct, "f_topology_base", counted)
+        grid = dataclasses.replace(default_grid(prop), max_instances=3)
+        verify_proposition(prop, grid)
+        assert len(calls) >= 3
 
 
 class TestProjections:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fprod.filters import principal_filter, trivial_filter, validate_filter_base
-from fprod.foundations import InputError, SetFamily, SubsetMask, Universe
+from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, Universe
 from fprod.fproduct import Factor, product_spec
 from fprod.topology import discrete, indiscrete, is_continuous, topologies_equal
 from fprod.uniformity import (
@@ -364,6 +364,28 @@ class TestProductUniformity:
 
                 rhs = f_topology(ProductSpec(spec.index_universe, topo_factors, fil))
                 assert topologies_equal(lhs, rhs)
+
+    def test_closed_form_agrees_with_box_base(self):
+        pool = [
+            Factor(Universe.points(n), uniformity_base=b)
+            for n in (1, 2)
+            for b in enumerate_uniformity_bases(n)
+        ]
+        checked = 0
+        for k in (1, 2):
+            for factors in itertools.product(pool, repeat=k):
+                for fil in enumerate_filters(k, include_trivial=True):
+                    spec = product_spec(factors, fil)
+                    via_base = generate_uniformity(f_uniformity_base(spec))
+                    assert f_uniformity(spec).minimal_entourage() == via_base.minimal_entourage()
+                    checked += 1
+        assert checked == 420
+
+    def test_squared_cap_fires(self, monkeypatch):
+        monkeypatch.setenv("FPROD_MAX_PRODUCT", "8")
+        spec = product_spec((diagonal_base_factor(),) * 2, trivial_filter(2))
+        with pytest.raises(ResourceLimitError):
+            f_uniformity(spec)
 
     def test_missing_base_rejected(self):
         f = Factor(Universe.points(2), topology=discrete(2))
