@@ -27,7 +27,7 @@ from .fproduct import (
     f_topology,
 )
 from .topology import enumerate_topologies, find_disjoint_dense
-from .uniformity import Relation, f_uniformity
+from .uniformity import f_uniformity
 from .verifier import (
     FACTOR_PRESETS,
     InstanceGrid,
@@ -164,19 +164,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         t = f_topology(spec)
         if prop == "hausdorff":
-            verdict = t.is_hausdorff()
-            if not verdict:
-                mins = [t.minimal_neighborhood(x) for x in range(spec.indexing.total)]
-                pair = next(
-                    (x, y)
-                    for x in range(len(mins))
-                    for y in range(x + 1, len(mins))
-                    if not (mins[x] & mins[y]).is_empty
-                )
-                detail["inseparable_pair"] = [
-                    serialize.product_point_label(pair[0], spec),
-                    serialize.product_point_label(pair[1], spec),
-                ]
+            pair = t.inseparable_pair()
+            verdict = pair is None
+            if pair is not None:
+                detail["inseparable_pair"] = [serialize.product_point_label(x, spec) for x in pair]
         elif prop == "t1":
             verdict = t.is_t1()
         elif prop == "dense":
@@ -228,10 +219,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         body["minimal"] = labels(fil.core)
     elif what == "f-uniformity":
         u = f_uniformity(spec)
-        body["base"] = [
-            [[points[x], points[y]] for x, y in Relation(total, m).pair_list()]
-            for m in u.base.members
-        ]
+        body["base"] = [[[points[x], points[y]] for x, y in u.entourage.pair_list()]]
     else:
         raise InputError(f"unknown construction {what!r}")
     args.json = True  # constructions are inherently data

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -240,6 +240,7 @@ class ProductIndexing:
     """Mixed-radix coding of product points; factor 0 is the least-significant digit."""
 
     factor_sizes: tuple[int, ...]
+    total: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factor_sizes", tuple(self.factor_sizes))
@@ -251,10 +252,7 @@ class ProductIndexing:
         cap = product_cap()
         if total > cap:
             raise ResourceLimitError(f"product size {total} exceeds cap {cap}")
-
-    @property
-    def total(self) -> int:
-        return prod(self.factor_sizes)
+        object.__setattr__(self, "total", total)
 
     def encode_point(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.factor_sizes):

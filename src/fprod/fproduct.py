@@ -211,8 +211,9 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     Computed in closed form: a finite space is an Alexandroff space, so the
     accepted boxes through x meet in one box, whole on the index-filter core
     and the minimal neighbourhood of x_i elsewhere, and these minimal boxes
-    form a base. An arbitrary intersection-closed delta_family has no core;
-    its topology is generated from the enumerated box base.
+    are the product's minimal neighbourhoods. An arbitrary
+    intersection-closed delta_family has no core; its topology is generated
+    from the enumerated box base.
     """
     if delta_family is not None:
         return generate_topology(f_topology_base(spec, delta_family))
@@ -220,11 +221,8 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     for f in spec.factors:
         if f.topology is None:
             raise InputError("every factor needs a topology for the product topology")
-        t = f.topology
-        rows.append([t.minimal_neighborhood(a).bits for a in range(t.universe_size)])
-    total = spec.indexing.total
-    mins = set(_minimal_boxes(spec, rows))
-    return generate_topology(SetFamily.of(total, (SubsetMask(total, b) for b in mins)))
+        rows.append(f.topology.mins)
+    return Topology(spec.indexing.total, tuple(_minimal_boxes(spec, rows)))
 
 
 def f_topology_via_base(spec: ProductSpec) -> Topology:

@@ -22,7 +22,7 @@ from .foundations import (
     SubsetMask,
 )
 from .fproduct import ProductSpec, _accepted_boxes, _minimal_boxes, _point_boxes
-from .topology import Topology, generate_topology
+from .topology import Topology
 
 @dataclass(frozen=True)
 class Relation:
@@ -131,82 +131,79 @@ def validate_uniformity_base(fam: SetFamily) -> bool:
 
 @dataclass(frozen=True)
 class Uniformity:
-    """A uniformity given by a validated base of entourages."""
+    """A uniformity on range(point_count), stored as its minimal entourage.
+
+    The entourages are exactly the supersets of the minimal one, which is an
+    equivalence relation; equal uniformities have equal entourages, so == and
+    hash compare structures, not presentations.
+    """
 
     point_count: int
-    base: SetFamily
+    entourage: Relation
 
     def __post_init__(self) -> None:
-        if self.base.universe_size != self.point_count * self.point_count:
-            raise InputError("uniformity base must live on the squared universe")
-        if not validate_uniformity_base(self.base):
-            raise InputError("family is not a uniformity base")
+        e = self.entourage
+        if e.point_count != self.point_count:
+            raise InputError("minimal entourage lives on the wrong universe")
+        reflexive = diagonal(e.point_count).pairs.bits & ~e.pairs.bits == 0
+        if not (reflexive and inverse(e) == e and compose(e, e) == e):
+            raise InputError("a minimal entourage must be an equivalence relation")
+
+    @property
+    def base(self) -> SetFamily:
+        """The smallest base: the minimal entourage alone."""
+        return SetFamily(self.entourage.pairs.universe_size, (self.entourage.pairs,))
 
     def minimal_entourage(self) -> Relation:
-        """Intersection of the base; on a finite set this is an equivalence relation."""
-        bits = (1 << self.base.universe_size) - 1
-        for m in self.base.members:
-            bits &= m.bits
-        return Relation(self.point_count, SubsetMask(self.base.universe_size, bits))
+        """The smallest entourage, an equivalence relation."""
+        return self.entourage
 
     def members(self) -> SetFamily:
-        """All entourages: supersets of base members. Exponential; small universes only."""
-        sq = self.base.universe_size
+        """All entourages: supersets of the minimal one. Exponential; small universes only."""
+        sq = self.entourage.pairs.universe_size
         if sq > 16:
             raise ResourceLimitError("entourage materialization capped at 4 points")
-        base_bits = [m.bits for m in self.base.members]
-        out = [
-            SubsetMask(sq, bits)
-            for bits in range(1 << sq)
-            if any(b & ~bits == 0 for b in base_bits)
-        ]
-        return SetFamily.of(sq, out)
+        least = self.entourage.pairs.bits
+        return SetFamily(
+            sq, tuple(SubsetMask(sq, bits) for bits in range(1 << sq) if least & ~bits == 0)
+        )
 
     def member(self, rel: Relation) -> bool:
         if rel.point_count != self.point_count:
             raise InputError("membership query on the wrong universe")
-        return any(b.bits & ~rel.pairs.bits == 0 for b in self.base.members)
+        return self.entourage.pairs.bits & ~rel.pairs.bits == 0
 
 
 def generate_uniformity(base: SetFamily) -> Uniformity:
+    """The uniformity generated by a validated base: its members' intersection."""
     n, _ = _relations_of(base)
-    return Uniformity(n, base)
+    if not validate_uniformity_base(base):
+        raise InputError("family is not a uniformity base")
+    bits = (1 << base.universe_size) - 1
+    for m in base.members:
+        bits &= m.bits
+    return Uniformity(n, Relation(n, SubsetMask(base.universe_size, bits)))
 
 
 def induced_topology(u: Uniformity) -> Topology:
     """Opens are the sets containing an entourage ball around each point.
 
-    The minimal entourage is an equivalence relation, so its rows (the
-    minimal balls) partition the space and form a base.
+    The rows of the minimal entourage (the minimal balls) are the minimal
+    neighbourhoods; they partition the space, because it is an equivalence.
     """
-    m = u.minimal_entourage()
-    n = u.point_count
-    balls = {m.row_bits(x) for x in range(n)}
-    return generate_topology(SetFamily.of(n, (SubsetMask(n, b) for b in balls)))
+    m = u.entourage
+    return Topology(u.point_count, tuple(m.row_bits(x) for x in range(u.point_count)))
 
 
 def is_uniformly_continuous(f_map: Sequence[int], u_dom: Uniformity, u_cod: Uniformity) -> bool:
-    """For each codomain entourage some domain entourage maps pairwise into it."""
+    """f x f maps the minimal domain entourage into the minimal codomain entourage."""
     if len(f_map) != u_dom.point_count:
         raise InputError("map is not total on the domain universe")
     for v in f_map:
         if not 0 <= v < u_cod.point_count:
             raise InputError(f"map value {v} out of codomain range")
-    m = u_cod.point_count
-    for v_rel in u_cod.base:
-        v_bits = v_rel.bits
-        ok = False
-        for u_rel in u_dom.base:
-            rel = Relation(u_dom.point_count, u_rel)
-            if all(
-                v_bits >> (f_map[x] * m + f_map[y]) & 1
-                for x, y in rel.pair_list()
-            ):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    cod = u_cod.entourage
+    return all(cod.contains(f_map[x], f_map[y]) for x, y in u_dom.entourage.pair_list())
 
 
 def enumerate_uniformity_bases(n: int) -> tuple[SetFamily, ...]:
@@ -231,24 +228,6 @@ def enumerate_uniformity_bases(n: int) -> tuple[SetFamily, ...]:
 def squared_indexing(idx: ProductIndexing) -> ProductIndexing:
     """Mixed-radix coding of the factor-wise pair product; digit i holds (x_i, y_i)."""
     return ProductIndexing(tuple(s * s for s in idx.factor_sizes))
-
-
-def product_pair_to_pair_code(x_code: int, y_code: int, idx: ProductIndexing) -> int:
-    """Identify a pair of product points with one point of the pair product."""
-    xs = idx.decode_point(x_code)
-    ys = idx.decode_point(y_code)
-    digits = tuple(x * s + y for x, y, s in zip(xs, ys, idx.factor_sizes))
-    return squared_indexing(idx).encode_point(digits)
-
-
-def pair_code_to_product_pair(q: int, idx: ProductIndexing) -> tuple[int, int]:
-    """Inverse identification: split a pair-product point into two product points."""
-    digits = squared_indexing(idx).decode_point(q)
-    xs, ys = [], []
-    for d, s in zip(digits, idx.factor_sizes):
-        xs.append(d // s)
-        ys.append(d % s)
-    return idx.encode_point(xs), idx.encode_point(ys)
 
 
 def _factor_uniformity_bases(spec: ProductSpec) -> list[SetFamily]:
@@ -313,7 +292,6 @@ def f_uniformity(spec: ProductSpec) -> Uniformity:
     squared_indexing(idx)  # enforces the squared-size cap
     rows = []
     for s, base in zip(idx.factor_sizes, _factor_uniformity_bases(spec)):
-        minimal = Uniformity(s, base).minimal_entourage()
+        minimal = generate_uniformity(base).entourage
         rows.append([minimal.row_bits(a) for a in range(s)])
-    entourage = _stacked_rows(_minimal_boxes(spec, rows))
-    return generate_uniformity(SetFamily.of(total * total, [entourage]))
+    return Uniformity(total, Relation(total, _stacked_rows(_minimal_boxes(spec, rows))))

@@ -593,20 +593,12 @@ def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 def _claim_hausdorff_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
     if not all(f.topology.is_hausdorff() for f in spec.factors):  # type: ignore[union-attr]
         return True, None  # hypothesis not met, nothing to refute
-    t = f_topology(spec)
-    if t.is_hausdorff():
+    pair = f_topology(spec).inseparable_pair()
+    if pair is None:
         return True, None
-    mins = [t.minimal_neighborhood(x) for x in range(spec.indexing.total)]
-    for x in range(len(mins)):
-        for y in range(x + 1, len(mins)):
-            if not (mins[x] & mins[y]).is_empty:
-                return False, {
-                    "inseparable_pair": [
-                        serialize.product_point_label(x, spec),
-                        serialize.product_point_label(y, spec),
-                    ]
-                }
-    return False, None
+    return False, {
+        "inseparable_pair": [serialize.product_point_label(x, spec) for x in pair]
+    }
 
 
 def _claim_projection_identity_holds(spec: ProductSpec) -> tuple[bool, dict | None]:

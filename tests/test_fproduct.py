@@ -39,6 +39,7 @@ from fprod.fproduct import (
 from fprod.topology import (
     discrete,
     enumerate_topologies,
+    generate_topology,
     is_continuous,
     sierpinski,
     subspace,
@@ -224,34 +225,35 @@ class TestClosedFormTopology:
             for factors in itertools.product(pool, repeat=k):
                 for fil in enumerate_filters(k, include_trivial=True):
                     spec = product_spec(factors, fil)
-                    assert f_topology(spec)._minimal_bits() == f_topology_via_base(spec)._minimal_bits()
+                    assert f_topology(spec).mins == f_topology_via_base(spec).mins
                     checked += 1
         assert checked == 4692
 
     def test_delta_family_goes_through_the_box_base(self):
         spec = product_spec(sierpinski_factors(2))
         family = SetFamily.of(2, [mask(2, 0b01), mask(2, 0b11)])
-        assert f_topology(spec, family).base == f_topology_base(spec, delta_family=family)
+        via_base = generate_topology(f_topology_base(spec, delta_family=family))
+        assert f_topology(spec, family) == via_base
 
     def test_discrete3_power_7_is_discrete(self):
         spec = product_spec(tuple(preset_factor("discrete3") for _ in range(7)), trivial_filter(7))
         t = f_topology(spec)
-        assert t._minimal_bits() == tuple(1 << x for x in range(3**7))
+        assert t.mins == tuple(1 << x for x in range(3**7))
 
     def test_pinned_sierpinski_power_8_is_kronecker_of_power_4(self):
         # the first four factors carry the pinned index, the last four none;
         # their product codes are the two digits of a (16, 16) mixed radix
         pinned = f_topology_via_base(
             product_spec(sierpinski_factors(4), principal_filter(mask(4, 0b0001)))
-        )._minimal_bits()
+        ).mins
         free = f_topology_via_base(
             product_spec(sierpinski_factors(4), trivial_filter(4))
-        )._minimal_bits()
+        ).mins
         spec = product_spec(sierpinski_factors(8), principal_filter(mask(8, 0b00000001)))
         expected = tuple(
             _box_bits((pinned[a], free[b]), (16, 16)) for b in range(16) for a in range(16)
         )
-        assert f_topology(spec)._minimal_bits() == expected
+        assert f_topology(spec).mins == expected
 
     @pytest.mark.parametrize("prop", ["P4.5", "P5.ind"])
     def test_definitional_checks_build_the_box_base(self, monkeypatch, prop):

@@ -122,6 +122,31 @@ class TestGenerateTopology:
             assert [m.bits for m in t.opens()] == union_closure_oracle(family)
 
 
+class TestRepresentation:
+    @pytest.mark.parametrize(
+        "n, mins",
+        [
+            (2, (0b01,)),  # wrong length
+            (2, (0b01, 0b01)),  # point 1 missing from its own neighbourhood
+            (3, (0b011, 0b110, 0b100)),  # 1 in U_0 but U_1 not inside U_0
+            (2, (0b101, 0b10)),  # bit out of range
+        ],
+    )
+    def test_rejects_a_vector_that_is_not_a_preorder(self, n, mins):
+        with pytest.raises(InputError):
+            Topology(n, mins)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_smallest_base_generates_the_same_topology(self, n):
+        for t in enumerate_topologies(n):
+            assert generate_topology(t.base) == t
+
+    def test_equal_structures_compare_and_hash_equal(self):
+        generated = generate_topology(fam(2, 0b01, 0b10, 0b11))
+        assert discrete(2) == generated
+        assert hash(discrete(2)) == hash(generated)
+
+
 class TestIsOpen:
     def test_sierpinski_cases(self):
         t = sierpinski()
@@ -277,6 +302,17 @@ class TestSubspace:
         with pytest.raises(InputError):
             subspace(sierpinski(), SubsetMask.empty(2))
 
+    def test_matches_trace_of_opens_oracle_on_3_points(self):
+        for t in enumerate_topologies(3):
+            for carrier_bits in range(1, 8):
+                elems = SubsetMask(3, carrier_bits).elements()
+                traces = {
+                    sum(1 << new for new, old in enumerate(elems) if u.bits >> old & 1)
+                    for u in t.opens()
+                }
+                sub = subspace(t, SubsetMask(3, carrier_bits))
+                assert [m.bits for m in sub.opens()] == sorted(traces)
+
 
 class TestContinuity:
     def test_identity_continuous(self):
@@ -334,7 +370,32 @@ class TestDisjointDense:
                     assert tuple(m.bits for m in found) == best
 
 
+def family_scan_oracle(n):
+    """Sorted open families of every topology on n points, by scanning all set families.
+
+    Keeps each family containing the empty and the whole set that is closed
+    under pairwise union and intersection; 2**(2**n - 2) candidates.
+    """
+    full = (1 << n) - 1
+    middles = list(range(1, full))
+    found = []
+    for combo in range(1 << len(middles)):
+        fam = {0, full}
+        for j, m in enumerate(middles):
+            if combo >> j & 1:
+                fam.add(m)
+        if all((a | b) in fam and (a & b) in fam for a, b in itertools.combinations(fam, 2)):
+            found.append(tuple(sorted(fam)))
+    return sorted(found)
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 29), (4, 355)])
+    def test_matches_family_scan_oracle_in_order(self, n, count):
+        got = [tuple(m.bits for m in t.opens()) for t in enumerate_topologies(n)]
+        assert got == family_scan_oracle(n)
+        assert len(got) == count
+
     def test_counts(self):
         assert len(enumerate_topologies(1)) == 1
         assert len(enumerate_topologies(2)) == 4

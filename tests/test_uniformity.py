@@ -20,8 +20,6 @@ from fprod.uniformity import (
     induced_topology,
     inverse,
     is_uniformly_continuous,
-    pair_code_to_product_pair,
-    product_pair_to_pair_code,
     validate_uniformity_base,
 )
 from fprod.verifier import enumerate_filters
@@ -193,6 +191,18 @@ class TestGenerateUniformity:
         with pytest.raises(InputError):
             generate_uniformity(SetFamily.of(4, [rel(2, [(0, 1), (1, 0)]).pairs]))
 
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [
+            (2, [(0, 0)]),  # not reflexive
+            (2, [(0, 0), (1, 1), (0, 1)]),  # not symmetric
+            (3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)]),  # not transitive
+        ],
+    )
+    def test_rejects_a_minimal_entourage_that_is_not_an_equivalence(self, n, pairs):
+        with pytest.raises(InputError):
+            Uniformity(n, rel(n, pairs))
+
     def axiom_oracle(self, u):
         n = u.point_count
         members = [Relation(n, m) for m in u.members()]
@@ -278,6 +288,27 @@ class TestUniformContinuity:
         fine = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
         assert not is_uniformly_continuous((0, 1), coarse, fine)
 
+    def test_matches_base_walking_definition_on_two_points(self):
+        # for every V in the codomain base, some U in the domain base maps into V
+        bases = enumerate_uniformity_bases(2)
+        checked = 0
+        for dom_base, cod_base in itertools.product(bases, repeat=2):
+            u_dom, u_cod = generate_uniformity(dom_base), generate_uniformity(cod_base)
+            for f_map in itertools.product(range(2), repeat=2):
+                oracle = all(
+                    any(
+                        all(
+                            v.bits >> (f_map[x] * 2 + f_map[y]) & 1
+                            for x, y in Relation(2, u).pair_list()
+                        )
+                        for u in dom_base
+                    )
+                    for v in cod_base
+                )
+                assert is_uniformly_continuous(f_map, u_dom, u_cod) == oracle
+                checked += 1
+        assert checked == 9 * 9 * 4
+
     def test_implies_topological_continuity(self):
         spaces = []
         for n in (2, 3):
@@ -289,22 +320,6 @@ class TestUniformContinuity:
             for f_map in itertools.product(range(m), repeat=n):
                 if is_uniformly_continuous(f_map, u_dom, u_cod):
                     assert is_continuous(f_map, t_dom, t_cod)
-
-
-class TestPairIdentification:
-    @pytest.mark.parametrize("sizes", [(2,), (2, 2), (2, 3), (3, 3)])
-    def test_bijective_both_ways(self, sizes):
-        from fprod.foundations import ProductIndexing
-
-        idx = ProductIndexing(sizes)
-        total = idx.total
-        seen = set()
-        for x in range(total):
-            for y in range(total):
-                q = product_pair_to_pair_code(x, y, idx)
-                assert pair_code_to_product_pair(q, idx) == (x, y)
-                seen.add(q)
-        assert seen == set(range(total * total))
 
 
 def diagonal_base_factor():
