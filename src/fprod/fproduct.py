@@ -75,6 +75,19 @@ class ProductSpec:
             object.__setattr__(self, "_indexing", idx)
         return self._indexing  # type: ignore[return-value]
 
+    def with_factors(self, factors: Sequence[Factor]) -> "ProductSpec":
+        """The same index set and filter over replacement factors of the same sizes.
+
+        The new spec shares this spec's indexing, so the size cap is not
+        checked again.
+        """
+        idx = self.indexing
+        spec = ProductSpec(self.index_universe, tuple(factors), self.index_filter)
+        if tuple(f.universe.size for f in spec.factors) != idx.factor_sizes:
+            raise InputError("replacement factors must keep the factor sizes")
+        object.__setattr__(spec, "_indexing", idx)
+        return spec
+
     def _require_index_filter(self) -> Filter:
         if self.index_filter is None:
             raise InputError("this construction needs an index filter")
@@ -170,12 +183,17 @@ def _accepted_boxes(side_lists: Sequence[Sequence[SubsetMask]], member) -> Itera
     """Every box with one side from each list whose delta bits `member` accepts.
 
     The one box enumerator: the definitional box bases of the product
-    topology, filter and uniformity all walk it.
+    topology, filter and uniformity all walk it. A box's delta is the OR of
+    the bits of its full sides, each found once per side list.
     """
-    for choice in itertools.product(*side_lists):
-        box = Box(choice)
-        if member(box_delta(box).bits):
-            yield box
+    flagged = [
+        [(m, (1 << i) if m.is_full else 0) for m in sides]
+        for i, sides in enumerate(side_lists)
+    ]
+    for choice in itertools.product(*flagged):
+        sides, delta_bits = zip(*choice)
+        if member(sum(delta_bits)):
+            yield Box(sides)
 
 
 def _delta_member(spec: ProductSpec, delta_family: SetFamily | None):
@@ -242,10 +260,11 @@ def projection_preimage(i: int, sub: SubsetMask, idx: ProductIndexing) -> Subset
 
 
 def projection_map(i: int, idx: ProductIndexing) -> tuple[int, ...]:
-    """The i-th projection as a point map on coded points."""
+    """The i-th projection as a point map on coded points: the i-th digit of each code."""
     if not 0 <= i < len(idx.factor_sizes):
         raise InputError(f"factor index {i} out of range")
-    return tuple(idx.decode_point(code)[i] for code in range(idx.total))
+    w, s = idx.weights[i], idx.factor_sizes[i]
+    return tuple(code // w % s for code in range(idx.total))
 
 
 def all_projections_continuous(spec: ProductSpec) -> bool:
@@ -261,40 +280,38 @@ def all_projections_continuous(spec: ProductSpec) -> bool:
 def equalizer(spec: ProductSpec, x: int) -> SubsetMask:
     """Points agreeing with x on an index set the filter accepts.
 
-    With the trivial index filter every agreement set is accepted, so the
-    equalizer is the whole product; callers that need a proper one should
-    check the filter first.
+    The filter accepts exactly the supersets of its core, so this is the box
+    {x_i} on the core and the whole factor elsewhere. With the trivial index
+    filter the core is empty and the equalizer is the whole product; callers
+    that need a proper one should check the filter first.
     """
-    fil = spec._require_index_filter()
+    core = spec._require_index_filter().core
     idx = spec.indexing
     if not 0 <= x < idx.total:
         raise InputError(f"point code {x} out of range")
-    xs = idx.decode_point(x)
-    k = len(xs)
-    bits = 0
-    for z in range(idx.total):
-        zs = idx.decode_point(z)
-        agree = 0
-        for i in range(k):
-            if xs[i] == zs[i]:
-                agree |= 1 << i
-        if fil.member_bits(agree):
-            bits |= 1 << z
-    return SubsetMask(idx.total, bits)
+    sides = [
+        1 << (x // w % s) if i in core else (1 << s) - 1
+        for i, (w, s) in enumerate(zip(idx.weights, idx.factor_sizes))
+    ]
+    return SubsetMask(idx.total, _box_bits(sides, idx.factor_sizes))
 
 
 def different_by_filter(spec: ProductSpec, x: int, y: int) -> bool:
-    """True iff the set of coordinates where x and y differ belongs to the index filter."""
-    fil = spec._require_index_filter()
+    """True iff the set of coordinates where x and y differ belongs to the index filter.
+
+    That is, iff x and y differ at every index of the filter's core; always
+    true for the trivial filter, whose core is empty.
+    """
+    core = spec._require_index_filter().core
     idx = spec.indexing
     if not 0 <= x < idx.total or not 0 <= y < idx.total:
         raise InputError("point code out of range")
-    xs, ys = idx.decode_point(x), idx.decode_point(y)
-    differ = 0
-    for i in range(len(xs)):
-        if xs[i] != ys[i]:
-            differ |= 1 << i
-    return fil.member_bits(differ)
+    core_bits = core.bits
+    for w, s in zip(idx.weights, idx.factor_sizes):
+        if core_bits & 1 and x // w % s == y // w % s:
+            return False
+        core_bits >>= 1
+    return True
 
 
 def _factor_filters(spec: ProductSpec) -> list[Filter]:

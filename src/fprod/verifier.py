@@ -443,18 +443,14 @@ def _p27_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
     """Check each factor is carried homeomorphically onto its slice through point 0."""
     idx = spec.indexing
-    y = idx.decode_point(0)
     for i, f in enumerate(spec.factors):
         assert f.topology is not None
-        codes = []
-        for xi in range(f.universe.size):
-            coords = list(y)
-            coords[i] = xi
-            codes.append(idx.encode_point(coords))
+        w, size = idx.weights[i], f.universe.size
+        codes = [xi * w for xi in range(size)]  # point 0 with digit i set to xi
         carrier = SubsetMask.of(idx.total, codes)
         sub = subspace(t, carrier)
         order = sorted(codes)
-        fwd = tuple(idx.decode_point(c)[i] for c in order)
+        fwd = tuple(c // w % size for c in order)
         if sorted(fwd) != list(range(f.universe.size)):
             return {"slice_projection_not_bijective_at_factor": i}
         inv = tuple(order.index(codes[xi]) for xi in range(f.universe.size))
@@ -545,15 +541,17 @@ def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology_via_base(spec)
-    idx = spec.indexing
-    for code in range(idx.total):
-        coords = idx.decode_point(code)
-        lhs = t.neighborhoods_filter(code)
-        nb_factors = tuple(
+    nb_factors = [
+        [
             Factor(f.universe, filter=f.topology.neighborhoods_filter(c))  # type: ignore[union-attr]
-            for f, c in zip(spec.factors, coords)
-        )
-        rhs = f_filter(ProductSpec(spec.index_universe, nb_factors, spec.index_filter))
+            for c in range(f.universe.size)
+        ]
+        for f in reversed(spec.factors)
+    ]
+    # code order: factor 0 is the least-significant digit, so it varies fastest
+    for code, reversed_factors in enumerate(itertools.product(*nb_factors)):
+        lhs = t.neighborhoods_filter(code)
+        rhs = f_filter(spec.with_factors(reversed_factors[::-1]))
         if lhs != rhs:
             return False, {
                 "neighborhood_identity_fails_at": serialize.product_point_label(
@@ -579,9 +577,7 @@ def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
         )
         for f in spec.factors
     )
-    from_factors = f_topology_via_base(
-        ProductSpec(spec.index_universe, topo_factors, spec.index_filter)
-    )
+    from_factors = f_topology_via_base(spec.with_factors(topo_factors))
     if topologies_equal(from_uniformity, from_factors):
         return True, None
     return False, {"induced_topology_differs": True}

@@ -53,6 +53,18 @@ class TestEncodeDecode:
         for coords in itertools.product(*(range(s) for s in sizes)):
             assert idx.decode_point(idx.encode_point(coords)) == coords
 
+    @pytest.mark.parametrize("sizes", [(2,), (2, 3), (3, 2, 4), (2, 3, 5, 7)])
+    def test_weights_are_the_codes_of_the_unit_vectors(self, sizes):
+        idx = ProductIndexing(sizes)
+        k = len(sizes)
+        assert idx.weights == tuple(
+            idx.encode_point(tuple(int(j == i) for j in range(k))) for i in range(k)
+        )
+
+    def test_weight_of_a_one_point_factor(self):
+        # its digit is always 0; the weight is still the product of the sizes before it
+        assert ProductIndexing((3, 1, 2)).weights == (1, 3, 3)
+
     def test_input_errors(self):
         idx = ProductIndexing((2, 3))
         with pytest.raises(InputError):

@@ -16,6 +16,7 @@ from fprod.foundations import (
 )
 from fprod.fproduct import (
     Box,
+    _accepted_boxes,
     _box_bits,
     Factor,
     ProductSpec,
@@ -68,6 +69,31 @@ def filter_factors(cores):
     )
 
 
+# The point queries by their definitions, decoding every point; the closed
+# forms in fproduct must agree with them.
+
+
+def equalizer_oracle(spec, x):
+    fil, idx = spec.index_filter, spec.indexing
+    xs = idx.decode_point(x)
+    bits = 0
+    for z in range(idx.total):
+        agree = sum(1 << i for i, (a, b) in enumerate(zip(xs, idx.decode_point(z))) if a == b)
+        if fil.member_bits(agree):
+            bits |= 1 << z
+    return SubsetMask(idx.total, bits)
+
+
+def different_by_filter_oracle(spec, x, y):
+    xs, ys = spec.indexing.decode_point(x), spec.indexing.decode_point(y)
+    differ = sum(1 << i for i, (a, b) in enumerate(zip(xs, ys)) if a != b)
+    return spec.index_filter.member_bits(differ)
+
+
+def projection_map_oracle(i, idx):
+    return tuple(idx.decode_point(code)[i] for code in range(idx.total))
+
+
 class TestBoxes:
     def test_all_full_box(self):
         b = Box((mask(2, 0b11), mask(2, 0b11)))
@@ -112,6 +138,19 @@ class TestBoxes:
         idx = ProductIndexing((2, 2))
         assert box_to_pointset(Box((mask(2, 0), mask(2, 0b11))), idx).is_empty
 
+    def test_enumerator_yields_the_boxes_box_delta_accepts_in_order(self):
+        side_lists = [
+            [mask(2, 0b01), mask(2, 0b11)],
+            [mask(3, 0b111), mask(3, 0b010), mask(3, 0b110)],
+            [mask(1, 0b1)],
+        ]
+        for accepted in range(1 << 8):
+            member = lambda bits: accepted >> bits & 1  # noqa: E731
+            oracle = [
+                Box(c) for c in itertools.product(*side_lists) if member(box_delta(Box(c)).bits)
+            ]
+            assert list(_accepted_boxes(side_lists, member)) == oracle
+
     def test_pointset_size_mismatch(self):
         from fprod.foundations import ProductIndexing
 
@@ -137,6 +176,19 @@ class TestProductSpecIndexing:
         assert spec.indexing is spec.indexing
         assert spec.indexing.factor_sizes == (2, 2, 2)
         assert spec == product_spec(discrete2_factors(3), trivial_filter(3))
+
+    def test_with_factors_shares_the_indexing(self):
+        spec = product_spec(discrete2_factors(3), principal_filter(mask(3, 0b010)))
+        other = spec.with_factors(sierpinski_factors(3))
+        assert other == product_spec(sierpinski_factors(3), principal_filter(mask(3, 0b010)))
+        assert other.indexing is spec.indexing
+
+    def test_with_factors_rejects_a_size_change(self):
+        spec = product_spec(discrete2_factors(2), trivial_filter(2))
+        with pytest.raises(InputError):
+            spec.with_factors((preset_factor("discrete2"), preset_factor("discrete3")))
+        with pytest.raises(InputError):
+            spec.with_factors(discrete2_factors(3))
 
     def test_cap_fires_on_first_access(self, monkeypatch):
         monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
@@ -302,6 +354,49 @@ class TestProjections:
         assert all_projections_continuous(spec)
 
 
+class TestPointQueryClosedForms:
+    @staticmethod
+    def small_specs():
+        for k in (1, 2, 3):
+            for sizes in itertools.product((1, 2, 3), repeat=k):
+                factors = tuple(Factor(Universe.points(n)) for n in sizes)
+                for fil in enumerate_filters(k, include_trivial=True):
+                    yield product_spec(factors, fil)
+
+    def test_agree_with_decoding_oracles_on_small_products(self):
+        pairs = 0
+        for spec in self.small_specs():
+            idx = spec.indexing
+            for i in range(len(idx.factor_sizes)):
+                assert projection_map(i, idx) == projection_map_oracle(i, idx)
+            for x in range(idx.total):
+                assert equalizer(spec, x) == equalizer_oracle(spec, x)
+                for y in range(idx.total):
+                    got = different_by_filter(spec, x, y)
+                    assert got == different_by_filter_oracle(spec, x, y)
+                    pairs += 1
+        assert pairs == 22764
+
+    def test_equalizer_agrees_on_discrete3_power_4_under_every_filter(self):
+        factors = tuple(preset_factor("discrete3") for _ in range(4))
+        fils = enumerate_filters(4, include_trivial=True)
+        assert len(fils) == 16
+        for fil in fils:
+            spec = product_spec(factors, fil)
+            for x in range(81):
+                assert equalizer(spec, x) == equalizer_oracle(spec, x)
+
+    def test_range_checks(self):
+        spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
+        for bad in (-1, 4):
+            with pytest.raises(InputError):
+                equalizer(spec, bad)
+            with pytest.raises(InputError):
+                different_by_filter(spec, 0, bad)
+        with pytest.raises(InputError):
+            projection_map(2, spec.indexing)
+
+
 class TestEqualizer:
     def test_whole_space_filter_pins_everything(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b11)))
@@ -415,6 +510,30 @@ class TestOrderImmersion:
 
 
 class TestNeighborhoodIdentity:
+    def test_p45_builds_the_box_base_once_per_instance_and_one_filter_per_point(self, monkeypatch):
+        from fprod import verifier
+
+        bases, filters = [], []
+        original_base, original_filter = fproduct.f_topology_base, verifier.f_filter
+
+        def counted_base(spec, *args, **kwargs):
+            bases.append(spec)
+            return original_base(spec, *args, **kwargs)
+
+        def counted_filter(spec):
+            filters.append(spec)
+            return original_filter(spec)
+
+        monkeypatch.setattr(fproduct, "f_topology_base", counted_base)
+        monkeypatch.setattr(verifier, "f_filter", counted_filter)
+        grid = dataclasses.replace(default_grid("P4.5"), max_instances=40)
+        report = verify_proposition("P4.5", grid)
+        assert report.passed and len(bases) == report.checked == 40
+        parents = [spec for spec in bases for _ in range(spec.indexing.total)]
+        assert len(filters) == len(parents)
+        assert all(rhs.indexing is spec.indexing for rhs, spec in zip(filters, parents))
+
+
     def test_small_grid(self):
         factor_pool = [preset_factor("sierpinski"), preset_factor("discrete2")]
         for f1, f2 in itertools.product(factor_pool, repeat=2):
