@@ -1,8 +1,8 @@
 """Filters and filter bases on finite universes.
 
 Every proper filter on a finite universe is principal, so a filter is stored
-as its single minimal member plus a flag for the trivial filter (the full
-powerset, which contains the empty set).
+as its single minimal member; the trivial filter (the full powerset, which
+contains the empty set) is the one whose minimal member is empty.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ class Filter:
 
     universe_size: int
     core: SubsetMask
-    trivial: bool = False
 
     def __post_init__(self) -> None:
         if self.core.universe_size != self.universe_size:
             raise InputError("filter core universe mismatch")
-        if self.trivial and not self.core.is_empty:
-            raise InputError("the trivial filter's minimal member is the empty set")
-        if not self.trivial and self.core.is_empty:
-            raise InputError("a proper filter has a nonempty minimal member")
+
+    @property
+    def trivial(self) -> bool:
+        return self.core.is_empty
 
     @property
     def is_proper(self) -> bool:
@@ -38,17 +37,17 @@ class Filter:
     def member(self, mask: SubsetMask) -> bool:
         if mask.universe_size != self.universe_size:
             raise InputError("membership query on the wrong universe")
-        return self.trivial or self.core.issubset(mask)
+        return self.core.issubset(mask)
 
     def member_bits(self, bits: int) -> bool:
-        return self.trivial or self.core.bits & ~bits == 0
+        return self.core.bits & ~bits == 0
 
     def members(self) -> SetFamily:
         """All members, materialized; exponential in the free elements."""
         n = self.universe_size
         if n > _MEMBER_CAP:
             raise ResourceLimitError(f"member materialization capped at universe size {_MEMBER_CAP}")
-        core = 0 if self.trivial else self.core.bits
+        core = self.core.bits
         free = [i for i in range(n) if not core >> i & 1]
         out = []
         for combo in range(1 << len(free)):
@@ -106,7 +105,7 @@ def principal_filter(core: SubsetMask) -> Filter:
 
 def trivial_filter(n: int) -> Filter:
     """The full powerset admitted as a filter; contains the empty set."""
-    return Filter(n, SubsetMask.empty(n), trivial=True)
+    return Filter(n, SubsetMask.empty(n))
 
 
 def frechet_filter(n: int) -> Filter:
@@ -162,10 +161,6 @@ def filter_leq(f: Filter, g: Filter) -> bool:
     """True iff every member of f is a member of g (f is coarser)."""
     if f.universe_size != g.universe_size:
         raise InputError("filters live on different universes")
-    if g.trivial:
-        return True
-    if f.trivial:
-        return False
     return g.core.issubset(f.core)
 
 

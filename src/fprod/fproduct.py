@@ -334,20 +334,26 @@ def f_filter_base(spec: ProductSpec) -> SetFamily:
     return SetFamily.of(idx.total, [box_to_pointset(box, idx) for box in boxes])
 
 
+def f_filter_core(index_core: int, factor_cores: Sequence[int], factor_sizes: Sequence[int]) -> int:
+    """The product filter's core bits: the box whole on the index core, factor cores elsewhere."""
+    sides = [
+        (1 << s) - 1 if index_core >> i & 1 else c
+        for i, (c, s) in enumerate(zip(factor_cores, factor_sizes))
+    ]
+    return _box_bits(sides, factor_sizes)
+
+
 def f_filter(spec: ProductSpec) -> Filter:
     """The product filter: supersets of the accepted filter boxes.
 
-    Computed in closed form from the single minimal box (whole factor on the
-    index-filter core, factor-filter core elsewhere); the definitional route
-    through f_filter_base generates the same filter.
+    Computed in closed form by f_filter_core; the definitional route through
+    f_filter_base generates the same filter.
     """
-    forced = spec._require_index_filter().core  # empty mask when the index filter is trivial
+    index_core = spec._require_index_filter().core.bits
     idx = spec.indexing
-    sides = [
-        (1 << ff.universe_size) - 1 if i in forced else ff.core.bits
-        for i, ff in enumerate(_factor_filters(spec))
-    ]
-    return principal_filter(SubsetMask(idx.total, _box_bits(sides, idx.factor_sizes)))
+    cores = [ff.core.bits for ff in _factor_filters(spec)]
+    core = f_filter_core(index_core, cores, idx.factor_sizes)
+    return principal_filter(SubsetMask(idx.total, core))
 
 
 def f_filter_via_base(spec: ProductSpec) -> Filter:

@@ -43,6 +43,7 @@ from .fproduct import (
     equalizer,
     f_filter,
     f_filter_base,
+    f_filter_core,
     f_topology,
     f_topology_base,
     f_topology_via_base,
@@ -540,19 +541,15 @@ def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
+    # both sides are principal with nonempty cores, so compare the cores: the
+    # via-base minimal neighbourhood and the product core of the factor mins
     t = f_topology_via_base(spec)
-    nb_factors = [
-        [
-            Factor(f.universe, filter=f.topology.neighborhoods_filter(c))  # type: ignore[union-attr]
-            for c in range(f.universe.size)
-        ]
-        for f in reversed(spec.factors)
-    ]
+    index_core = spec._require_index_filter().core.bits
+    sizes = spec.indexing.factor_sizes
+    rows = [f.topology.mins for f in reversed(spec.factors)]  # type: ignore[union-attr]
     # code order: factor 0 is the least-significant digit, so it varies fastest
-    for code, reversed_factors in enumerate(itertools.product(*nb_factors)):
-        lhs = t.neighborhoods_filter(code)
-        rhs = f_filter(spec.with_factors(reversed_factors[::-1]))
-        if lhs != rhs:
+    for code, reversed_mins in enumerate(itertools.product(*rows)):
+        if t.mins[code] != f_filter_core(index_core, reversed_mins[::-1], sizes):
             return False, {
                 "neighborhood_identity_fails_at": serialize.product_point_label(
                     code, spec

@@ -96,6 +96,12 @@ class TestPrincipalAndTrivial:
         assert f.member(SubsetMask.of(2, [0]))
         assert len(trivial_filter(3).members()) == 8
 
+    def test_trivial_is_the_empty_core(self):
+        for n in (1, 2, 3):
+            assert Filter(n, SubsetMask.empty(n)) == trivial_filter(n)
+            assert trivial_filter(n).trivial and not trivial_filter(n).is_proper
+            assert not any(f.trivial for f in enumerate_filters(n, include_trivial=False))
+
     def test_frechet_is_trivial_on_finite_universes(self):
         assert frechet_filter(3) == trivial_filter(3)
         assert frechet_filter(1) == trivial_filter(1)

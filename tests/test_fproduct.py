@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 
 from fprod import fproduct
+from fprod.cli import main
 from fprod.filters import principal_filter, trivial_filter
 from fprod.foundations import (
     InputError,
@@ -29,6 +31,7 @@ from fprod.fproduct import (
     equalizer,
     f_filter,
     f_filter_base,
+    f_filter_core,
     f_filter_via_base,
     f_topology,
     f_topology_base,
@@ -48,7 +51,13 @@ from fprod.topology import (
     topology_leq,
     validate_base,
 )
-from fprod.verifier import default_grid, enumerate_filters, preset_factor, verify_proposition
+from fprod.verifier import (
+    default_grid,
+    enumerate_filters,
+    preset_factor,
+    replay_witness,
+    verify_proposition,
+)
 
 
 def mask(n, bits):
@@ -456,12 +465,24 @@ class TestFFilter:
         assert ff.core.elements() == (0,)
 
     def test_closed_form_equals_base_generation(self):
-        cores = [0b01, 0b10, 0b11]
+        # every proper filter on 1..3 points, on each of 1..3 factors
+        pool = [
+            Factor(Universe.points(n), filter=fil)
+            for n in (1, 2, 3)
+            for fil in enumerate_filters(n, include_trivial=False)
+        ]
+        checked = 0
         for k in (1, 2, 3):
-            for combo in itertools.product(cores, repeat=k):
+            for factors in itertools.product(pool, repeat=k):
                 for fil in enumerate_filters(k, include_trivial=True):
-                    spec = product_spec(filter_factors(list(combo)), fil)
-                    assert f_filter(spec) == f_filter_via_base(spec)
+                    spec = product_spec(factors, fil)
+                    ff = f_filter(spec)
+                    assert ff == f_filter_via_base(spec)
+                    cores = [f.filter.core.bits for f in factors]
+                    sizes = spec.indexing.factor_sizes
+                    assert f_filter_core(fil.core.bits, cores, sizes) == ff.core.bits
+                    checked += 1
+        assert checked == 11 * 2 + 11**2 * 4 + 11**3 * 8
 
     def test_projection_identity_for_trivial_filter(self):
         from fprod.filters import pushforward
@@ -510,29 +531,54 @@ class TestOrderImmersion:
 
 
 class TestNeighborhoodIdentity:
-    def test_p45_builds_the_box_base_once_per_instance_and_one_filter_per_point(self, monkeypatch):
+    def test_p45_builds_the_box_base_once_per_instance_and_one_kernel_core_per_point(
+        self, monkeypatch
+    ):
         from fprod import verifier
 
-        bases, filters = [], []
-        original_base, original_filter = fproduct.f_topology_base, verifier.f_filter
+        bases, cores = [], []
+        original_base, original_core = fproduct.f_topology_base, verifier.f_filter_core
 
         def counted_base(spec, *args, **kwargs):
             bases.append(spec)
             return original_base(spec, *args, **kwargs)
 
-        def counted_filter(spec):
-            filters.append(spec)
-            return original_filter(spec)
+        def counted_core(index_core, factor_cores, factor_sizes):
+            cores.append(factor_sizes)
+            return original_core(index_core, factor_cores, factor_sizes)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("P4.5 builds no product filter spec per point")
 
         monkeypatch.setattr(fproduct, "f_topology_base", counted_base)
-        monkeypatch.setattr(verifier, "f_filter", counted_filter)
+        monkeypatch.setattr(verifier, "f_filter_core", counted_core)
+        monkeypatch.setattr(verifier, "f_filter", refused)
+        monkeypatch.setattr(ProductSpec, "with_factors", refused)
         grid = dataclasses.replace(default_grid("P4.5"), max_instances=40)
         report = verify_proposition("P4.5", grid)
         assert report.passed and len(bases) == report.checked == 40
-        parents = [spec for spec in bases for _ in range(spec.indexing.total)]
-        assert len(filters) == len(parents)
-        assert all(rhs.indexing is spec.indexing for rhs, spec in zip(filters, parents))
+        assert cores == [
+            spec.indexing.factor_sizes for spec in bases for _ in range(spec.indexing.total)
+        ]
 
+    def test_p45_catches_a_kernel_that_ignores_the_index_core(self, monkeypatch):
+        from fprod import verifier
+
+        original = verifier.f_filter_core
+        monkeypatch.setattr(
+            verifier, "f_filter_core", lambda _core, cores, sizes: original(0, cores, sizes)
+        )
+        report = verify_proposition("P4.5")
+        assert not report.passed and report.witness is not None
+        ok, detail = replay_witness("P4.5", report.witness)
+        assert not ok and detail == report.witness["detail"]
+
+    def test_p45_passes_on_three_factors(self, capsys):
+        # the default grid has two factors, so the kernel never sees three there
+        assert main(["verify", "--prop", "P4.5", "--index-size", "3",
+                     "--factor-size", "2", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["passed"] and report["complete"] and report["checked"] == 1000
 
     def test_small_grid(self):
         factor_pool = [preset_factor("sierpinski"), preset_factor("discrete2")]
