@@ -25,9 +25,9 @@ from .fproduct import (
     all_projections_continuous,
     f_filter,
     f_topology,
+    f_uniformity,
 )
 from .topology import enumerate_topologies, find_disjoint_dense
-from .uniformity import f_uniformity
 from .verifier import (
     FACTOR_PRESETS,
     InstanceGrid,

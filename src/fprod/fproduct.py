@@ -4,7 +4,7 @@ A box is one subset choice per factor; its distinguished index set delta is
 where the choice is the whole factor, and its support sigma is the rest.
 Restricting boxes to those whose delta belongs to the index filter yields,
 depending on what each factor carries, the product topology, the product
-filter, or (in the uniformity module) the product uniformity.
+filter, or the product uniformity.
 
 On a finite product each of these structures is principal, so the
 constructions are computed in closed form from one minimal box per point; the
@@ -27,16 +27,22 @@ from .foundations import (
     Universe,
 )
 from .topology import Topology, generate_topology, is_continuous
+from .uniformity import Relation, Uniformity, generate_uniformity
 
 
 @dataclass(frozen=True)
 class Factor:
-    """One coordinate space: a universe plus whichever structures it carries."""
+    """One coordinate space: a universe plus whichever structures it carries.
+
+    A uniformity is given by a base, which is validated once here; the
+    uniformity it generates is kept as `uniformity` (None without a base).
+    """
 
     universe: Universe
     topology: Topology | None = None
     filter: Filter | None = None
     uniformity_base: SetFamily | None = None
+    uniformity: Uniformity | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.universe.size
@@ -44,8 +50,11 @@ class Factor:
             raise InputError("factor topology universe mismatch")
         if self.filter is not None and self.filter.universe_size != n:
             raise InputError("factor filter universe mismatch")
-        if self.uniformity_base is not None and self.uniformity_base.universe_size != n * n:
-            raise InputError("factor uniformity base must live on the squared universe")
+        if self.uniformity_base is not None:
+            if self.uniformity_base.universe_size != n * n:
+                raise InputError("factor uniformity base must live on the squared universe")
+            # write-once, like ProductSpec._indexing; raises InputError on an invalid base
+            object.__setattr__(self, "uniformity", generate_uniformity(self.uniformity_base))
 
 
 @dataclass(frozen=True)
@@ -121,12 +130,6 @@ def box_delta(box: Box) -> SubsetMask:
 def box_sigma(box: Box) -> SubsetMask:
     """Support: indexes where the box is a proper subset of the factor."""
     return box_delta(box).complement()
-
-
-def box_intersection(b1: Box, b2: Box) -> Box:
-    if len(b1.per_factor) != len(b2.per_factor):
-        raise InputError("boxes have different factor counts")
-    return Box(tuple(a & b for a, b in zip(b1.per_factor, b2.per_factor)))
 
 
 def _box_bits(side_bits: Sequence[int], factor_sizes: Sequence[int]) -> int:
@@ -360,3 +363,66 @@ def f_filter_via_base(spec: ProductSpec) -> Filter:
     """Definitional route: generate the filter from the enumerated box base."""
     base = f_filter_base(spec)
     return generate_filter(FilterBase(base.universe_size, base))
+
+
+def squared_indexing(idx: ProductIndexing) -> ProductIndexing:
+    """Mixed-radix coding of the factor-wise pair product; digit i holds (x_i, y_i)."""
+    return ProductIndexing(tuple(s * s for s in idx.factor_sizes))
+
+
+def _stacked_rows(rows: Sequence[int]) -> SubsetMask:
+    """The relation on len(rows) points whose row at x is rows[x]."""
+    n = len(rows)
+    bits = 0
+    for x, row in enumerate(rows):
+        bits |= row << (x * n)
+    return SubsetMask(n * n, bits)
+
+
+def f_uniformity_base(spec: ProductSpec) -> SetFamily:
+    """Relations on the product from boxes of factor entourages with accepted delta.
+
+    Each factor base is augmented with the full square (a base may omit it,
+    yet every uniformity contains it and delta needs it to be realizable),
+    then a box is kept when its delta belongs to the index filter. The row of
+    product point x in the box (R_0, ..., R_k) is the point box with sides
+    R_i-row(x_i), so the relation is built row by row.
+    """
+    fil = spec._require_index_filter()
+    idx = spec.indexing
+    total = idx.total
+    squared_indexing(idx)  # enforces the squared-size cap
+    sizes = idx.factor_sizes
+    member_lists = []
+    for s, f in zip(sizes, spec.factors):
+        if f.uniformity_base is None:
+            raise InputError("every factor needs a uniformity base for the product uniformity")
+        masks = set(f.uniformity_base.members) | {SubsetMask.full(s * s)}
+        member_lists.append(sorted(masks, key=lambda m: m.bits))
+    relations = []
+    for box in _accepted_boxes(member_lists, fil.member_bits):
+        rows = [
+            [Relation(s, m).row_bits(a) for a in range(s)]
+            for s, m in zip(sizes, box.per_factor)
+        ]
+        relations.append(_stacked_rows(_point_boxes(rows, sizes)))
+    return SetFamily.of(total * total, relations)
+
+
+def f_uniformity(spec: ProductSpec) -> Uniformity:
+    """The product uniformity generated by the accepted entourage boxes.
+
+    Computed in closed form: the accepted boxes meet in one minimal entourage,
+    whose row at x is the box whole on the index-filter core and the factor
+    minimal-entourage row of x_i elsewhere. f_uniformity_base is the
+    definitional route and generates the same uniformity.
+    """
+    idx = spec.indexing
+    total = idx.total
+    squared_indexing(idx)  # enforces the squared-size cap
+    rows = []
+    for s, f in zip(idx.factor_sizes, spec.factors):
+        if f.uniformity is None:
+            raise InputError("every factor needs a uniformity base for the product uniformity")
+        rows.append([f.uniformity.entourage.row_bits(a) for a in range(s)])
+    return Uniformity(total, Relation(total, _stacked_rows(_minimal_boxes(spec, rows))))

@@ -26,7 +26,7 @@ from .filters import Filter, FilterBase, generate_filter, trivial_filter
 from .foundations import InputError, SetFamily, SubsetMask, Universe
 from .fproduct import Factor, ProductSpec
 from .topology import Topology, generate_topology
-from .uniformity import Relation, validate_uniformity_base
+from .uniformity import Relation
 
 
 def mask_to_labels(mask: SubsetMask, universe: Universe) -> list[str]:
@@ -138,10 +138,7 @@ def factor_from_dict(data: Any) -> Factor:
         if not isinstance(rels, list) or not rels:
             raise InputError("a factor uniformity base must be a nonempty list of relations")
         masks = [relation_from_pairs(r, universe).pairs for r in rels]
-        fam = SetFamily.of(universe.size ** 2, masks)
-        if not validate_uniformity_base(fam):
-            raise InputError("factor uniformity base fails the base conditions")
-        ubase = fam
+        ubase = SetFamily.of(universe.size ** 2, masks)
     return Factor(universe, topology=topo, filter=fil, uniformity_base=ubase)
 
 

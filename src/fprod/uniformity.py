@@ -1,4 +1,4 @@
-"""Relations, uniformities, entourage balls, induced topologies, product uniformities.
+"""Relations, uniformities, entourage balls, induced topologies.
 
 A relation on an n-point universe is a subset of the pair universe of size
 n*n, pair (x, y) at bit x*n + y. On a finite set the intersection of a valid
@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
-from .foundations import (
-    InputError,
-    ProductIndexing,
-    ResourceLimitError,
-    SetFamily,
-    SubsetMask,
-)
-from .fproduct import ProductSpec, _accepted_boxes, _minimal_boxes, _point_boxes
+from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
 from .topology import Topology
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -206,6 +201,7 @@ def is_uniformly_continuous(f_map: Sequence[int], u_dom: Uniformity, u_cod: Unif
     return all(cod.contains(f_map[x], f_map[y]) for x, y in u_dom.entourage.pair_list())
 
 
+@lru_cache(maxsize=None)
 def enumerate_uniformity_bases(n: int) -> tuple[SetFamily, ...]:
     """All valid uniformity bases on an n-point universe; n <= 2 (exponential scan)."""
     if not 1 <= n <= 2:
@@ -223,75 +219,3 @@ def enumerate_uniformity_bases(n: int) -> tuple[SetFamily, ...]:
                 out.append(fam)
     out.sort(key=lambda fam: tuple(m.bits for m in fam.members))
     return tuple(out)
-
-
-def squared_indexing(idx: ProductIndexing) -> ProductIndexing:
-    """Mixed-radix coding of the factor-wise pair product; digit i holds (x_i, y_i)."""
-    return ProductIndexing(tuple(s * s for s in idx.factor_sizes))
-
-
-def _factor_uniformity_bases(spec: ProductSpec) -> list[SetFamily]:
-    out = []
-    for f in spec.factors:
-        if f.uniformity_base is None:
-            raise InputError("every factor needs a uniformity base for the product uniformity")
-        if not validate_uniformity_base(f.uniformity_base):
-            raise InputError("a factor uniformity base is invalid")
-        out.append(f.uniformity_base)
-    return out
-
-
-def _stacked_rows(rows: Sequence[int]) -> SubsetMask:
-    """The relation on len(rows) points whose row at x is rows[x]."""
-    n = len(rows)
-    bits = 0
-    for x, row in enumerate(rows):
-        bits |= row << (x * n)
-    return SubsetMask(n * n, bits)
-
-
-def f_uniformity_base(spec: ProductSpec) -> SetFamily:
-    """Relations on the product from boxes of factor entourages with accepted delta.
-
-    Each factor base is augmented with the full square (a base may omit it,
-    yet every uniformity contains it and delta needs it to be realizable),
-    then a box is kept when its delta belongs to the index filter. The row of
-    product point x in the box (R_0, ..., R_k) is the point box with sides
-    R_i-row(x_i), so the relation is built row by row.
-    """
-    fil = spec._require_index_filter()
-    idx = spec.indexing
-    total = idx.total
-    squared_indexing(idx)  # enforces the squared-size cap
-    sizes = idx.factor_sizes
-    factor_bases = _factor_uniformity_bases(spec)
-    member_lists = []
-    for s, base in zip(sizes, factor_bases):
-        masks = set(base.members) | {SubsetMask.full(s * s)}
-        member_lists.append(sorted(masks, key=lambda m: m.bits))
-    relations = []
-    for box in _accepted_boxes(member_lists, fil.member_bits):
-        rows = [
-            [Relation(s, m).row_bits(a) for a in range(s)]
-            for s, m in zip(sizes, box.per_factor)
-        ]
-        relations.append(_stacked_rows(_point_boxes(rows, sizes)))
-    return SetFamily.of(total * total, relations)
-
-
-def f_uniformity(spec: ProductSpec) -> Uniformity:
-    """The product uniformity generated by the accepted entourage boxes.
-
-    Computed in closed form: the accepted boxes meet in one minimal entourage,
-    whose row at x is the box whole on the index-filter core and the factor
-    minimal-entourage row of x_i elsewhere. f_uniformity_base is the
-    definitional route and generates the same uniformity.
-    """
-    idx = spec.indexing
-    total = idx.total
-    squared_indexing(idx)  # enforces the squared-size cap
-    rows = []
-    for s, base in zip(idx.factor_sizes, _factor_uniformity_bases(spec)):
-        minimal = generate_uniformity(base).entourage
-        rows.append([minimal.row_bits(a) for a in range(s)])
-    return Uniformity(total, Relation(total, _stacked_rows(_minimal_boxes(spec, rows))))

@@ -47,6 +47,8 @@ from .fproduct import (
     f_topology,
     f_topology_base,
     f_topology_via_base,
+    f_uniformity,
+    f_uniformity_base,
     product_spec,
     projection_map,
 )
@@ -63,14 +65,7 @@ from .topology import (
     topology_leq,
     validate_base,
 )
-from .uniformity import (
-    enumerate_uniformity_bases,
-    f_uniformity,
-    f_uniformity_base,
-    generate_uniformity,
-    induced_topology,
-    validate_uniformity_base,
-)
+from .uniformity import enumerate_uniformity_bases, induced_topology, validate_uniformity_base
 
 _FILTER_ENUM_CAP = 4
 
@@ -568,10 +563,7 @@ def _p52_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     from_uniformity = induced_topology(f_uniformity(spec))
     topo_factors = tuple(
-        Factor(
-            f.universe,
-            topology=induced_topology(generate_uniformity(f.uniformity_base)),  # type: ignore[arg-type]
-        )
+        Factor(f.universe, topology=induced_topology(f.uniformity))  # type: ignore[arg-type]
         for f in spec.factors
     )
     from_factors = f_topology_via_base(spec.with_factors(topo_factors))
@@ -875,10 +867,6 @@ def proposition_catalog() -> dict[str, dict]:
     for pid, reason in sorted(OUT_OF_SCOPE.items()):
         out[pid] = {"status": "out-of-scope", "description": reason}
     return out
-
-
-def claim_catalog() -> dict[str, str]:
-    return {cid: _REGISTRY[cid].description for cid in _ids(True)}
 
 
 def default_grid(check_id: str, claim: bool = False) -> InstanceGrid:

@@ -236,6 +236,18 @@ class TestConstructCommand:
         body = json_body(out)["report"]
         assert [["(0)", "(0)"], ["(1)", "(1)"]] in body["base"]
 
+    def test_f_uniformity_rejects_an_invalid_base(self, capsys, tmp_path):
+        instance = {
+            "index_set": ["1"],
+            "factors": [{"points": ["0", "1"], "uniformity_base": [[["0", "1"]]]}],
+            "index_filter": {"generators": [], "trivial": True},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        code, out, err = run(capsys, "construct", "--instance", str(path), "--what", "f-uniformity")
+        assert code == 2 and out == ""
+        assert err.startswith("error: input:")
+
 
 class TestEnumerateCommand:
     def test_topologies_size_2(self, capsys):

@@ -1,0 +1,38 @@
+"""Import layering of the fprod modules, read from their source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fprod"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def imported_names(module: str) -> list[tuple[str, str]]:
+    """(source module, name) for every `from .x import name` in a module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x
+                out.extend((alias.name, "") for alias in node.names)
+            else:
+                out.extend((node.module, alias.name) for alias in node.names)
+    return out
+
+
+def test_every_module_is_read():
+    assert {"foundations", "fproduct", "uniformity", "verifier"} <= set(MODULES)
+
+
+def test_uniformity_holds_single_space_theory():
+    sources = {source for source, _ in imported_names("uniformity")}
+    assert "fproduct" not in sources
+    assert sources <= {"foundations", "topology"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_crosses_a_module(module):
+    private = [f"{src}.{name}" for src, name in imported_names(module) if name.startswith("_")]
+    assert private == []

@@ -5,7 +5,7 @@ import pytest
 
 from fprod.filters import principal_filter, trivial_filter, validate_filter_base
 from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, Universe
-from fprod.fproduct import Factor, product_spec
+from fprod.fproduct import Factor, f_uniformity, f_uniformity_base, product_spec
 from fprod.topology import discrete, indiscrete, is_continuous, topologies_equal
 from fprod.uniformity import (
     Relation,
@@ -14,8 +14,6 @@ from fprod.uniformity import (
     diagonal,
     entourage_ball,
     enumerate_uniformity_bases,
-    f_uniformity,
-    f_uniformity_base,
     generate_uniformity,
     induced_topology,
     inverse,
@@ -327,6 +325,17 @@ def diagonal_base_factor():
 
 
 class TestProductUniformity:
+    def test_factor_generates_its_uniformity_once(self):
+        base = SetFamily.of(4, [diagonal(2).pairs, SubsetMask.full(4)])
+        f = Factor(Universe.points(2), uniformity_base=base)
+        assert f.uniformity == generate_uniformity(base)
+        assert Factor(Universe.points(2)).uniformity is None
+
+    def test_factor_rejects_an_invalid_base(self):
+        not_reflexive = SetFamily.of(4, [rel(2, [(0, 1)]).pairs])
+        with pytest.raises(InputError):
+            Factor(Universe.points(2), uniformity_base=not_reflexive)
+
     def test_trivial_filter_diagonal_bases_contain_product_diagonal(self):
         spec = product_spec(
             (diagonal_base_factor(), diagonal_base_factor()), trivial_filter(2)

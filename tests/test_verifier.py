@@ -8,7 +8,6 @@ from fprod.verifier import (
     _REGISTRY,
     InstanceGrid,
     OUT_OF_SCOPE,
-    claim_catalog,
     enumerate_filters,
     preset_factor,
     proposition_catalog,
@@ -107,6 +106,35 @@ class TestVerifyDefaults:
         a = verify_proposition("P2.3").to_dict()
         b = verify_proposition("P2.3").to_dict()
         assert a == b
+
+
+class TestUniformityValidations:
+    """A factor's uniformity base is validated once, when the factor is built."""
+
+    @pytest.mark.parametrize(
+        "prop_id,expected_calls",
+        [
+            ("P5.ind", 9),        # the 9 pool factors
+            ("P5.2", 9 + 324),    # plus one product box base per instance
+        ],
+    )
+    def test_validations_per_run(self, monkeypatch, prop_id, expected_calls):
+        import fprod.uniformity as uniformity
+        import fprod.verifier as verifier
+
+        uniformity.enumerate_uniformity_bases(2)  # warm the cached scan
+        original = uniformity.validate_uniformity_base
+        calls = []
+
+        def counting(fam):
+            calls.append(fam)
+            return original(fam)
+
+        for module in (uniformity, verifier):
+            monkeypatch.setattr(module, "validate_uniformity_base", counting)
+        report = verify_proposition(prop_id)
+        assert report.passed and report.checked == 324
+        assert len(calls) == expected_calls
 
 
 class TestHypothesisProbe:
@@ -231,7 +259,7 @@ class TestSearch:
             search_counterexample("no-such-claim")
 
     def test_claim_catalog(self):
-        assert set(claim_catalog()) == {
+        assert {cid for cid, entry in _REGISTRY.items() if entry.claim} == {
             "hausdorff-for-all-filters",
             "projection-filter-identity-for-all-filters",
             "equalizer-dense-for-all-proper-filters",
