@@ -155,11 +155,24 @@ def _box_bits(side_bits: Sequence[int], factor_sizes: Sequence[int]) -> int:
 
 
 def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> list[int]:
-    """For each product point x, in code order, the mask of the box with sides rows[i][x_i]."""
-    return [
-        _box_bits(sides[::-1], factor_sizes)
-        for sides in itertools.product(*reversed(rows))
-    ]
+    """For each product point x, in code order, the mask of the box with sides rows[i][x_i].
+
+    Prefix sharing: the boxes over factors 0..i-1 are kept in code order, and
+    level i spreads each of them once per row of factor i. A prefix mask b is
+    below 2**width, width being the prefix point count, so its shifted copies
+    do not overlap and b * sum(1 << (c * width) for c in side) equals the OR
+    of b << (c * width) over c in side: one multiply per box and level.
+    """
+    masks = [1]
+    width = 1
+    for side_rows, size in zip(rows, factor_sizes):
+        pats = [
+            sum(1 << (c * width) for c in range(size) if side >> c & 1)
+            for side in side_rows
+        ]
+        masks = [m * pat for pat in pats for m in masks]
+        width *= size
+    return masks
 
 
 def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> list[int]:
@@ -267,7 +280,8 @@ def projection_map(i: int, idx: ProductIndexing) -> tuple[int, ...]:
     if not 0 <= i < len(idx.factor_sizes):
         raise InputError(f"factor index {i} out of range")
     w, s = idx.weights[i], idx.factor_sizes[i]
-    return tuple(code // w % s for code in range(idx.total))
+    block = tuple(d for d in range(s) for _ in range(w))
+    return block * (idx.total // (w * s))
 
 
 def all_projections_continuous(spec: ProductSpec) -> bool:
@@ -297,6 +311,31 @@ def equalizer(spec: ProductSpec, x: int) -> SubsetMask:
         for i, (w, s) in enumerate(zip(idx.weights, idx.factor_sizes))
     ]
     return SubsetMask(idx.total, _box_bits(sides, idx.factor_sizes))
+
+
+def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
+    """For each product point x, the box core_side(x_i, s_i) on the index-filter core, whole elsewhere."""
+    core = spec._require_index_filter().core
+    idx = spec.indexing
+    sizes = idx.factor_sizes
+    rows = [
+        [core_side(a, s) if i in core else (1 << s) - 1 for a in range(s)]
+        for i, s in enumerate(sizes)
+    ]
+    return [SubsetMask(idx.total, m) for m in _point_boxes(rows, sizes)]
+
+
+def equalizers(spec: ProductSpec) -> list[SubsetMask]:
+    """Every point's equalizer, in code order, built in one pass; see equalizer."""
+    return _core_boxes(spec, lambda a, s: 1 << a)
+
+
+def filter_different(spec: ProductSpec) -> list[SubsetMask]:
+    """For each point x, in code order, the points y with different_by_filter(spec, x, y).
+
+    The box of digits other than x_i on the index-filter core, whole elsewhere.
+    """
+    return _core_boxes(spec, lambda a, s: ((1 << s) - 1) ^ (1 << a))
 
 
 def different_by_filter(spec: ProductSpec, x: int, y: int) -> bool:

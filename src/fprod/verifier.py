@@ -39,8 +39,7 @@ from .fproduct import (
     Factor,
     ProductSpec,
     all_projections_continuous,
-    different_by_filter,
-    equalizer,
+    equalizers,
     f_filter,
     f_filter_base,
     f_filter_core,
@@ -49,6 +48,7 @@ from .fproduct import (
     f_topology_via_base,
     f_uniformity,
     f_uniformity_base,
+    filter_different,
     product_spec,
     projection_map,
 )
@@ -476,16 +476,17 @@ def _p28_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 def _p31_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology(spec)
-    total = spec.indexing.total
-    sigmas = [equalizer(spec, x) for x in range(total)]
-    for x in range(total):
-        if not t.is_dense(sigmas[x]):
+    sigmas = equalizers(spec)
+    for x, sigma in enumerate(sigmas):
+        if not t.is_dense(sigma):
             return False, {
                 "non_dense_equalizer_at": serialize.product_point_label(x, spec)
             }
-    for x in range(total):
-        for y in range(total):
-            if different_by_filter(spec, x, y) and not (sigmas[x] & sigmas[y]).is_empty:
+    bits = [sigma.bits for sigma in sigmas]
+    # x, then y ascending among the points filter-different from x
+    for x, others in enumerate(filter_different(spec)):
+        for y in others:
+            if bits[x] & bits[y]:
                 return False, {
                     "overlapping_equalizers": [
                         serialize.product_point_label(x, spec),
@@ -603,8 +604,8 @@ def _claim_projection_identity_holds(spec: ProductSpec) -> tuple[bool, dict | No
 
 def _claim_equalizer_dense_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology(spec)
-    for x in range(spec.indexing.total):
-        if not t.is_dense(equalizer(spec, x)):
+    for x, sigma in enumerate(equalizers(spec)):
+        if not t.is_dense(sigma):
             return False, {
                 "non_dense_equalizer_at": serialize.product_point_label(x, spec)
             }

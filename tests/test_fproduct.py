@@ -20,6 +20,7 @@ from fprod.fproduct import (
     Box,
     _accepted_boxes,
     _box_bits,
+    _point_boxes,
     Factor,
     ProductSpec,
     all_projections_continuous,
@@ -28,6 +29,7 @@ from fprod.fproduct import (
     box_to_pointset,
     different_by_filter,
     equalizer,
+    equalizers,
     f_filter,
     f_filter_base,
     f_filter_core,
@@ -35,6 +37,7 @@ from fprod.fproduct import (
     f_topology,
     f_topology_base,
     f_topology_via_base,
+    filter_different,
     product_spec,
     projection_map,
     projection_preimage,
@@ -177,6 +180,40 @@ class TestBoxKernel:
                 if all(side >> c & 1 for side, c in zip(sides, idx.decode_point(code))):
                     oracle |= 1 << code
             assert _box_bits(sides, sizes) == oracle
+
+
+def point_boxes_oracle(rows, sizes):
+    return [_box_bits(s[::-1], sizes) for s in itertools.product(*reversed(rows))]
+
+
+class TestPointBoxKernel:
+    """The prefix-sharing _point_boxes against one _box_bits call per point."""
+
+    def test_every_row_choice_on_small_sizes(self):
+        size_tuples = [
+            sizes for k in (1, 2, 3) for sizes in itertools.product((1, 2), repeat=k)
+        ] + [(3, 2)]
+        checked = 0
+        for sizes in size_tuples:
+            per_factor = [list(itertools.product(range(1 << s), repeat=s)) for s in sizes]
+            for rows in itertools.product(*per_factor):
+                assert _point_boxes(rows, sizes) == point_boxes_oracle(rows, sizes)
+                checked += 1
+        assert checked == 2 + 16 + (4 + 2 * 32 + 256) + (8 + 3 * 64 + 3 * 512 + 4096) + 512 * 16
+
+    def test_seeded_random_rows(self):
+        rng = random.Random(8)
+        saw_empty = saw_size_one = False
+        for _ in range(400):
+            sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            rows = [
+                [0 if rng.random() < 0.1 else rng.randrange(1 << s) for _ in range(s)]
+                for s in sizes
+            ]
+            saw_empty |= any(0 in r for r in rows)
+            saw_size_one |= 1 in sizes
+            assert _point_boxes(rows, sizes) == point_boxes_oracle(rows, sizes)
+        assert saw_empty and saw_size_one
 
 
 class TestProductSpecIndexing:
@@ -376,13 +413,16 @@ class TestPointQueryClosedForms:
         pairs = 0
         for spec in self.small_specs():
             idx = spec.indexing
-            for i in range(len(idx.factor_sizes)):
+            for i, (w, s) in enumerate(zip(idx.weights, idx.factor_sizes)):
                 assert projection_map(i, idx) == projection_map_oracle(i, idx)
+                assert projection_map(i, idx) == tuple(code // w % s for code in range(idx.total))
+            sigmas, others = equalizers(spec), filter_different(spec)
+            assert len(sigmas) == len(others) == idx.total
             for x in range(idx.total):
-                assert equalizer(spec, x) == equalizer_oracle(spec, x)
+                assert equalizer(spec, x) == equalizer_oracle(spec, x) == sigmas[x]
                 for y in range(idx.total):
                     got = different_by_filter(spec, x, y)
-                    assert got == different_by_filter_oracle(spec, x, y)
+                    assert got == different_by_filter_oracle(spec, x, y) == (y in others[x])
                     pairs += 1
         assert pairs == 22764
 
@@ -392,8 +432,16 @@ class TestPointQueryClosedForms:
         assert len(fils) == 16
         for fil in fils:
             spec = product_spec(factors, fil)
+            sigmas = equalizers(spec)
             for x in range(81):
-                assert equalizer(spec, x) == equalizer_oracle(spec, x)
+                assert equalizer(spec, x) == equalizer_oracle(spec, x) == sigmas[x]
+
+    def test_all_points_queries_need_an_index_filter(self):
+        spec = product_spec(discrete2_factors(2))
+        with pytest.raises(InputError):
+            equalizers(spec)
+        with pytest.raises(InputError):
+            filter_different(spec)
 
     def test_range_checks(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))

@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
 import json
 
 import pytest
 
-from fprod.foundations import InputError
+import fprod.verifier
+from fprod.foundations import InputError, SubsetMask
+from fprod.fproduct import different_by_filter, product_spec
+from fprod.serialize import product_point_label
 from fprod.verifier import (
     _REGISTRY,
     InstanceGrid,
     OUT_OF_SCOPE,
+    _p31_check,
+    default_grid,
     enumerate_filters,
     preset_factor,
     proposition_catalog,
@@ -175,6 +181,42 @@ class TestHypothesisProbe:
         report = verify_proposition("P3.1", grid)
         assert not report.passed
         assert "overlapping_equalizers" in report.witness["detail"]
+
+    def test_p31_witness_is_the_first_filter_different_pair(self, monkeypatch):
+        # with every equalizer the whole product, each filter-different pair
+        # overlaps, so the witness is the first such pair in row-major order
+        monkeypatch.setattr(
+            fprod.verifier,
+            "equalizers",
+            lambda spec: [SubsetMask.full(spec.indexing.total)] * spec.indexing.total,
+        )
+        specs = 0
+        for preset, k in (("discrete2", 2), ("discrete2", 3), ("discrete3", 2)):
+            factors = tuple(preset_factor(preset) for _ in range(k))
+            for fil in enumerate_filters(k, include_trivial=True):
+                spec = product_spec(factors, fil)
+                total = spec.indexing.total
+                first = next(
+                    (x, y)
+                    for x in range(total)
+                    for y in range(total)
+                    if different_by_filter(spec, x, y)
+                )
+                ok, detail = _p31_check(spec)
+                assert not ok
+                assert detail == {
+                    "overlapping_equalizers": [product_point_label(p, spec) for p in first]
+                }
+                specs += 1
+        assert specs == 4 + 8 + 4
+
+    def test_p31_passes_at_the_deep_grid(self):
+        grid = dataclasses.replace(
+            default_grid("P3.1"), index_sizes=(4,), factor_preset="discrete3"
+        )
+        report = verify_proposition("P3.1", grid)
+        assert report.passed and report.complete
+        assert report.checked == 15  # the proper filters on 4 indexes
 
 
 class TestBudget:
