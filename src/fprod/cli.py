@@ -31,7 +31,6 @@ from .topology import enumerate_topologies, find_disjoint_dense
 from .verifier import (
     FACTOR_PRESETS,
     InstanceGrid,
-    PropositionReport,
     default_grid,
     enumerate_filters,
     grid_fields,
@@ -86,17 +85,9 @@ def _render_text(body: dict) -> str:
             lines.append(f"note: {body['note']}")
         for item in body.get("items", []):
             lines.append(f"item: {json.dumps(item, sort_keys=True)}")
-    elif kind == "construct":
-        lines.append(json.dumps(body, indent=2, sort_keys=True))
     else:
         lines.append(json.dumps(body, indent=2, sort_keys=True))
     return "\n".join(lines)
-
-
-def _report_body(kind: str, report: PropositionReport) -> dict:
-    body = report.to_dict()
-    body["kind"] = kind
-    return body
 
 
 def _load_instance(path: str) -> ProductSpec:
@@ -141,7 +132,7 @@ def _grid_from_args(args: argparse.Namespace, check_id: str, claim: bool = False
 def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = verify_proposition(args.prop, _grid_from_args(args, args.prop))
-    _emit(args, _report_body("verify", report), started)
+    _emit(args, {**report.to_dict(), "kind": "verify"}, started)
     if not report.complete:
         return 3
     return 0 if report.passed else 1
@@ -150,7 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = search_counterexample(args.claim, _grid_from_args(args, args.claim, claim=True))
-    _emit(args, _report_body("search", report), started)
+    _emit(args, {**report.to_dict(), "kind": "search"}, started)
     return 0 if not report.passed else 1
 
 
@@ -222,7 +213,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         body["base"] = [[[points[x], points[y]] for x, y in u.entourage.pair_list()]]
     else:
         raise InputError(f"unknown construction {what!r}")
-    args.json = True  # constructions are inherently data
     _emit(args, body, started)
     return 0
 

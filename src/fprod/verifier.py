@@ -1,11 +1,11 @@
 """Exhaustive desk-scale verification of the product-construction propositions.
 
 Each proposition or claim id maps to one registry entry: a deterministic
-instance generator, a single-instance check, and the encode/decode pair that
-turns an instance into JSON and back. A run walks the grid in canonical order
-on typed in-memory instances, stops at the first failing instance, and
-reports it as a replayable witness (the witness is the encoded instance
-itself, so decoding it and re-running the check reproduces the verdict).
+instance generator and a single-instance check. A run walks the grid in
+canonical order on typed in-memory instances, stops at the first failing
+instance, and reports it as a replayable witness (the witness is the instance
+encoded by the one codec, _encode, so decoding it and re-running the check
+reproduces the verdict).
 Hypotheses are enforced by each entry's default grid; a custom grid may
 inject hypothesis violations, in which case the run honestly fails and
 exhibits the violation.
@@ -14,7 +14,7 @@ exhibits the violation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Any, Callable, Iterator
 
@@ -85,20 +85,19 @@ def enumerate_filters(n: int, include_trivial: bool = True) -> tuple[Filter, ...
     return tuple(out)
 
 
-FACTOR_PRESETS = ("sierpinski", "discrete2", "discrete3", "indiscrete2")
+_PRESETS: dict[str, Callable[[], Topology]] = {
+    "sierpinski": sierpinski,
+    "discrete2": partial(discrete, 2),
+    "discrete3": partial(discrete, 3),
+    "indiscrete2": partial(indiscrete, 2),
+}
+FACTOR_PRESETS = tuple(_PRESETS)
 
 
 def preset_factor(name: str) -> Factor:
-    if name == "sierpinski":
-        topo = sierpinski()
-    elif name == "discrete2":
-        topo = discrete(2)
-    elif name == "discrete3":
-        topo = discrete(3)
-    elif name == "indiscrete2":
-        topo = indiscrete(2)
-    else:
+    if name not in _PRESETS:
         raise InputError(f"unknown factor preset {name!r}; known: {FACTOR_PRESETS}")
+    topo = _PRESETS[name]()
     return Factor(Universe.points(topo.universe_size), topology=topo)
 
 
@@ -133,15 +132,8 @@ class InstanceGrid:
             raise InputError("instance budget must be positive")
 
     def describe(self) -> dict:
-        return {
-            "index_sizes": list(self.index_sizes),
-            "factor_universe_max": self.factor_universe_max,
-            "factor_source": self.factor_source,
-            "factor_preset": self.factor_preset,
-            "filter_source": self.filter_source,
-            "named_filters": list(self.named_filters),
-            "max_instances": self.max_instances,
-        }
+        """Every field by name, tuples as lists (JSON arrays)."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -243,16 +235,8 @@ def _nontrivial_topology(f: Factor) -> bool:
     return len(f.topology.opens()) > 2  # type: ignore[union-attr]
 
 
-def _encode_spec(spec: ProductSpec) -> dict:
-    return {"instance": serialize.spec_to_dict(spec)}
-
-
-def _decode_spec(payload: dict) -> ProductSpec:
-    return serialize.parse_instance(payload["instance"])
-
-
 # ---------------------------------------------------------------------------
-# entries with extra fields: generators, encode/decode pairs and checks
+# entries with extra fields: generators and checks
 
 
 def _p21_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, SetFamily]]:
@@ -266,16 +250,6 @@ def _p21_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, SetFamily]
                     tuple(SubsetMask(k, m) for m in range(subset_count) if fam_bits >> m & 1),
                 )
                 yield spec, fam
-
-
-def _p21_encode(inst: tuple[ProductSpec, SetFamily]) -> dict:
-    spec, fam = inst
-    return {**_encode_spec(spec), "delta_family": serialize.family_to_json(fam, spec.index_universe)}
-
-
-def _p21_decode(payload: dict) -> tuple[ProductSpec, SetFamily]:
-    spec = _decode_spec(payload)
-    return spec, serialize.family_from_json(payload["delta_family"], spec.index_universe)
 
 
 def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
@@ -297,19 +271,6 @@ def _p23_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, Filter]]:
             yield spec, g
 
 
-def _p23_encode(inst: tuple[ProductSpec, Filter]) -> dict:
-    spec, g = inst
-    return {
-        **_encode_spec(spec),
-        "second_index_filter": serialize.filter_to_dict(g, spec.index_universe),
-    }
-
-
-def _p23_decode(payload: dict) -> tuple[ProductSpec, Filter]:
-    spec = _decode_spec(payload)
-    return spec, serialize.filter_from_dict(payload["second_index_filter"], spec.index_universe)
-
-
 def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
     spec, g = inst
     assert spec.index_filter is not None
@@ -326,15 +287,6 @@ def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
 def _p25_instances(grid: InstanceGrid) -> Iterator[Filter]:
     for k in grid.index_sizes:
         yield from _grid_filters(grid, k)
-
-
-def _p25_encode(fil: Filter) -> dict:
-    k = fil.universe_size
-    return {"index_size": k, "index_filter": serialize.filter_to_dict(fil, Universe.indices(k))}
-
-
-def _p25_decode(payload: dict) -> Filter:
-    return serialize.filter_from_dict(payload["index_filter"], Universe.indices(payload["index_size"]))
 
 
 def _p25_check(fil: Filter) -> tuple[bool, dict | None]:
@@ -362,15 +314,6 @@ def _e29_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, bool]]:
     yield ProductSpec(uni, factors, trivial_filter(k)), True
 
 
-def _e29_encode(inst: tuple[ProductSpec, bool]) -> dict:
-    spec, expect_hausdorff = inst
-    return {**_encode_spec(spec), "expect_hausdorff": expect_hausdorff}
-
-
-def _e29_decode(payload: dict) -> tuple[ProductSpec, bool]:
-    return _decode_spec(payload), payload["expect_hausdorff"]
-
-
 def _e29_check(inst: tuple[ProductSpec, bool]) -> tuple[bool, dict | None]:
     spec, expect_hausdorff = inst
     t = f_topology(spec)
@@ -394,16 +337,6 @@ def _e29_check(inst: tuple[ProductSpec, bool]) -> tuple[bool, dict | None]:
 def _p210_instances(grid: InstanceGrid) -> Iterator[Topology]:
     for n in range(1, grid.factor_universe_max + 1):
         yield from enumerate_topologies(n)
-
-
-def _p210_encode(t: Topology) -> dict:
-    n = t.universe_size
-    return {"space_size": n, "base": serialize.family_to_json(t.base, Universe.points(n))}
-
-
-def _p210_decode(payload: dict) -> Topology:
-    uni = Universe.points(payload["space_size"])
-    return generate_topology(serialize.family_from_json(payload["base"], uni))
 
 
 def _p210_check(t: Topology) -> tuple[bool, dict | None]:
@@ -442,17 +375,11 @@ def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
     for i, f in enumerate(spec.factors):
         assert f.topology is not None
         w, size = idx.weights[i], f.universe.size
-        codes = [xi * w for xi in range(size)]  # point 0 with digit i set to xi
-        carrier = SubsetMask.of(idx.total, codes)
-        sub = subspace(t, carrier)
-        order = sorted(codes)
-        fwd = tuple(c // w % size for c in order)
-        if sorted(fwd) != list(range(f.universe.size)):
-            return {"slice_projection_not_bijective_at_factor": i}
-        inv = tuple(order.index(codes[xi]) for xi in range(f.universe.size))
-        if not is_continuous(fwd, sub, f.topology) or not is_continuous(
-            inv, f.topology, sub
-        ):
+        # point 0 with digit i set to xi is the subspace's point xi, since its
+        # code xi * w ascends with xi: the projection and its inverse are the identity
+        sub = subspace(t, SubsetMask.of(idx.total, (xi * w for xi in range(size))))
+        ident = tuple(range(size))
+        if not is_continuous(ident, sub, f.topology) or not is_continuous(ident, f.topology, sub):
             return {"slice_not_homeomorphic_at_factor": i}
     return None
 
@@ -474,14 +401,22 @@ def _p28_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     return True, None
 
 
+def _non_dense_equalizer(
+    spec: ProductSpec, t: Topology, sigmas: list[SubsetMask]
+) -> dict | None:
+    """The first point whose equalizer (from equalizers) is not dense in t."""
+    for x, sigma in enumerate(sigmas):
+        if not t.is_dense(sigma):
+            return {"non_dense_equalizer_at": serialize.product_point_label(x, spec)}
+    return None
+
+
 def _p31_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology(spec)
     sigmas = equalizers(spec)
-    for x, sigma in enumerate(sigmas):
-        if not t.is_dense(sigma):
-            return False, {
-                "non_dense_equalizer_at": serialize.product_point_label(x, spec)
-            }
+    failure = _non_dense_equalizer(spec, t, sigmas)
+    if failure is not None:
+        return False, failure
     bits = [sigma.bits for sigma in sigmas]
     # x, then y ascending among the points filter-different from x
     for x, others in enumerate(filter_different(spec)):
@@ -503,14 +438,20 @@ def _p41_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     return False, {"box_family_is_filter_base": False}
 
 
-def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
-    assert spec.index_filter is not None
+def _projected_filters(spec: ProductSpec) -> Iterator[tuple[int, Factor, Filter]]:
+    """Each factor with the pushforward of the product filter along its
+    projection, lazily, so a check that stops early builds no more."""
     ffil = f_filter(spec)
     idx = spec.indexing
-    saturated = is_saturated(spec.index_filter)
     for i, f in enumerate(spec.factors):
         assert f.filter is not None
-        proj = pushforward(projection_map(i, idx), f.universe.size, ffil)
+        yield i, f, pushforward(projection_map(i, idx), f.universe.size, ffil)
+
+
+def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
+    assert spec.index_filter is not None
+    saturated = is_saturated(spec.index_filter)
+    for i, f, proj in _projected_filters(spec):
         if not filter_leq(proj, f.filter):
             return False, {"projection_not_contained_at_factor": i}
         if saturated and proj != f.filter:
@@ -540,7 +481,8 @@ def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     # both sides are principal with nonempty cores, so compare the cores: the
     # via-base minimal neighbourhood and the product core of the factor mins
     t = f_topology_via_base(spec)
-    index_core = spec._require_index_filter().core.bits
+    assert spec.index_filter is not None
+    index_core = spec.index_filter.core.bits
     sizes = spec.indexing.factor_sizes
     rows = [f.topology.mins for f in reversed(spec.factors)]  # type: ignore[union-attr]
     # code order: factor 0 is the least-significant digit, so it varies fastest
@@ -588,11 +530,7 @@ def _claim_hausdorff_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _claim_projection_identity_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
-    ffil = f_filter(spec)
-    idx = spec.indexing
-    for i, f in enumerate(spec.factors):
-        assert f.filter is not None
-        proj = pushforward(projection_map(i, idx), f.universe.size, ffil)
+    for i, f, proj in _projected_filters(spec):
         if proj != f.filter:
             return False, {
                 "factor": i,
@@ -603,13 +541,65 @@ def _claim_projection_identity_holds(spec: ProductSpec) -> tuple[bool, dict | No
 
 
 def _claim_equalizer_dense_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
-    t = f_topology(spec)
-    for x, sigma in enumerate(equalizers(spec)):
-        if not t.is_dense(sigma):
-            return False, {
-                "non_dense_equalizer_at": serialize.product_point_label(x, spec)
-            }
-    return True, None
+    failure = _non_dense_equalizer(spec, f_topology(spec), equalizers(spec))
+    return failure is None, failure
+
+
+# ---------------------------------------------------------------------------
+# the witness codec: one JSON shape per instance type
+
+
+def _flag(value: Any, uni: Universe) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"a witness flag must be a boolean, got {value!r}")
+    return value
+
+
+# the key and the to/from-JSON pair of each typed extra a (spec, extra) instance carries
+_EXTRAS: dict[type, tuple[str, Callable[[Any, Universe], Any], Callable[[Any, Universe], Any]]] = {
+    SetFamily: ("delta_family", serialize.family_to_json, serialize.family_from_json),
+    Filter: ("second_index_filter", serialize.filter_to_dict, serialize.filter_from_dict),
+    bool: ("expect_hausdorff", _flag, _flag),
+}
+
+
+def _encode(inst: Any) -> dict:
+    """A typed instance as witness JSON: a bare ProductSpec is {"instance"}, a
+    (spec, extra) pair adds the key of the extra's type (see _EXTRAS), a bare
+    index Filter is {"index_size", "index_filter"}, a bare Topology {"space_size", "base"}."""
+    if isinstance(inst, Topology):
+        n = inst.universe_size
+        return {"space_size": n, "base": serialize.family_to_json(inst.base, Universe.points(n))}
+    if isinstance(inst, Filter):
+        k = inst.universe_size
+        return {"index_size": k, "index_filter": serialize.filter_to_dict(inst, Universe.indices(k))}
+    if isinstance(inst, ProductSpec):
+        return {"instance": serialize.spec_to_dict(inst)}
+    spec, extra = inst
+    key, to_json, _ = _EXTRAS[type(extra)]
+    return {**_encode(spec), key: to_json(extra, spec.index_universe)}
+
+
+def _decode(entry: _Entry, witness: Any) -> Any:
+    """Invert _encode on a witness of entry: apart from an optional "detail",
+    it must have exactly the keys of the entry's first default-grid instance."""
+    keys = frozenset(_encode(next(entry.instances(entry.default_grid))))
+    if not isinstance(witness, dict) or set(witness) - {"detail"} != keys:
+        raise InputError(f"a witness of this check is an object with keys {sorted(keys)}")
+    sizes = [witness[k] for k in ("space_size", "index_size") if k in keys]
+    if any(type(n) is not int or n < 1 for n in sizes):
+        raise InputError(f"a witness size must be a positive integer, got {sizes}")
+    if "space_size" in keys:
+        uni = Universe.points(witness["space_size"])
+        return generate_topology(serialize.family_from_json(witness["base"], uni))
+    if "index_size" in keys:
+        uni = Universe.indices(witness["index_size"])
+        return serialize.filter_from_dict(witness["index_filter"], uni)
+    spec = serialize.parse_instance(witness["instance"])
+    for key, _, from_json in _EXTRAS.values():
+        if key in keys:
+            return spec, from_json(witness[key], spec.index_universe)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +616,8 @@ _FILTERS = frozenset({"filter_source", "named_filters"})
 class _Entry:
     """One proposition (or, with claim set, one false generalization to refute).
 
-    check takes the typed instances that instances yields; encode and decode
-    convert one to and from JSON, and are used only for witnesses and replay.
+    check takes the typed instances that instances yields; _encode and
+    _decode convert one to and from JSON for witnesses and replay.
     """
 
     check_id: str
@@ -637,8 +627,6 @@ class _Entry:
     reads: frozenset[str]
     check: Callable[[Any], tuple[bool, dict | None]]
     instances: Callable[[InstanceGrid], Iterator[Any]] = _product_instances
-    encode: Callable[[Any], dict] = _encode_spec
-    decode: Callable[[dict], Any] = _decode_spec
     claim: bool = False
 
 
@@ -655,8 +643,6 @@ _REGISTRY: dict[str, _Entry] = {
             _INDEX | _FACTORS,
             _p21_check,
             _p21_instances,
-            _p21_encode,
-            _p21_decode,
         ),
         _Entry(
             "P2.3",
@@ -667,8 +653,6 @@ _REGISTRY: dict[str, _Entry] = {
             _INDEX | _FACTORS | _FILTERS,
             _p23_check,
             _p23_instances,
-            _p23_encode,
-            _p23_decode,
         ),
         _Entry(
             "P2.5",
@@ -678,8 +662,6 @@ _REGISTRY: dict[str, _Entry] = {
             _INDEX | _FILTERS,
             _p25_check,
             _p25_instances,
-            _p25_encode,
-            _p25_decode,
         ),
         _Entry(
             "P2.7",
@@ -713,8 +695,6 @@ _REGISTRY: dict[str, _Entry] = {
             _INDEX,
             _e29_check,
             _e29_instances,
-            _e29_encode,
-            _e29_decode,
         ),
         _Entry(
             "P2.10",
@@ -728,8 +708,6 @@ _REGISTRY: dict[str, _Entry] = {
             _SIZE,
             _p210_check,
             _p210_instances,
-            _p210_encode,
-            _p210_decode,
         ),
         _Entry(
             "P3.1",
@@ -890,28 +868,27 @@ def grid_fields(check_id: str, grid: InstanceGrid) -> frozenset[str]:
 def _run(entry: _Entry, grid: InstanceGrid | None) -> PropositionReport:
     grid = grid if grid is not None else entry.default_grid
     checked = 0
-    failure: dict | None = None
-    exhibit: dict | None = None
-    complete = True
+    passed, complete = True, True
+    witness: dict | None = None  # the first failure, else the first exhibit
     for inst in entry.instances(grid):
         if grid.max_instances is not None and checked >= grid.max_instances:
             complete = False
             break
         ok, detail = entry.check(inst)
         checked += 1
+        if not ok or (detail is not None and witness is None):
+            witness = {**_encode(inst), "detail": detail}
         if not ok:
-            failure = {**entry.encode(inst), "detail": detail}
+            passed = False
             break
-        if detail is not None and exhibit is None:
-            exhibit = {**entry.encode(inst), "detail": detail}
     return PropositionReport(
         prop_id=entry.check_id,
         description=entry.description,
         grid=grid,
         checked=checked,
-        passed=failure is None,
+        passed=passed,
         complete=complete,
-        witness=failure if failure is not None else exhibit,
+        witness=witness,
         degenerate_notes=entry.notes,
     )
 
@@ -932,7 +909,7 @@ def search_counterexample(claim_id: str, grid: InstanceGrid | None = None) -> Pr
 
 
 def replay_witness(check_id: str, witness: dict) -> tuple[bool, dict | None]:
-    """Re-run the single-instance check on a serialized witness."""
+    """Re-run the single-instance check on a serialized witness; one without
+    exactly the keys of the check's instance shape raises InputError."""
     entry = _entry(check_id)
-    payload = {k: v for k, v in witness.items() if k != "detail"}
-    return entry.check(entry.decode(payload))
+    return entry.check(_decode(entry, witness))

@@ -8,10 +8,14 @@ import fprod.verifier
 from fprod.foundations import InputError, SubsetMask
 from fprod.fproduct import different_by_filter, product_spec
 from fprod.serialize import product_point_label
+from fprod.topology import discrete, indiscrete, sierpinski
 from fprod.verifier import (
+    FACTOR_PRESETS,
     _REGISTRY,
     InstanceGrid,
     OUT_OF_SCOPE,
+    _decode,
+    _encode,
     _p31_check,
     default_grid,
     enumerate_filters,
@@ -308,16 +312,71 @@ class TestSearch:
         }
 
 
+# the witness keys of each check whose instance is not a bare product spec
+WITNESS_KEYS = {
+    "P2.1": {"instance", "delta_family"},
+    "P2.3": {"instance", "second_index_filter"},
+    "P2.5": {"index_size", "index_filter"},
+    "E2.9": {"instance", "expect_hausdorff"},
+    "P2.10": {"space_size", "base"},
+}
+
+
 class TestTypedInstances:
     @pytest.mark.parametrize("check_id", sorted(_REGISTRY))
     def test_decode_inverts_encode_on_the_default_grid(self, check_id):
-        """Checks run on typed instances; the JSON round trip they skip is the identity."""
+        """Checks run on typed instances; the JSON round trip they skip is the
+        identity, and every instance of a check encodes to the same keys."""
         entry = _REGISTRY[check_id]
         count = 0
         for inst in entry.instances(entry.default_grid):
-            assert entry.decode(json.loads(json.dumps(entry.encode(inst)))) == inst
+            payload = _encode(inst)
+            assert set(payload) == WITNESS_KEYS.get(check_id, {"instance"})
+            assert _decode(entry, json.loads(json.dumps(payload))) == inst
             count += 1
         assert count > 0
+
+
+class TestReplayInput:
+    """replay_witness takes only a witness of the check's own shape."""
+
+    def test_missing_instance(self):
+        with pytest.raises(InputError, match="keys"):
+            replay_witness("P3.1", {})
+
+    def test_p25_witness_without_its_index_size(self):
+        witness = _encode(enumerate_filters(2)[0])
+        assert replay_witness("P2.5", witness) == (True, None)
+        del witness["index_size"]
+        with pytest.raises(InputError, match="keys"):
+            replay_witness("P2.5", witness)
+
+    def test_e29_rejects_a_witness_of_another_shape(self):
+        witness = search_counterexample("hausdorff-for-all-filters").witness
+        assert replay_witness("hausdorff-for-all-filters", witness)[0] is False
+        with pytest.raises(InputError, match="keys"):
+            replay_witness("E2.9", witness)
+
+    def test_unknown_key(self):
+        witness = search_counterexample("hausdorff-for-all-filters").witness
+        with pytest.raises(InputError, match="keys"):
+            replay_witness("hausdorff-for-all-filters", {**witness, "note": "x"})
+
+    @pytest.mark.parametrize("size", ["2", 0, True, None])
+    def test_sizes_must_be_positive_integers(self, size):
+        witness = {**_encode(enumerate_filters(2)[0]), "index_size": size}
+        with pytest.raises(InputError, match="positive integer"):
+            replay_witness("P2.5", witness)
+
+    def test_flag_must_be_a_boolean(self):
+        witness = verify_proposition("E2.9").witness
+        assert replay_witness("E2.9", witness)[0] is True
+        with pytest.raises(InputError, match="boolean"):
+            replay_witness("E2.9", {**witness, "expect_hausdorff": "no"})
+
+    def test_not_an_object(self):
+        with pytest.raises(InputError):
+            replay_witness("P3.1", ["instance"])
 
 
 class TestWitnessRoundTrip:
@@ -338,3 +397,11 @@ class TestWitnessRoundTrip:
     def test_preset_factor_unknown(self):
         with pytest.raises(InputError):
             preset_factor("nope")
+
+    def test_presets_in_flag_order(self):
+        """--factors lists FACTOR_PRESETS in this order."""
+        expected = {"sierpinski": sierpinski(), "discrete2": discrete(2),
+                    "discrete3": discrete(3), "indiscrete2": indiscrete(2)}
+        assert FACTOR_PRESETS == tuple(expected)
+        for name, topo in expected.items():
+            assert preset_factor(name).topology == topo
