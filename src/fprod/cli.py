@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes are a stable contract: 0 for an expected outcome, 1 when a
-verification run hits a counterexample or a search finds no witness, 2 for
-malformed input, 3 when an instance budget ran out before the grid was
-exhausted. Errors go to stderr as one line `error: <code>: <message>`.
+verification run hits a counterexample or a search finds no witness in its
+whole grid, 2 for malformed input, 3 when an instance budget ran out before
+the grid was exhausted. Errors go to stderr as one line `error: <code>: <message>`.
 JSON output wraps the deterministic body under "report" and puts timing
 under "meta" so reports can be compared byte-for-byte.
 """
@@ -142,6 +142,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = search_counterexample(args.claim, _grid_from_args(args, args.claim, claim=True))
     _emit(args, {**report.to_dict(), "kind": "search"}, started)
+    if not report.complete:
+        return 3
     return 0 if not report.passed else 1
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .filters import Filter, FilterBase, generate_filter, principal_filter
 from .foundations import (
@@ -166,10 +166,17 @@ def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> 
     masks = [1]
     width = 1
     for side_rows, size in zip(rows, factor_sizes):
-        pats = [
-            sum(1 << (c * width) for c in range(size) if side >> c & 1)
-            for side in side_rows
-        ]
+        pats = side_rows  # over one-point prefixes a side is its own spread
+        if width > 1:
+            pats = []
+            for side in side_rows:
+                pat = shift = 0
+                while side:
+                    if side & 1:
+                        pat |= 1 << shift
+                    side >>= 1
+                    shift += width
+                pats.append(pat)
         masks = [m * pat for pat in pats for m in masks]
         width *= size
     return masks
@@ -182,10 +189,8 @@ def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> list[int
     neighbourhood of x in the product topology; with the rows of factor
     minimal entourages it is the row of x in the product's minimal entourage.
     """
-    core = spec._require_index_filter().core  # empty when the filter is trivial
-    sizes = spec.indexing.factor_sizes
-    sides = [[(1 << s) - 1] * s if i in core else rows[i] for i, s in enumerate(sizes)]
-    return _point_boxes(sides, sizes)
+    core = spec._require_index_filter().core.bits  # empty when the filter is trivial
+    return f_filter_cores(core, rows, spec.indexing.factor_sizes)
 
 
 def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
@@ -195,21 +200,26 @@ def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
     return SubsetMask(idx.total, _box_bits([m.bits for m in box.per_factor], idx.factor_sizes))
 
 
-def _accepted_boxes(side_lists: Sequence[Sequence[SubsetMask]], member) -> Iterator[Box]:
-    """Every box with one side from each list whose delta bits `member` accepts.
+def _accepted_choices(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], member, items):
+    """The items of the side choices whose delta bits `member` accepts.
 
     The one box enumerator: the definitional box bases of the product
-    topology, filter and uniformity all walk it. A box's delta is the OR of
-    the bits of its full sides, each found once per side list.
+    topology, filter and uniformity all walk it. items holds one entry per
+    side choice in the order _point_boxes(side_lists, factor_sizes) builds
+    their masks, list 0 varying fastest; the deltas are built level by level
+    in that order, level i adding bit i to the choices with a full side i.
     """
-    flagged = [
-        [(m, (1 << i) if m.is_full else 0) for m in sides]
-        for i, sides in enumerate(side_lists)
-    ]
-    for choice in itertools.product(*flagged):
-        sides, delta_bits = zip(*choice)
-        if member(sum(delta_bits)):
-            yield Box(sides)
+    deltas = [0]
+    for i, (sides, size) in enumerate(zip(side_lists, factor_sizes)):
+        full = (1 << size) - 1
+        deltas = [d | (1 << i) if side == full else d for side in sides for d in deltas]
+    return [item for item, d in zip(items, deltas) if member(d)]
+
+
+def _box_family(universe_size: int, masks: Iterable[int]) -> SetFamily:
+    """The family of the distinct masks, in canonical order."""
+    unique = sorted(set(masks))
+    return SetFamily(universe_size, tuple(SubsetMask(universe_size, b) for b in unique))
 
 
 def _delta_member(spec: ProductSpec, delta_family: SetFamily | None):
@@ -230,13 +240,13 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
     """
     member = _delta_member(spec, delta_family)
     idx = spec.indexing
-    per_factor_opens = []
+    opens = []
     for f in spec.factors:
         if f.topology is None:
             raise InputError("every factor needs a topology for the product topology")
-        per_factor_opens.append([m for m in f.topology.opens() if not m.is_empty])
-    boxes = _accepted_boxes(per_factor_opens, member)
-    return SetFamily.of(idx.total, [box_to_pointset(box, idx) for box in boxes])
+        opens.append([m.bits for m in f.topology.opens() if m.bits])
+    masks = _point_boxes(opens, idx.factor_sizes)
+    return _box_family(idx.total, _accepted_choices(opens, idx.factor_sizes, member, masks))
 
 
 def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
@@ -369,20 +379,31 @@ def _factor_filters(spec: ProductSpec) -> list[Filter]:
 
 def f_filter_base(spec: ProductSpec) -> SetFamily:
     """Point sets of all boxes of factor-filter members whose delta is accepted."""
-    fil = spec._require_index_filter()
+    member = spec._require_index_filter().member_bits
     idx = spec.indexing
-    member_lists = [f.members().members for f in _factor_filters(spec)]
-    boxes = _accepted_boxes(member_lists, fil.member_bits)
-    return SetFamily.of(idx.total, [box_to_pointset(box, idx) for box in boxes])
+    members = [[m.bits for m in f.members()] for f in _factor_filters(spec)]
+    masks = _point_boxes(members, idx.factor_sizes)
+    return _box_family(idx.total, _accepted_choices(members, idx.factor_sizes, member, masks))
+
+
+def f_filter_cores(
+    index_core: int, core_rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]
+) -> list[int]:
+    """The product filter's core for each choice of one core per factor from core_rows.
+
+    Each is the box whole on the index core and the chosen factor cores
+    elsewhere; choices run in code order as in _point_boxes, row 0 fastest.
+    """
+    sides = [
+        [(1 << s) - 1] * len(row) if index_core >> i & 1 else row
+        for i, (row, s) in enumerate(zip(core_rows, factor_sizes))
+    ]
+    return _point_boxes(sides, factor_sizes)
 
 
 def f_filter_core(index_core: int, factor_cores: Sequence[int], factor_sizes: Sequence[int]) -> int:
     """The product filter's core bits: the box whole on the index core, factor cores elsewhere."""
-    sides = [
-        (1 << s) - 1 if index_core >> i & 1 else c
-        for i, (c, s) in enumerate(zip(factor_cores, factor_sizes))
-    ]
-    return _box_bits(sides, factor_sizes)
+    return f_filter_cores(index_core, [[c] for c in factor_cores], factor_sizes)[0]
 
 
 def f_filter(spec: ProductSpec) -> Filter:
@@ -436,16 +457,14 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     for s, f in zip(sizes, spec.factors):
         if f.uniformity_base is None:
             raise InputError("every factor needs a uniformity base for the product uniformity")
-        masks = set(f.uniformity_base.members) | {SubsetMask.full(s * s)}
-        member_lists.append(sorted(masks, key=lambda m: m.bits))
-    relations = []
-    for box in _accepted_boxes(member_lists, fil.member_bits):
-        rows = [
-            [Relation(s, m).row_bits(a) for a in range(s)]
-            for s, m in zip(sizes, box.per_factor)
-        ]
-        relations.append(_stacked_rows(_point_boxes(rows, sizes)))
-    return SetFamily.of(total * total, relations)
+        member_lists.append(sorted({m.bits for m in f.uniformity_base} | {(1 << (s * s)) - 1}))
+    row_lists = [
+        [[Relation(s, SubsetMask(s * s, m)).row_bits(a) for a in range(s)] for m in members]
+        for s, members in zip(sizes, member_lists)
+    ]
+    choices = [c[::-1] for c in itertools.product(*reversed(row_lists))]  # list 0 varies fastest
+    accepted = _accepted_choices(member_lists, [s * s for s in sizes], fil.member_bits, choices)
+    return _box_family(total * total, (_stacked_rows(_point_boxes(c, sizes)).bits for c in accepted))
 
 
 def f_uniformity(spec: ProductSpec) -> Uniformity:

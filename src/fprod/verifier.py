@@ -42,7 +42,7 @@ from .fproduct import (
     equalizers,
     f_filter,
     f_filter_base,
-    f_filter_core,
+    f_filter_cores,
     f_topology,
     f_topology_base,
     f_topology_via_base,
@@ -482,12 +482,10 @@ def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     # via-base minimal neighbourhood and the product core of the factor mins
     t = f_topology_via_base(spec)
     assert spec.index_filter is not None
-    index_core = spec.index_filter.core.bits
-    sizes = spec.indexing.factor_sizes
-    rows = [f.topology.mins for f in reversed(spec.factors)]  # type: ignore[union-attr]
-    # code order: factor 0 is the least-significant digit, so it varies fastest
-    for code, reversed_mins in enumerate(itertools.product(*rows)):
-        if t.mins[code] != f_filter_core(index_core, reversed_mins[::-1], sizes):
+    rows = [f.topology.mins for f in spec.factors]  # type: ignore[union-attr]
+    cores = f_filter_cores(spec.index_filter.core.bits, rows, spec.indexing.factor_sizes)
+    for code, (got, want) in enumerate(zip(t.mins, cores)):
+        if got != want:
             return False, {
                 "neighborhood_identity_fails_at": serialize.product_point_label(
                     code, spec

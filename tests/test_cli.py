@@ -72,6 +72,22 @@ class TestExitCodes:
         assert code == 0
         assert "WITNESS-FOUND" in out
 
+    def test_three_when_a_search_budget_runs_out_before_a_witness(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "search", "--claim", "equalizer-dense-for-all-proper-filters", "--budget", "2",
+        )
+        assert code == 3
+        assert "NONE-FOUND checked=2 complete=no" in out
+
+    def test_zero_when_a_search_finds_its_witness_within_the_budget(self, capsys):
+        # the witness is the grid's first instance, so a budget of one reaches it
+        code, out, _ = run(
+            capsys, "search", "--claim", "hausdorff-for-all-filters", "--budget", "1"
+        )
+        assert code == 0
+        assert "WITNESS-FOUND checked=1 complete=yes" in out
+
     def test_one_on_verify_counterexample(self, capsys):
         code, out, _ = run(
             capsys,

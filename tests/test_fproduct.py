@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -18,7 +19,7 @@ from fprod.foundations import (
 )
 from fprod.fproduct import (
     Box,
-    _accepted_boxes,
+    _accepted_choices,
     _box_bits,
     _point_boxes,
     Factor,
@@ -33,6 +34,7 @@ from fprod.fproduct import (
     f_filter,
     f_filter_base,
     f_filter_core,
+    f_filter_cores,
     f_filter_via_base,
     f_topology,
     f_topology_base,
@@ -151,17 +153,23 @@ class TestBoxes:
         assert box_to_pointset(Box((mask(2, 0), mask(2, 0b11))), idx).is_empty
 
     def test_enumerator_yields_the_boxes_box_delta_accepts_in_order(self):
-        side_lists = [
-            [mask(2, 0b01), mask(2, 0b11)],
-            [mask(3, 0b111), mask(3, 0b010), mask(3, 0b110)],
-            [mask(1, 0b1)],
+        # full and proper sides on mixed sizes, then empty sides and size-1
+        # factors; the enumerator runs in code order, so compare as multisets
+        cases = [
+            ((2, 3, 1), [[0b01, 0b11], [0b111, 0b010, 0b110], [0b1]]),
+            ((1, 2, 1), [[0b1, 0], [0b00, 0b10, 0b11], [0, 0b1]]),
         ]
-        for accepted in range(1 << 8):
-            member = lambda bits: accepted >> bits & 1  # noqa: E731
-            oracle = [
-                Box(c) for c in itertools.product(*side_lists) if member(box_delta(Box(c)).bits)
-            ]
-            assert list(_accepted_boxes(side_lists, member)) == oracle
+        for sizes, side_lists in cases:
+            masks = _point_boxes(side_lists, sizes)
+            for accepted in range(1 << 8):
+                member = lambda bits: accepted >> bits & 1  # noqa: E731
+                got = _accepted_choices(side_lists, sizes, member, masks)
+                oracle = [
+                    _box_bits(c, sizes)
+                    for c in itertools.product(*side_lists)
+                    if member(box_delta(Box(tuple(map(mask, sizes, c)))).bits)
+                ]
+                assert collections.Counter(got) == collections.Counter(oracle)
 
     def test_pointset_size_mismatch(self):
         from fprod.foundations import ProductIndexing
@@ -214,6 +222,59 @@ class TestPointBoxKernel:
             saw_size_one |= 1 in sizes
             assert _point_boxes(rows, sizes) == point_boxes_oracle(rows, sizes)
         assert saw_empty and saw_size_one
+
+
+def box_base_oracle(side_lists, idx, member):
+    """The box base by the Box route: every accepted Box, each through box_to_pointset."""
+    boxes = [Box(c) for c in itertools.product(*side_lists)]
+    pointsets = [box_to_pointset(b, idx) for b in boxes if member(box_delta(b).bits)]
+    return SetFamily.of(idx.total, pointsets)
+
+
+def topology_base_oracle(spec, member):
+    opens = [[m for m in f.topology.opens() if not m.is_empty] for f in spec.factors]
+    return box_base_oracle(opens, spec.indexing, member)
+
+
+def filter_cores_oracle(index_core, rows, sizes):
+    out = []
+    for reversed_cores in itertools.product(*reversed(rows)):
+        cores = reversed_cores[::-1]
+        sides = [
+            (1 << s) - 1 if index_core >> i & 1 else c for i, (c, s) in enumerate(zip(cores, sizes))
+        ]
+        out.append(_box_bits(sides, sizes))
+    return out
+
+
+class TestBoxBasesAgainstTheBoxRoute:
+    """The bit-level bases against the Box/box_to_pointset route they replace.
+
+    Small products under every filter are checked in the closed-form tests,
+    which walk the same grids.
+    """
+
+    def test_topology_base_on_the_p21_delta_families(self):
+        from fprod.verifier import _REGISTRY
+
+        checked = 0
+        for spec, fam in _REGISTRY["P2.1"].instances(default_grid("P2.1")):
+            base = f_topology_base(spec, delta_family=fam)
+            assert base == topology_base_oracle(spec, fam.contains_bits)
+            checked += 1
+        assert checked == 15 + 255
+
+    def test_filter_cores_match_one_box_per_choice(self):
+        size_tuples = [
+            sizes for k in (1, 2, 3) for sizes in itertools.product((1, 2), repeat=k)
+        ] + [(3, 2)]
+        for sizes in size_tuples:
+            rows = [list(range(1 << s)) for s in sizes]  # every core, any count per factor
+            for index_core in range(1 << len(sizes)):
+                want = filter_cores_oracle(index_core, rows, sizes)
+                assert f_filter_cores(index_core, rows, sizes) == want
+                cores = [r[-1] for r in rows]
+                assert f_filter_core(index_core, cores, sizes) == want[-1]
 
 
 class TestProductSpecIndexing:
@@ -324,6 +385,7 @@ class TestClosedFormTopology:
                 for fil in enumerate_filters(k, include_trivial=True):
                     spec = product_spec(factors, fil)
                     assert f_topology(spec).mins == f_topology_via_base(spec).mins
+                    assert f_topology_base(spec) == topology_base_oracle(spec, fil.member_bits)
                     checked += 1
         assert checked == 4692
 
@@ -526,6 +588,9 @@ class TestFFilter:
                     spec = product_spec(factors, fil)
                     ff = f_filter(spec)
                     assert ff == f_filter_via_base(spec)
+                    members = [f.filter.members().members for f in factors]
+                    oracle = box_base_oracle(members, spec.indexing, fil.member_bits)
+                    assert f_filter_base(spec) == oracle
                     cores = [f.filter.core.bits for f in factors]
                     sizes = spec.indexing.factor_sizes
                     assert f_filter_core(fil.core.bits, cores, sizes) == ff.core.bits
@@ -584,37 +649,39 @@ class TestNeighborhoodIdentity:
     ):
         from fprod import verifier
 
-        bases, cores = [], []
-        original_base, original_core = fproduct.f_topology_base, verifier.f_filter_core
+        bases, kernel_calls = [], []
+        original_base, original_cores = fproduct.f_topology_base, verifier.f_filter_cores
 
         def counted_base(spec, *args, **kwargs):
             bases.append(spec)
             return original_base(spec, *args, **kwargs)
 
-        def counted_core(index_core, factor_cores, factor_sizes):
-            cores.append(factor_sizes)
-            return original_core(index_core, factor_cores, factor_sizes)
+        def counted_cores(index_core, core_rows, factor_sizes):
+            cores = original_cores(index_core, core_rows, factor_sizes)
+            kernel_calls.append((factor_sizes, len(cores)))
+            return cores
 
         def refused(*args, **kwargs):
             raise AssertionError("P4.5 builds no product filter spec per point")
 
         monkeypatch.setattr(fproduct, "f_topology_base", counted_base)
-        monkeypatch.setattr(verifier, "f_filter_core", counted_core)
+        monkeypatch.setattr(verifier, "f_filter_cores", counted_cores)
         monkeypatch.setattr(verifier, "f_filter", refused)
         monkeypatch.setattr(ProductSpec, "with_factors", refused)
         grid = dataclasses.replace(default_grid("P4.5"), max_instances=40)
         report = verify_proposition("P4.5", grid)
         assert report.passed and len(bases) == report.checked == 40
-        assert cores == [
-            spec.indexing.factor_sizes for spec in bases for _ in range(spec.indexing.total)
+        # one kernel call per instance, returning one core per point
+        assert kernel_calls == [
+            (spec.indexing.factor_sizes, spec.indexing.total) for spec in bases
         ]
 
     def test_p45_catches_a_kernel_that_ignores_the_index_core(self, monkeypatch):
         from fprod import verifier
 
-        original = verifier.f_filter_core
+        original = verifier.f_filter_cores
         monkeypatch.setattr(
-            verifier, "f_filter_core", lambda _core, cores, sizes: original(0, cores, sizes)
+            verifier, "f_filter_cores", lambda _core, rows, sizes: original(0, rows, sizes)
         )
         report = verify_proposition("P4.5")
         assert not report.passed and report.witness is not None

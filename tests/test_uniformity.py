@@ -5,7 +5,7 @@ import pytest
 
 from fprod.filters import principal_filter, trivial_filter, validate_filter_base
 from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, Universe
-from fprod.fproduct import Factor, f_uniformity, f_uniformity_base, product_spec
+from fprod.fproduct import Box, Factor, box_delta, f_uniformity, f_uniformity_base, product_spec
 from fprod.topology import discrete, indiscrete, is_continuous, topologies_equal
 from fprod.uniformity import (
     Relation,
@@ -324,6 +324,29 @@ def diagonal_base_factor():
     return Factor(Universe.points(2), uniformity_base=SetFamily.of(4, [diagonal(2).pairs]))
 
 
+def uniformity_base_oracle(spec):
+    """The entourage-box base by the Box route: each accepted Box, read pair by pair."""
+    idx = spec.indexing
+    total, sizes = idx.total, idx.factor_sizes
+    side_lists = [
+        sorted(set(f.uniformity_base.members) | {SubsetMask.full(s * s)}, key=lambda m: m.bits)
+        for s, f in zip(sizes, spec.factors)
+    ]
+    relations = []
+    for choice in itertools.product(*side_lists):
+        if not spec.index_filter.member_bits(box_delta(Box(choice)).bits):
+            continue
+        points = [idx.decode_point(x) for x in range(total)]
+        pairs = [
+            (x, y)
+            for x, xs in enumerate(points)
+            for y, ys in enumerate(points)
+            if all(r.bits >> (a * s + b) & 1 for r, a, b, s in zip(choice, xs, ys, sizes))
+        ]
+        relations.append(rel(total, pairs).pairs)
+    return SetFamily.of(total * total, relations)
+
+
 class TestProductUniformity:
     def test_factor_generates_its_uniformity_once(self):
         base = SetFamily.of(4, [diagonal(2).pairs, SubsetMask.full(4)])
@@ -400,7 +423,9 @@ class TestProductUniformity:
             for factors in itertools.product(pool, repeat=k):
                 for fil in enumerate_filters(k, include_trivial=True):
                     spec = product_spec(factors, fil)
-                    via_base = generate_uniformity(f_uniformity_base(spec))
+                    base = f_uniformity_base(spec)
+                    assert base == uniformity_base_oracle(spec)
+                    via_base = generate_uniformity(base)
                     assert f_uniformity(spec).minimal_entourage() == via_base.minimal_entourage()
                     checked += 1
         assert checked == 420
