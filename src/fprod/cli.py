@@ -212,7 +212,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         body["minimal"] = labels(fil.core)
     elif what == "f-uniformity":
         u = f_uniformity(spec)
-        body["base"] = [[[points[x], points[y]] for x, y in u.entourage.pair_list()]]
+        body["base"] = [[[points[x], points[y]] for x, y in u.minimal_entourage().pair_list()]]
     else:
         raise InputError(f"unknown construction {what!r}")
     _emit(args, body, started)

@@ -122,6 +122,8 @@ def d_complements_family(n: int, d: int) -> tuple[SetFamily, str]:
     """
     if n < 1 or d < 1:
         raise InputError("need a universe size >= 1 and a cardinal bound >= 1")
+    if n > _MEMBER_CAP:  # the scan below visits all 2**n subsets
+        raise ResourceLimitError(f"d-complements enumeration capped at universe size {_MEMBER_CAP}")
     masks = [
         SubsetMask(n, bits)
         for bits in range(1 << n)

@@ -430,15 +430,6 @@ def squared_indexing(idx: ProductIndexing) -> ProductIndexing:
     return ProductIndexing(tuple(s * s for s in idx.factor_sizes))
 
 
-def _stacked_rows(rows: Sequence[int]) -> SubsetMask:
-    """The relation on len(rows) points whose row at x is rows[x]."""
-    n = len(rows)
-    bits = 0
-    for x, row in enumerate(rows):
-        bits |= row << (x * n)
-    return SubsetMask(n * n, bits)
-
-
 def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     """Relations on the product from boxes of factor entourages with accepted delta.
 
@@ -459,12 +450,13 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
             raise InputError("every factor needs a uniformity base for the product uniformity")
         member_lists.append(sorted({m.bits for m in f.uniformity_base} | {(1 << (s * s)) - 1}))
     row_lists = [
-        [[Relation(s, SubsetMask(s * s, m)).row_bits(a) for a in range(s)] for m in members]
+        [Relation(s, SubsetMask(s * s, m)).rows() for m in members]
         for s, members in zip(sizes, member_lists)
     ]
     choices = [c[::-1] for c in itertools.product(*reversed(row_lists))]  # list 0 varies fastest
     accepted = _accepted_choices(member_lists, [s * s for s in sizes], fil.member_bits, choices)
-    return _box_family(total * total, (_stacked_rows(_point_boxes(c, sizes)).bits for c in accepted))
+    relations = (Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in accepted)
+    return _box_family(total * total, relations)
 
 
 def f_uniformity(spec: ProductSpec) -> Uniformity:
@@ -476,11 +468,10 @@ def f_uniformity(spec: ProductSpec) -> Uniformity:
     definitional route and generates the same uniformity.
     """
     idx = spec.indexing
-    total = idx.total
     squared_indexing(idx)  # enforces the squared-size cap
     rows = []
-    for s, f in zip(idx.factor_sizes, spec.factors):
+    for f in spec.factors:
         if f.uniformity is None:
             raise InputError("every factor needs a uniformity base for the product uniformity")
-        rows.append([f.uniformity.entourage.row_bits(a) for a in range(s)])
-    return Uniformity(total, Relation(total, _stacked_rows(_minimal_boxes(spec, rows))))
+        rows.append(f.uniformity.rows)
+    return Uniformity(idx.total, _minimal_boxes(spec, rows))

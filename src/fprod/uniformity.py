@@ -1,10 +1,9 @@
 """Relations, uniformities, entourage balls, induced topologies.
 
 A relation on an n-point universe is a subset of the pair universe of size
-n*n, pair (x, y) at bit x*n + y. On a finite set the intersection of a valid
-uniformity base is a single minimal entourage, and the base axioms force it
-to be an equivalence relation; its rows are the minimal balls that carry the
-induced topology.
+n*n, pair (x, y) at bit x*n + y; only Relation knows this layout. On a finite
+set a uniformity has one minimal entourage, an equivalence relation; its rows,
+the minimal balls, partition the points and carry the induced topology.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from math import isqrt
 from typing import Sequence
 
 from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
-from .topology import Topology
+from .topology import Topology, is_continuous
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,17 @@ class Relation:
         return cls(n, SubsetMask(n * n, bits))
 
     @classmethod
+    def from_rows(cls, rows: Sequence[int]) -> "Relation":
+        """The relation on len(rows) points whose row at x is rows[x]."""
+        n = len(rows)
+        bits = 0
+        for x, row in enumerate(rows):
+            if row >> n:
+                raise InputError(f"row {x} is out of range for {n} points")
+            bits |= row << (x * n)
+        return cls(n, SubsetMask(n * n, bits))
+
+    @classmethod
     def full(cls, n: int) -> "Relation":
         return cls(n, SubsetMask.full(n * n))
 
@@ -52,6 +62,9 @@ class Relation:
     def row_bits(self, x: int) -> int:
         n = self.point_count
         return self.pairs.bits >> (x * n) & ((1 << n) - 1)
+
+    def rows(self) -> tuple[int, ...]:
+        return tuple(self.row_bits(x) for x in range(self.point_count))
 
     def pair_list(self) -> tuple[tuple[int, int], ...]:
         n = self.point_count
@@ -114,8 +127,9 @@ def validate_uniformity_base(fam: SetFamily) -> bool:
         inv_bits = inverse(u).pairs.bits
         if not any(b.pairs.bits & ~inv_bits == 0 for b in rels):
             return False
+    squares = [compose(v, v).pairs.bits for v in rels]
     for u in rels:
-        if not any(compose(v, v).pairs.bits & ~u.pairs.bits == 0 for v in rels):
+        if not any(sq & ~u.pairs.bits == 0 for sq in squares):
             return False
     for u, v in itertools.combinations(rels, 2):
         meet = u.pairs.bits & v.pairs.bits
@@ -126,39 +140,35 @@ def validate_uniformity_base(fam: SetFamily) -> bool:
 
 @dataclass(frozen=True)
 class Uniformity:
-    """A uniformity on range(point_count), stored as its minimal entourage.
+    """A uniformity on range(point_count), stored as the rows of its minimal entourage.
 
-    The entourages are exactly the supersets of the minimal one, which is an
-    equivalence relation; equal uniformities have equal entourages, so == and
-    hash compare structures, not presentations.
+    The minimal entourage is an equivalence relation, so x lies in rows[x]
+    and rows[y] == rows[x] for every y in it. The entourages are its
+    supersets, so == and hash compare structures, not presentations.
     """
 
     point_count: int
-    entourage: Relation
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        e = self.entourage
-        if e.point_count != self.point_count:
-            raise InputError("minimal entourage lives on the wrong universe")
-        reflexive = diagonal(e.point_count).pairs.bits & ~e.pairs.bits == 0
-        if not (reflexive and inverse(e) == e and compose(e, e) == e):
-            raise InputError("a minimal entourage must be an equivalence relation")
-
-    @property
-    def base(self) -> SetFamily:
-        """The smallest base: the minimal entourage alone."""
-        return SetFamily(self.entourage.pairs.universe_size, (self.entourage.pairs,))
+        object.__setattr__(self, "rows", tuple(self.rows))
+        n, rows = self.point_count, self.rows
+        if n < 1 or len(rows) != n:
+            raise InputError("a uniformity needs at least one point and one row per point")
+        for x, row in enumerate(rows):
+            if row >> n or not row >> x & 1 or any(rows[y] != row for y in SubsetMask(n, row)):
+                raise InputError("a minimal entourage must be an equivalence relation")
 
     def minimal_entourage(self) -> Relation:
         """The smallest entourage, an equivalence relation."""
-        return self.entourage
+        return Relation.from_rows(self.rows)
 
     def members(self) -> SetFamily:
         """All entourages: supersets of the minimal one. Exponential; small universes only."""
-        sq = self.entourage.pairs.universe_size
+        sq = self.point_count * self.point_count
         if sq > 16:
             raise ResourceLimitError("entourage materialization capped at 4 points")
-        least = self.entourage.pairs.bits
+        least = self.minimal_entourage().pairs.bits
         return SetFamily(
             sq, tuple(SubsetMask(sq, bits) for bits in range(1 << sq) if least & ~bits == 0)
         )
@@ -166,7 +176,7 @@ class Uniformity:
     def member(self, rel: Relation) -> bool:
         if rel.point_count != self.point_count:
             raise InputError("membership query on the wrong universe")
-        return self.entourage.pairs.bits & ~rel.pairs.bits == 0
+        return self.minimal_entourage().pairs.bits & ~rel.pairs.bits == 0
 
 
 def generate_uniformity(base: SetFamily) -> Uniformity:
@@ -177,7 +187,7 @@ def generate_uniformity(base: SetFamily) -> Uniformity:
     bits = (1 << base.universe_size) - 1
     for m in base.members:
         bits &= m.bits
-    return Uniformity(n, Relation(n, SubsetMask(base.universe_size, bits)))
+    return Uniformity(n, Relation(n, SubsetMask(base.universe_size, bits)).rows())
 
 
 def induced_topology(u: Uniformity) -> Topology:
@@ -186,19 +196,15 @@ def induced_topology(u: Uniformity) -> Topology:
     The rows of the minimal entourage (the minimal balls) are the minimal
     neighbourhoods; they partition the space, because it is an equivalence.
     """
-    m = u.entourage
-    return Topology(u.point_count, tuple(m.row_bits(x) for x in range(u.point_count)))
+    return Topology(u.point_count, u.rows)
 
 
 def is_uniformly_continuous(f_map: Sequence[int], u_dom: Uniformity, u_cod: Uniformity) -> bool:
-    """f x f maps the minimal domain entourage into the minimal codomain entourage."""
-    if len(f_map) != u_dom.point_count:
-        raise InputError("map is not total on the domain universe")
-    for v in f_map:
-        if not 0 <= v < u_cod.point_count:
-            raise InputError(f"map value {v} out of codomain range")
-    cod = u_cod.entourage
-    return all(cod.contains(f_map[x], f_map[y]) for x, y in u_dom.entourage.pair_list())
+    """f x f maps the minimal domain entourage into the minimal codomain one.
+
+    That is, f maps each row into the row of f(x): the induced topologies' continuity.
+    """
+    return is_continuous(f_map, induced_topology(u_dom), induced_topology(u_cod))
 
 
 @lru_cache(maxsize=None)

@@ -46,6 +46,15 @@ class TestGoldenReports:
         assert code == 0
         assert json_body(out) == json.loads((GOLDEN / "check_ex29.json").read_text())
 
+    def test_construct_f_uniformity_json_matches_golden_byte_for_byte(self, capsys):
+        code, out, err = run(
+            capsys,
+            "construct", "--instance", str(GOLDEN / "uniform2x2.json"), "--what", "f-uniformity",
+        )
+        assert code == 0 and err == ""
+        body = json.dumps(json_body(out), indent=2, sort_keys=True) + "\n"
+        assert body == (GOLDEN / "construct_f_uniformity.json").read_text()
+
     def test_reports_are_deterministic(self, capsys):
         args = ("verify", "--prop", "P2.3", "--index-size", "2",
                 "--factors", "sierpinski", "--json")
@@ -283,6 +292,13 @@ class TestEnumerateCommand:
         )
         assert code == 0
         assert "not intersection-closed" in out
+
+    def test_d_complements_above_the_member_cap_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--what", "d-complements", "--size", "17", "--d", "2"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: resource:")
 
 
 class TestInstanceRoundTrip:

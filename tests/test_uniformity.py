@@ -97,6 +97,16 @@ class TestRelationAlgebra:
             h = Relation(3, SubsetMask(9, rng.randrange(1 << 9)))
             assert inverse(compose(g, h)) == compose(inverse(h), inverse(g))
 
+    def test_rows_round_trip(self):
+        for n in (1, 2, 3):
+            for r in all_relations(n):
+                assert r.rows() == tuple(r.row_bits(x) for x in range(n))
+                assert Relation.from_rows(r.rows()) == r
+
+    def test_from_rows_rejects_a_row_out_of_range(self):
+        with pytest.raises(InputError):
+            Relation.from_rows((0b01, 0b100))
+
     def test_inverse_is_an_involution(self):
         for r in all_relations(2):
             assert inverse(inverse(r)) == r
@@ -190,16 +200,21 @@ class TestGenerateUniformity:
             generate_uniformity(SetFamily.of(4, [rel(2, [(0, 1), (1, 0)]).pairs]))
 
     @pytest.mark.parametrize(
-        "n, pairs",
+        "n, rows",
         [
-            (2, [(0, 0)]),  # not reflexive
-            (2, [(0, 0), (1, 1), (0, 1)]),  # not symmetric
-            (3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)]),  # not transitive
+            (2, rel(2, [(0, 0)]).rows()),  # not reflexive
+            (2, rel(2, [(0, 0), (1, 1), (0, 1)]).rows()),  # not symmetric
+            # not transitive
+            (3, rel(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)]).rows()),
+            (3, (0b011, 0b011)),  # too few rows
+            (0, ()),  # no points
+            (2, (0b101, 0b010)),  # a bit at or above n
+            (3, (0b011, 0b110, 0b100)),  # each row reflexive, yet the rows do not partition
         ],
     )
-    def test_rejects_a_minimal_entourage_that_is_not_an_equivalence(self, n, pairs):
+    def test_rejects_a_minimal_entourage_that_is_not_an_equivalence(self, n, rows):
         with pytest.raises(InputError):
-            Uniformity(n, rel(n, pairs))
+            Uniformity(n, rows)
 
     def axiom_oracle(self, u):
         n = u.point_count
@@ -307,6 +322,13 @@ class TestUniformContinuity:
                 checked += 1
         assert checked == 9 * 9 * 4
 
+    def test_rejects_a_map_off_either_universe(self):
+        u = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
+        with pytest.raises(InputError, match="not total on the domain"):
+            is_uniformly_continuous((0,), u, u)
+        with pytest.raises(InputError, match="out of codomain range"):
+            is_uniformly_continuous((0, 2), u, u)
+
     def test_implies_topological_continuity(self):
         spaces = []
         for n in (2, 3):
@@ -364,7 +386,7 @@ class TestProductUniformity:
             (diagonal_base_factor(), diagonal_base_factor()), trivial_filter(2)
         )
         u = f_uniformity(spec)
-        assert diagonal(4).pairs in u.base
+        assert u.minimal_entourage() == diagonal(4)
 
     def test_pinned_coordinate_minimal_entourage(self):
         spec = product_spec(

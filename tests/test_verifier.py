@@ -5,10 +5,22 @@ import json
 import pytest
 
 import fprod.verifier
-from fprod.foundations import InputError, SubsetMask
-from fprod.fproduct import different_by_filter, product_spec
+from fprod.filters import Filter, trivial_filter
+from fprod.foundations import InputError, SetFamily, SubsetMask
+from fprod.fproduct import (
+    ProductSpec,
+    different_by_filter,
+    f_filter,
+    f_filter_via_base,
+    f_topology,
+    f_topology_via_base,
+    f_uniformity,
+    f_uniformity_base,
+    product_spec,
+)
 from fprod.serialize import product_point_label
 from fprod.topology import discrete, indiscrete, sierpinski
+from fprod.uniformity import Relation, generate_uniformity
 from fprod.verifier import (
     FACTOR_PRESETS,
     _REGISTRY,
@@ -145,6 +157,79 @@ class TestUniformityValidations:
         report = verify_proposition(prop_id)
         assert report.passed and report.checked == 324
         assert len(calls) == expected_calls
+
+
+class TestUniformityFaults:
+    """P5.2 and P5.ind fail, with a replayable witness, when the layer they read is broken."""
+
+    def assert_fault_caught(self, monkeypatch, prop_id, detail_key):
+        report = verify_proposition(prop_id)
+        assert not report.passed and report.witness is not None
+        assert detail_key in report.witness["detail"]
+        ok, detail = replay_witness(prop_id, report.witness)
+        assert not ok and detail == report.witness["detail"]
+        monkeypatch.undo()
+        assert replay_witness(prop_id, report.witness) == (True, None)
+
+    def test_p52_catches_a_box_base_with_an_asymmetric_member(self, monkeypatch):
+        original = fprod.verifier.f_uniformity_base
+
+        def with_asymmetric_member(spec):
+            base = original(spec)
+            n = spec.indexing.total
+            pairs = [(x, y) for x in range(n) for y in range(n) if (x, y) != (0, 1)]
+            asymmetric = Relation.from_pairs(n, pairs).pairs  # has (1, 0) but not (0, 1)
+            return SetFamily.of(base.universe_size, [*base.members, asymmetric])
+
+        monkeypatch.setattr(fprod.verifier, "f_uniformity_base", with_asymmetric_member)
+        self.assert_fault_caught(monkeypatch, "P5.2", "box_family_is_uniformity_base")
+
+    def test_p5ind_catches_a_closed_form_that_ignores_the_index_core(self, monkeypatch):
+        original = fprod.verifier.f_uniformity
+
+        def ignoring_the_core(spec):
+            k = spec.index_universe.size
+            return original(ProductSpec(spec.index_universe, spec.factors, trivial_filter(k)))
+
+        monkeypatch.setattr(fprod.verifier, "f_uniformity", ignoring_the_core)
+        self.assert_fault_caught(monkeypatch, "P5.ind", "induced_topology_differs")
+
+
+def catalog_specs():
+    """Every distinct product spec with an index filter that a default grid builds.
+
+    P2.3's second index filter counts as a spec of its own.
+    """
+    specs = set()
+    for entry in _REGISTRY.values():
+        for inst in entry.instances(entry.default_grid):
+            parts = inst if isinstance(inst, tuple) else (inst,)
+            if not isinstance(parts[0], ProductSpec):
+                continue
+            spec = parts[0]
+            specs.add(spec)
+            specs.update(
+                ProductSpec(spec.index_universe, spec.factors, g)
+                for g in parts[1:]
+                if isinstance(g, Filter)
+            )
+    return [spec for spec in specs if spec.index_filter is not None]
+
+
+def test_closed_forms_agree_with_their_box_bases_on_the_catalog():
+    counts = {"topology": 0, "filter": 0, "uniformity": 0}
+    for spec in catalog_specs():
+        factors = spec.factors
+        if all(f.topology is not None for f in factors):
+            assert f_topology(spec) == f_topology_via_base(spec)
+            counts["topology"] += 1
+        if all(f.filter is not None for f in factors):
+            assert f_filter(spec) == f_filter_via_base(spec)
+            counts["filter"] += 1
+        if all(f.uniformity is not None for f in factors):
+            assert f_uniformity(spec) == generate_uniformity(f_uniformity_base(spec))
+            counts["uniformity"] += 1
+    assert all(counts.values()), counts
 
 
 class TestHypothesisProbe:
