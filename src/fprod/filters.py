@@ -2,7 +2,8 @@
 
 Every proper filter on a finite universe is principal, so a filter is stored
 as its single minimal member; the trivial filter (the full powerset, which
-contains the empty set) is the one whose minimal member is empty.
+contains the empty set) is the one whose minimal member is empty. A filter
+base is a SetFamily; generate_filter validates it and returns its filter.
 """
 
 from __future__ import annotations
@@ -55,45 +56,34 @@ class Filter:
             for j, i in enumerate(free):
                 if combo >> j & 1:
                     bits |= 1 << i
-            out.append(SubsetMask(n, bits))
-        return SetFamily.of(n, out)
+            out.append(bits)
+        return SetFamily(n, out)  # ascending: combo ascends and its spread over free keeps order
 
 
-@dataclass(frozen=True)
-class FilterBase:
-    """A nonempty, empty-set-free, downward-directed family; generates a unique filter."""
-
-    universe_size: int
-    members: SetFamily
-
-    def __post_init__(self) -> None:
-        if self.members.universe_size != self.universe_size:
-            raise InputError("base family universe mismatch")
-        if not validate_filter_base(self.members):
-            raise InputError("family is not a filter base")
+def _base_core(fam: SetFamily) -> int:
+    """The intersection of the members when fam is a filter base, else 0."""
+    meet = (1 << fam.universe_size) - 1
+    for b in fam.bits:
+        meet &= b
+    return meet if fam.contains_bits(meet) else 0
 
 
 def validate_filter_base(fam: SetFamily) -> bool:
     """True iff fam is nonempty, excludes the empty set, and is downward directed.
 
     On a finite universe directedness is equivalent to the intersection of all
-    members being itself a member.
+    members being itself a member; that member is nonempty exactly when the
+    family is nonempty and excludes the empty set.
     """
-    if len(fam) == 0 or fam.contains_bits(0):
-        return False
-    acc = (1 << fam.universe_size) - 1
-    for m in fam.members:
-        acc &= m.bits
-    return fam.contains_bits(acc)
+    return _base_core(fam) != 0
 
 
-def generate_filter(base: FilterBase) -> Filter:
-    """The filter of all supersets of the base members, in normalized form."""
-    acc = (1 << base.universe_size) - 1
-    for m in base.members.members:
-        acc &= m.bits
-    core = SubsetMask(base.universe_size, acc)
-    return principal_filter(core)
+def generate_filter(base: SetFamily) -> Filter:
+    """The filter of all supersets of the members of a filter base, in normalized form."""
+    core = _base_core(base)
+    if not core:
+        raise InputError("family is not a filter base")
+    return principal_filter(SubsetMask(base.universe_size, core))
 
 
 def principal_filter(core: SubsetMask) -> Filter:
@@ -124,12 +114,7 @@ def d_complements_family(n: int, d: int) -> tuple[SetFamily, str]:
         raise InputError("need a universe size >= 1 and a cardinal bound >= 1")
     if n > _MEMBER_CAP:  # the scan below visits all 2**n subsets
         raise ResourceLimitError(f"d-complements enumeration capped at universe size {_MEMBER_CAP}")
-    masks = [
-        SubsetMask(n, bits)
-        for bits in range(1 << n)
-        if n - int.bit_count(bits) < d
-    ]
-    fam = SetFamily.of(n, masks)
+    fam = SetFamily(n, [bits for bits in range(1 << n) if n - int.bit_count(bits) < d])
     if d <= 1:
         note = "collapses to the filter {X} (only the whole set has complement smaller than 1)"
     elif d > n:

@@ -159,41 +159,45 @@ class SubsetMask:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Duplicate-free family of subsets of one universe, in canonical order.
+    """Duplicate-free family of subsets of one universe, stored as its members' bits.
 
-    Canonical order is ascending numeric value of the bit vector (element 0
-    is the least-significant bit), so equal families compare equal.
+    bits holds the members' bit vectors in ascending numeric order (element 0
+    is the least-significant bit), so equal families compare equal. members
+    and iteration give SubsetMask views of the same subsets.
     """
 
     universe_size: int
-    members: tuple[SubsetMask, ...]
+    bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        last = -1
-        for m in self.members:
-            if m.universe_size != self.universe_size:
-                raise InputError("family members live on mixed universe sizes")
-            if m.bits <= last:
-                raise InputError("family members are not in canonical order")
-            last = m.bits
-        object.__setattr__(self, "_bitset", frozenset(m.bits for m in self.members))
+        bits = tuple(self.bits)
+        object.__setattr__(self, "bits", bits)
+        if self.universe_size < 1:
+            raise InputError("universe size must be >= 1")
+        if any(a >= b for a, b in zip(bits, bits[1:])):
+            raise InputError("family members are not in canonical order")
+        if bits and (bits[0] < 0 or bits[-1] >> self.universe_size):
+            raise InputError(f"family members out of range for universe size {self.universe_size}")
+        object.__setattr__(self, "_bitset", frozenset(bits))
 
     @classmethod
     def of(cls, universe_size: int, masks: Iterable[SubsetMask]) -> "SetFamily":
         return canonicalize(masks, universe_size)
 
+    @property
+    def members(self) -> tuple[SubsetMask, ...]:
+        """The members as SubsetMask views, in canonical order."""
+        n = self.universe_size
+        return tuple(SubsetMask(n, b) for b in self.bits)
+
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.bits)
 
     def __contains__(self, mask: SubsetMask) -> bool:
-        return (
-            mask.universe_size == self.universe_size
-            and mask.bits in self._bitset  # type: ignore[attr-defined]
-        )
+        return mask.universe_size == self.universe_size and self.contains_bits(mask.bits)
 
     def contains_bits(self, bits: int) -> bool:
         return bits in self._bitset  # type: ignore[attr-defined]
@@ -211,8 +215,7 @@ def canonicalize(masks: Iterable[SubsetMask], universe_size: int | None = None) 
         universe_size = sizes.pop()
     elif sizes and sizes.pop() != universe_size:
         raise InputError("masks do not match the requested universe size")
-    unique = sorted({m.bits for m in masks})
-    return SetFamily(universe_size, tuple(SubsetMask(universe_size, b) for b in unique))
+    return SetFamily(universe_size, sorted({mask.bits for mask in masks}))
 
 
 def is_intersection_closed(fam: SetFamily) -> bool:
@@ -226,7 +229,7 @@ def is_intersection_closed(fam: SetFamily) -> bool:
     full = (1 << fam.universe_size) - 1
     if not fam.contains_bits(full):
         return False
-    bits = [m.bits for m in fam.members]
+    bits = fam.bits
     for i, a in enumerate(bits):
         for b in bits[i + 1 :]:
             if not fam.contains_bits(a & b):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .filters import Filter, FilterBase, generate_filter, principal_filter
+from .filters import Filter, generate_filter, principal_filter
 from .foundations import (
     InputError,
     ProductIndexing,
@@ -197,7 +197,7 @@ def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
     """The box as a concrete subset of the coded product universe."""
     if tuple(m.universe_size for m in box.per_factor) != idx.factor_sizes:
         raise InputError("box factor sizes do not match the indexing")
-    return SubsetMask(idx.total, _box_bits([m.bits for m in box.per_factor], idx.factor_sizes))
+    return SubsetMask(idx.total, _box_bits([side.bits for side in box.per_factor], idx.factor_sizes))
 
 
 def _accepted_choices(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], member, items):
@@ -214,12 +214,6 @@ def _accepted_choices(side_lists: Sequence[Sequence[int]], factor_sizes: Sequenc
         full = (1 << size) - 1
         deltas = [d | (1 << i) if side == full else d for side in sides for d in deltas]
     return [item for item, d in zip(items, deltas) if member(d)]
-
-
-def _box_family(universe_size: int, masks: Iterable[int]) -> SetFamily:
-    """The family of the distinct masks, in canonical order."""
-    unique = sorted(set(masks))
-    return SetFamily(universe_size, tuple(SubsetMask(universe_size, b) for b in unique))
 
 
 def _delta_member(spec: ProductSpec, delta_family: SetFamily | None):
@@ -244,9 +238,9 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
     for f in spec.factors:
         if f.topology is None:
             raise InputError("every factor needs a topology for the product topology")
-        opens.append([m.bits for m in f.topology.opens() if m.bits])
-    masks = _point_boxes(opens, idx.factor_sizes)
-    return _box_family(idx.total, _accepted_choices(opens, idx.factor_sizes, member, masks))
+        opens.append([b for b in f.topology.opens().bits if b])
+    masks = _accepted_choices(opens, idx.factor_sizes, member, _point_boxes(opens, idx.factor_sizes))
+    return SetFamily(idx.total, sorted(set(masks)))
 
 
 def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
@@ -381,9 +375,9 @@ def f_filter_base(spec: ProductSpec) -> SetFamily:
     """Point sets of all boxes of factor-filter members whose delta is accepted."""
     member = spec._require_index_filter().member_bits
     idx = spec.indexing
-    members = [[m.bits for m in f.members()] for f in _factor_filters(spec)]
-    masks = _point_boxes(members, idx.factor_sizes)
-    return _box_family(idx.total, _accepted_choices(members, idx.factor_sizes, member, masks))
+    members = [f.members().bits for f in _factor_filters(spec)]
+    masks = _accepted_choices(members, idx.factor_sizes, member, _point_boxes(members, idx.factor_sizes))
+    return SetFamily(idx.total, sorted(set(masks)))
 
 
 def f_filter_cores(
@@ -421,8 +415,7 @@ def f_filter(spec: ProductSpec) -> Filter:
 
 def f_filter_via_base(spec: ProductSpec) -> Filter:
     """Definitional route: generate the filter from the enumerated box base."""
-    base = f_filter_base(spec)
-    return generate_filter(FilterBase(base.universe_size, base))
+    return generate_filter(f_filter_base(spec))
 
 
 def squared_indexing(idx: ProductIndexing) -> ProductIndexing:
@@ -448,7 +441,7 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     for s, f in zip(sizes, spec.factors):
         if f.uniformity_base is None:
             raise InputError("every factor needs a uniformity base for the product uniformity")
-        member_lists.append(sorted({m.bits for m in f.uniformity_base} | {(1 << (s * s)) - 1}))
+        member_lists.append(sorted({*f.uniformity_base.bits, (1 << (s * s)) - 1}))
     row_lists = [
         [Relation(s, SubsetMask(s * s, m)).rows() for m in members]
         for s, members in zip(sizes, member_lists)
@@ -456,7 +449,7 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     choices = [c[::-1] for c in itertools.product(*reversed(row_lists))]  # list 0 varies fastest
     accepted = _accepted_choices(member_lists, [s * s for s in sizes], fil.member_bits, choices)
     relations = (Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in accepted)
-    return _box_family(total * total, relations)
+    return SetFamily(total * total, sorted(set(relations)))
 
 
 def f_uniformity(spec: ProductSpec) -> Uniformity:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .filters import Filter, FilterBase, generate_filter, trivial_filter
+from .filters import Filter, generate_filter, trivial_filter
 from .foundations import InputError, SetFamily, SubsetMask, Universe
 from .fproduct import Factor, ProductSpec
 from .topology import Topology, generate_topology
@@ -71,9 +71,7 @@ def filter_from_dict(data: Any, universe: Universe) -> Filter:
         if generators:
             raise InputError("a trivial filter takes no generators")
         return trivial_filter(universe.size)
-    fam = family_from_json(generators, universe)
-    base = FilterBase(universe.size, fam)  # raises InputError when not a base
-    return generate_filter(base)
+    return generate_filter(family_from_json(generators, universe))  # InputError when not a base
 
 
 def relation_to_pairs(rel: Relation, universe: Universe) -> list[list[str]]:
@@ -131,7 +129,7 @@ def factor_from_dict(data: Any) -> Factor:
         fam = family_from_json(gens, universe)
         if len(fam) == 0:
             raise InputError("a factor filter needs at least one generator")
-        fil = generate_filter(FilterBase(universe.size, fam))
+        fil = generate_filter(fam)
     ubase: SetFamily | None = None
     if "uniformity_base" in data:
         rels = data["uniformity_base"]

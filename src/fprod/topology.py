@@ -45,8 +45,7 @@ def validate_base(fam: SetFamily) -> bool:
     An uncovered point meets to the whole set, which is then not a member,
     so the point criterion also checks coverage.
     """
-    bits = [m.bits for m in fam.members]
-    return all(fam.contains_bits(m) for m in _point_meets(fam.universe_size, bits))
+    return all(fam.contains_bits(m) for m in _point_meets(fam.universe_size, fam.bits))
 
 
 def _is_transitive(mins: Sequence[int]) -> bool:
@@ -107,8 +106,7 @@ class Topology:
     @property
     def base(self) -> SetFamily:
         """The smallest base: the distinct minimal neighbourhoods, in canonical order."""
-        n = self.universe_size
-        return SetFamily(n, tuple(SubsetMask(n, b) for b in sorted(set(self.mins))))
+        return SetFamily(self.universe_size, sorted(set(self.mins)))
 
     def minimal_neighborhood(self, x: int) -> SubsetMask:
         """The smallest open set containing x."""
@@ -131,8 +129,7 @@ class Topology:
                 raise ResourceLimitError(
                     f"open-set materialization capped at universe size {_OPENS_CAP}"
                 )
-            opens = tuple(SubsetMask(n, b) for b in _union_closure(self.mins))
-            object.__setattr__(self, "_opens", SetFamily(n, opens))
+            object.__setattr__(self, "_opens", SetFamily(n, _union_closure(self.mins)))
         return self._opens  # type: ignore[return-value]
 
     def neighborhoods_filter(self, x: int) -> Filter:
@@ -168,7 +165,7 @@ class Topology:
 def generate_topology(base: SetFamily) -> Topology:
     """Topology generated by a covering, point-criterion base."""
     n = base.universe_size
-    meets = _point_meets(n, [m.bits for m in base.members])
+    meets = _point_meets(n, base.bits)
     if not all(base.contains_bits(m) for m in meets):
         raise InputError("family is not a topology base")
     return Topology(n, tuple(meets))

@@ -110,7 +110,7 @@ def _relations_of(fam: SetFamily) -> tuple[int, list[Relation]]:
     n = isqrt(fam.universe_size)
     if n * n != fam.universe_size:
         raise InputError("a relation family must live on a squared universe")
-    return n, [Relation(n, m) for m in fam.members]
+    return n, [Relation(n, m) for m in fam]
 
 
 def validate_uniformity_base(fam: SetFamily) -> bool:
@@ -169,9 +169,7 @@ class Uniformity:
         if sq > 16:
             raise ResourceLimitError("entourage materialization capped at 4 points")
         least = self.minimal_entourage().pairs.bits
-        return SetFamily(
-            sq, tuple(SubsetMask(sq, bits) for bits in range(1 << sq) if least & ~bits == 0)
-        )
+        return SetFamily(sq, [bits for bits in range(1 << sq) if least & ~bits == 0])
 
     def member(self, rel: Relation) -> bool:
         if rel.point_count != self.point_count:
@@ -185,8 +183,8 @@ def generate_uniformity(base: SetFamily) -> Uniformity:
     if not validate_uniformity_base(base):
         raise InputError("family is not a uniformity base")
     bits = (1 << base.universe_size) - 1
-    for m in base.members:
-        bits &= m.bits
+    for b in base.bits:
+        bits &= b
     return Uniformity(n, Relation(n, SubsetMask(base.universe_size, bits)).rows())
 
 
@@ -220,8 +218,8 @@ def enumerate_uniformity_bases(n: int) -> tuple[SetFamily, ...]:
     out = []
     for r in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, r):
-            fam = SetFamily.of(sq, (SubsetMask(sq, b) for b in combo))
+            fam = SetFamily(sq, combo)  # combinations of ascending candidates ascend
             if validate_uniformity_base(fam):
                 out.append(fam)
-    out.sort(key=lambda fam: tuple(m.bits for m in fam.members))
+    out.sort(key=lambda fam: fam.bits)
     return tuple(out)

@@ -58,7 +58,6 @@ from .topology import (
     enumerate_topologies,
     generate_topology,
     indiscrete,
-    is_continuous,
     sierpinski,
     subspace,
     topologies_equal,
@@ -245,11 +244,7 @@ def _p21_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, SetFamily]
         for combo in itertools.product(_factor_choices(grid), repeat=k):
             spec = product_spec(combo)
             for fam_bits in range(1, 1 << subset_count):
-                fam = SetFamily(
-                    k,
-                    tuple(SubsetMask(k, m) for m in range(subset_count) if fam_bits >> m & 1),
-                )
-                yield spec, fam
+                yield spec, SetFamily(k, [m for m in range(subset_count) if fam_bits >> m & 1])
 
 
 def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
@@ -291,10 +286,8 @@ def _p25_instances(grid: InstanceGrid) -> Iterator[Filter]:
 
 def _p25_check(fil: Filter) -> tuple[bool, dict | None]:
     k = fil.universe_size
-    members = fil.members().members
-    misses_each_point = all(
-        any(not (m.bits >> i & 1) for m in members) for i in range(k)
-    )
+    members = fil.members().bits
+    misses_each_point = all(any(not (b >> i & 1) for b in members) for i in range(k))
     full = (1 << k) - 1
     complements_in = all(fil.member_bits(full ^ (1 << i)) for i in range(k))
     ok = misses_each_point == complements_in == is_saturated(fil)
@@ -307,11 +300,11 @@ def _p25_check(fil: Filter) -> tuple[bool, dict | None]:
 
 
 def _e29_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, bool]]:
-    k = grid.index_sizes[0]
-    factors = tuple(preset_factor("discrete2") for _ in range(k))
-    uni = Universe.indices(k)
-    yield ProductSpec(uni, factors, principal_filter(SubsetMask.of(k, [0]))), False
-    yield ProductSpec(uni, factors, trivial_filter(k)), True
+    for k in grid.index_sizes:
+        factors = tuple(preset_factor("discrete2") for _ in range(k))
+        uni = Universe.indices(k)
+        yield ProductSpec(uni, factors, principal_filter(SubsetMask.of(k, [0]))), False
+        yield ProductSpec(uni, factors, trivial_filter(k)), True
 
 
 def _e29_check(inst: tuple[ProductSpec, bool]) -> tuple[bool, dict | None]:
@@ -375,11 +368,11 @@ def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
     for i, f in enumerate(spec.factors):
         assert f.topology is not None
         w, size = idx.weights[i], f.universe.size
-        # point 0 with digit i set to xi is the subspace's point xi, since its
-        # code xi * w ascends with xi: the projection and its inverse are the identity
+        # point 0 with digit i set to xi is the subspace's point xi, since its code
+        # xi * w ascends with xi: the projection is the identity, and the identity
+        # is a homeomorphism exactly when the two topologies are equal
         sub = subspace(t, SubsetMask.of(idx.total, (xi * w for xi in range(size))))
-        ident = tuple(range(size))
-        if not is_continuous(ident, sub, f.topology) or not is_continuous(ident, f.topology, sub):
+        if not topologies_equal(sub, f.topology):
             return {"slice_not_homeomorphic_at_factor": i}
     return None
 

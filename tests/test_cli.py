@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from fprod import serialize
 from fprod.cli import main
 
@@ -272,6 +274,24 @@ class TestConstructCommand:
         code, out, err = run(capsys, "construct", "--instance", str(path), "--what", "f-uniformity")
         assert code == 2 and out == ""
         assert err.startswith("error: input:")
+
+    @pytest.mark.parametrize("where", ["factor filter", "index filter"])
+    def test_f_filter_rejects_disjoint_generators(self, capsys, tmp_path, where):
+        factor_gens, index_gens = [["0"]], [["1"]]
+        if where == "factor filter":
+            factor_gens = [["0"], ["1"]]
+        else:
+            index_gens = [["1"], ["2"]]
+        instance = {
+            "index_set": ["1", "2"],
+            "factors": [{"points": ["0", "1"], "filter": factor_gens}] * 2,
+            "index_filter": {"generators": index_gens, "trivial": False},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        code, out, err = run(capsys, "construct", "--instance", str(path), "--what", "f-filter")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: input: family is not a filter base"
 
 
 class TestEnumerateCommand:

@@ -4,7 +4,6 @@ import pytest
 
 from fprod.filters import (
     Filter,
-    FilterBase,
     d_complements_family,
     filter_leq,
     frechet_filter,
@@ -57,24 +56,25 @@ class TestFilterBase:
 
 class TestGenerateFilter:
     def test_minimal_is_intersection(self):
-        base = FilterBase(3, fam(3, 0b011, 0b110, 0b010))
-        f = generate_filter(base)
+        f = generate_filter(fam(3, 0b011, 0b110, 0b010))
         assert f.core == SubsetMask(3, 0b010)
         # supersets-of-{b} oracle
         oracle = sorted(b for b in range(8) if b & 0b010 == 0b010)
         assert [m.bits for m in f.members()] == oracle
 
     def test_whole_space_base(self):
-        f = generate_filter(FilterBase(3, fam(3, 0b111)))
+        f = generate_filter(fam(3, 0b111))
         assert [m.bits for m in f.members()] == [0b111]
 
     def test_principal_singleton(self):
-        f = generate_filter(FilterBase(2, fam(2, 0b01)))
+        f = generate_filter(fam(2, 0b01))
         assert [m.bits for m in f.members()] == [0b01, 0b11]
 
     def test_invalid_base_rejected(self):
-        with pytest.raises(InputError):
-            FilterBase(2, fam(2, 0b01, 0b10))
+        # disjoint members, no members, and a member that is the empty set
+        for bits in ((0b01, 0b10), (), (0b00, 0b01)):
+            with pytest.raises(InputError, match="family is not a filter base"):
+                generate_filter(fam(2, *bits))
 
 
 class TestPrincipalAndTrivial:
@@ -238,11 +238,14 @@ class TestPrincipality:
             members = [SubsetMask(3, m) for m in range(8) if fam_bits >> m & 1]
             family = SetFamily.of(3, members)
             if validate_filter_base(family):
-                f = generate_filter(FilterBase(3, family))
+                f = generate_filter(family)
                 acc = 0b111
                 for m in f.members():
                     acc &= m.bits
                 assert acc == f.core.bits
+            else:
+                with pytest.raises(InputError):
+                    generate_filter(family)
 
 
 class TestDComplements:

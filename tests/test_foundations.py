@@ -114,6 +114,35 @@ class TestCanonicalize:
             assert canonicalize(masks, universe_size=4) == fam
 
 
+class TestSetFamilyBits:
+    def test_members_are_views_of_the_bits(self):
+        for fam_bits in range(1 << 8):
+            bits = [b for b in range(8) if fam_bits >> b & 1]
+            fam = SetFamily(3, bits)
+            via_masks = SetFamily.of(3, [SubsetMask(3, b) for b in reversed(bits)])
+            assert fam == via_masks and fam.bits == tuple(bits)
+            assert fam.members == via_masks.members == tuple(SubsetMask(3, b) for b in bits)
+            assert list(fam) == list(fam.members) and len(fam) == len(bits)
+            assert all(m in fam and fam.contains_bits(m.bits) for m in fam.members)
+
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            ((0b10, 0b01), "canonical order"),  # unsorted
+            ((0b01, 0b01), "canonical order"),  # repeated
+            ((0b01, 0b1000), "out of range"),  # above the 3-point universe
+            ((-1, 0b01), "out of range"),  # negative
+        ],
+    )
+    def test_rejects_ints_out_of_order_repeated_or_outside_the_universe(self, bits, message):
+        with pytest.raises(InputError, match=message):
+            SetFamily(3, bits)
+
+    def test_rejects_a_universe_without_points(self):
+        with pytest.raises(InputError):
+            SetFamily(0, ())
+
+
 def boolean_laws(n, abits, bbits):
     a, b = SubsetMask(n, abits), SubsetMask(n, bbits)
     full, empty = SubsetMask.full(n), SubsetMask.empty(n)

@@ -322,6 +322,14 @@ class TestContinuity:
     def test_indiscrete_to_discrete_identity_fails(self):
         assert not is_continuous((0, 1), indiscrete(2), discrete(2))
 
+    def test_identity_is_a_homeomorphism_iff_the_topologies_are_equal(self):
+        # P2.8's slice check reads topologies_equal for this two-way continuity
+        for n in (1, 2, 3):
+            ident = tuple(range(n))
+            for t1, t2 in itertools.product(enumerate_topologies(n), repeat=2):
+                both_ways = is_continuous(ident, t1, t2) and is_continuous(ident, t2, t1)
+                assert topologies_equal(t1, t2) == both_ways
+
     def test_matches_full_preimage_oracle_on_3_points(self):
         topos = enumerate_topologies(3)
         maps = list(itertools.product(range(3), repeat=3))

@@ -118,6 +118,13 @@ class TestVerifyDefaults:
         assert report.passed and report.complete
         assert report.checked == 34 * 34 * 4
 
+    def test_e29_walks_every_index_size(self):
+        grid = dataclasses.replace(default_grid("E2.9"), index_sizes=(2, 3))
+        report = verify_proposition("E2.9", grid)
+        assert report.passed and report.complete
+        assert report.checked == 4  # a pinned and a trivial filter per index size
+        assert report.to_dict()["grid"]["index_sizes"] == [2, 3]
+
     def test_e29_exhibits_the_inseparable_pair(self):
         report = verify_proposition("E2.9")
         assert report.passed
@@ -159,17 +166,20 @@ class TestUniformityValidations:
         assert len(calls) == expected_calls
 
 
+def assert_fault_caught(monkeypatch, prop_id, *detail_keys):
+    """Under the patched fault the default grid fails with these detail keys, and the
+    witness replays to the same verdict; without the fault the witness passes."""
+    report = verify_proposition(prop_id)
+    assert not report.passed and report.witness is not None
+    assert set(detail_keys) <= set(report.witness["detail"])
+    ok, detail = replay_witness(prop_id, report.witness)
+    assert not ok and detail == report.witness["detail"]
+    monkeypatch.undo()
+    assert replay_witness(prop_id, report.witness) == (True, None)
+
+
 class TestUniformityFaults:
     """P5.2 and P5.ind fail, with a replayable witness, when the layer they read is broken."""
-
-    def assert_fault_caught(self, monkeypatch, prop_id, detail_key):
-        report = verify_proposition(prop_id)
-        assert not report.passed and report.witness is not None
-        assert detail_key in report.witness["detail"]
-        ok, detail = replay_witness(prop_id, report.witness)
-        assert not ok and detail == report.witness["detail"]
-        monkeypatch.undo()
-        assert replay_witness(prop_id, report.witness) == (True, None)
 
     def test_p52_catches_a_box_base_with_an_asymmetric_member(self, monkeypatch):
         original = fprod.verifier.f_uniformity_base
@@ -182,7 +192,7 @@ class TestUniformityFaults:
             return SetFamily.of(base.universe_size, [*base.members, asymmetric])
 
         monkeypatch.setattr(fprod.verifier, "f_uniformity_base", with_asymmetric_member)
-        self.assert_fault_caught(monkeypatch, "P5.2", "box_family_is_uniformity_base")
+        assert_fault_caught(monkeypatch, "P5.2", "box_family_is_uniformity_base")
 
     def test_p5ind_catches_a_closed_form_that_ignores_the_index_core(self, monkeypatch):
         original = fprod.verifier.f_uniformity
@@ -192,7 +202,35 @@ class TestUniformityFaults:
             return original(ProductSpec(spec.index_universe, spec.factors, trivial_filter(k)))
 
         monkeypatch.setattr(fprod.verifier, "f_uniformity", ignoring_the_core)
-        self.assert_fault_caught(monkeypatch, "P5.ind", "induced_topology_differs")
+        assert_fault_caught(monkeypatch, "P5.ind", "induced_topology_differs")
+
+
+class TestValidatorFaults:
+    """P2.1, P4.1 and P2.8's slice branch fail, with a replayable witness, when the
+    validator or construction they read is broken."""
+
+    def test_p21_catches_a_closure_test_that_forgets_the_empty_intersection(self, monkeypatch):
+        def pairwise_only(fam):
+            return all(fam.contains_bits(a & b) for a in fam.bits for b in fam.bits)
+
+        monkeypatch.setattr(fprod.verifier, "is_intersection_closed", pairwise_only)
+        assert_fault_caught(
+            monkeypatch, "P2.1", "family_intersection_closed", "box_family_is_base"
+        )
+
+    def test_p41_catches_a_box_base_without_its_smallest_box(self, monkeypatch):
+        original = fprod.verifier.f_filter_base
+
+        def without_the_smallest_box(spec):
+            base = original(spec)
+            return SetFamily(base.universe_size, base.bits[1:])
+
+        monkeypatch.setattr(fprod.verifier, "f_filter_base", without_the_smallest_box)
+        assert_fault_caught(monkeypatch, "P4.1", "box_family_is_filter_base")
+
+    def test_p28_catches_a_slice_subspace_that_loses_its_opens(self, monkeypatch):
+        monkeypatch.setattr(fprod.verifier, "subspace", lambda t, carrier: indiscrete(len(carrier)))
+        assert_fault_caught(monkeypatch, "P2.8", "slice_not_homeomorphic_at_factor")
 
 
 def catalog_specs():
