@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
+from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, check_fibres
 
 _MEMBER_CAP = 16  # materializing members is 2**(n - |core|); keep universes small
 
@@ -151,21 +151,16 @@ def filter_leq(f: Filter, g: Filter) -> bool:
     return g.core.issubset(f.core)
 
 
-def pushforward(f_map: Sequence[int], cod_size: int, fil: Filter) -> Filter:
+def pushforward(fibres: Sequence[int], fil: Filter) -> Filter:
     """The filter on the codomain generated by the images of the members.
 
-    For a principal filter this is the principal filter at the image of the
-    core; the trivial filter pushes to the trivial filter (the image family
-    contains the empty set).
+    The map is given by its fibres (see foundations.map_fibres). A principal
+    filter pushes to the principal filter at the image of its core, the points
+    whose fibre meets the core; the trivial filter pushes to the trivial
+    filter (the image family contains the empty set).
     """
-    if cod_size < 1:
-        raise InputError("codomain size must be >= 1")
-    if len(f_map) != fil.universe_size:
-        raise InputError("map is not total on the domain universe")
-    for v in f_map:
-        if not 0 <= v < cod_size:
-            raise InputError(f"map value {v} out of codomain range [0, {cod_size})")
+    check_fibres(fibres, fil.universe_size, len(fibres))
     if fil.trivial:
-        return trivial_filter(cod_size)
-    image = SubsetMask.of(cod_size, (f_map[x] for x in fil.core))
-    return principal_filter(image)
+        return trivial_filter(len(fibres))
+    image = sum(1 << v for v, fibre in enumerate(fibres) if fibre & fil.core.bits)
+    return principal_filter(SubsetMask(len(fibres), image))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_UNIVERSE = 64
@@ -266,6 +268,16 @@ class ProductIndexing:
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "weights", tuple(weights))
 
+    @cached_property
+    def digit_fibres(self) -> tuple[tuple[int, ...], ...]:
+        """[i][d] masks the codes whose digit i is d: weights[i] ones at offset d * weights[i],
+        repeated every period = weights[i] * size_i bits by (2**total - 1) // (2**period - 1)."""
+        full = (1 << self.total) - 1
+        return tuple(
+            tuple((((1 << w) - 1) << (d * w)) * (full // ((1 << (w * s)) - 1)) for d in range(s))
+            for w, s in zip(self.weights, self.factor_sizes)
+        )
+
     def encode_point(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.factor_sizes):
             raise InputError(
@@ -287,3 +299,34 @@ class ProductIndexing:
             coords.append(code % size)
             code //= size
         return tuple(coords)
+
+
+def shared_indexing(factor_sizes: Iterable[int]) -> ProductIndexing:
+    """The one ProductIndexing of these factor sizes; the size cap is read on every call."""
+    return _indexing(tuple(factor_sizes), product_cap())
+
+
+@lru_cache(maxsize=256)  # a grid has a few dozen size tuples; eviction only costs a rebuild
+def _indexing(factor_sizes: tuple[int, ...], cap: int) -> ProductIndexing:
+    return ProductIndexing(factor_sizes)  # cap is in the key: a lowered cap builds anew, and raises
+
+
+def map_fibres(f_map: Sequence[int], cod_size: int) -> tuple[int, ...]:
+    """The fibres of a point map given by its values: for each codomain point v, the
+    mask of the domain points x with f_map[x] == v."""
+    fibres = [0] * cod_size
+    for x, v in enumerate(f_map):
+        if not 0 <= v < cod_size:
+            raise InputError(f"map value {v} out of codomain range [0, {cod_size})")
+        fibres[v] |= 1 << x
+    return tuple(fibres)
+
+
+def check_fibres(fibres: Sequence[int], dom_size: int, cod_size: int) -> None:
+    """Raise InputError unless fibres has one mask per codomain point and they partition
+    the domain: their union is the whole domain, and equals their sum (no two overlap)."""
+    if len(fibres) != cod_size:
+        raise InputError(f"expected {cod_size} fibres, one per codomain point, got {len(fibres)}")
+    union = reduce(operator.or_, fibres, 0)
+    if union != (1 << dom_size) - 1 or sum(fibres) != union:
+        raise InputError("map is not total on the domain universe, or its fibres overlap")

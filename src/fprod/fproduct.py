@@ -25,6 +25,7 @@ from .foundations import (
     SetFamily,
     SubsetMask,
     Universe,
+    shared_indexing,
 )
 from .topology import Topology, generate_topology, is_continuous
 from .uniformity import Relation, Uniformity, generate_uniformity
@@ -80,21 +81,16 @@ class ProductSpec:
     def indexing(self) -> ProductIndexing:
         # write-once cache, filled on first access so the size cap fires there
         if self._indexing is None:
-            idx = ProductIndexing(tuple(f.universe.size for f in self.factors))
+            idx = shared_indexing(f.universe.size for f in self.factors)
             object.__setattr__(self, "_indexing", idx)
         return self._indexing  # type: ignore[return-value]
 
     def with_factors(self, factors: Sequence[Factor]) -> "ProductSpec":
-        """The same index set and filter over replacement factors of the same sizes.
-
-        The new spec shares this spec's indexing, so the size cap is not
-        checked again.
-        """
-        idx = self.indexing
+        """The same index set and filter over same-size replacement factors, sharing the indexing."""
         spec = ProductSpec(self.index_universe, tuple(factors), self.index_filter)
-        if tuple(f.universe.size for f in spec.factors) != idx.factor_sizes:
+        if tuple(f.universe.size for f in spec.factors) != self.indexing.factor_sizes:
             raise InputError("replacement factors must keep the factor sizes")
-        object.__setattr__(spec, "_indexing", idx)
+        object.__setattr__(spec, "_indexing", self.indexing)
         return spec
 
     def _require_index_filter(self) -> Filter:
@@ -269,23 +265,18 @@ def f_topology_via_base(spec: ProductSpec) -> Topology:
 
 
 def projection_preimage(i: int, sub: SubsetMask, idx: ProductIndexing) -> SubsetMask:
-    """Points whose i-th coordinate lies in the given factor subset."""
-    if not 0 <= i < len(idx.factor_sizes):
-        raise InputError(f"factor index {i} out of range")
-    if sub.universe_size != idx.factor_sizes[i]:
+    """Points whose i-th coordinate lies in the given factor subset: the union of their fibres."""
+    fibres = projection_fibres(i, idx)
+    if sub.universe_size != len(fibres):
         raise InputError("subset lives on the wrong factor")
-    sides = [(1 << s) - 1 for s in idx.factor_sizes]
-    sides[i] = sub.bits
-    return SubsetMask(idx.total, _box_bits(sides, idx.factor_sizes))
+    return SubsetMask(idx.total, sum(fibres[d] for d in sub))
 
 
-def projection_map(i: int, idx: ProductIndexing) -> tuple[int, ...]:
-    """The i-th projection as a point map on coded points: the i-th digit of each code."""
+def projection_fibres(i: int, idx: ProductIndexing) -> tuple[int, ...]:
+    """The i-th projection by its fibres: for each value d, the codes whose i-th digit is d."""
     if not 0 <= i < len(idx.factor_sizes):
         raise InputError(f"factor index {i} out of range")
-    w, s = idx.weights[i], idx.factor_sizes[i]
-    block = tuple(d for d in range(s) for _ in range(w))
-    return block * (idx.total // (w * s))
+    return idx.digit_fibres[i]
 
 
 def all_projections_continuous(spec: ProductSpec) -> bool:
@@ -293,7 +284,7 @@ def all_projections_continuous(spec: ProductSpec) -> bool:
     idx = spec.indexing
     for i, f in enumerate(spec.factors):
         assert f.topology is not None
-        if not is_continuous(projection_map(i, idx), t, f.topology):
+        if not is_continuous(projection_fibres(i, idx), t, f.topology):
             return False
     return True
 
@@ -420,7 +411,7 @@ def f_filter_via_base(spec: ProductSpec) -> Filter:
 
 def squared_indexing(idx: ProductIndexing) -> ProductIndexing:
     """Mixed-radix coding of the factor-wise pair product; digit i holds (x_i, y_i)."""
-    return ProductIndexing(tuple(s * s for s in idx.factor_sizes))
+    return shared_indexing(s * s for s in idx.factor_sizes)
 
 
 def f_uniformity_base(spec: ProductSpec) -> SetFamily:

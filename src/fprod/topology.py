@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .filters import Filter, principal_filter
-from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
+from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, check_fibres
 
 _OPENS_CAP = 20  # union closures approach 2**n members
 _ENUM_CAP = 4
@@ -185,21 +185,19 @@ def topologies_equal(t1: Topology, t2: Topology) -> bool:
     return t1.mins == t2.mins
 
 
-def is_continuous(f_map: Sequence[int], t_dom: Topology, t_cod: Topology) -> bool:
-    """f maps the minimal neighbourhood of each x into that of f(x)."""
-    if len(f_map) != t_dom.universe_size:
-        raise InputError("map is not total on the domain universe")
-    for v in f_map:
-        if not 0 <= v < t_cod.universe_size:
-            raise InputError(f"map value {v} out of codomain range")
-    fibres = [0] * t_cod.universe_size
-    for x, v in enumerate(f_map):
-        fibres[v] |= 1 << x
-    preimage = {
-        v: sum(fibre for c, fibre in enumerate(fibres) if t_cod.mins[v] >> c & 1)
-        for v in set(f_map)
-    }
-    return all(m & ~preimage[f_map[x]] == 0 for x, m in enumerate(t_dom.mins))
+def is_continuous(fibres: Sequence[int], t_dom: Topology, t_cod: Topology) -> bool:
+    """f, given by its fibres (see foundations.map_fibres), maps the minimal
+    neighbourhood of each x into that of f(x): each point of fibre v keeps its
+    minimal neighbourhood inside the preimage of v's."""
+    check_fibres(fibres, t_dom.universe_size, t_cod.universe_size)
+    for v, fibre in enumerate(fibres):
+        preimage = sum(other for c, other in enumerate(fibres) if t_cod.mins[v] >> c & 1)
+        while fibre:
+            low = fibre & -fibre
+            if t_dom.mins[low.bit_length() - 1] & ~preimage:
+                return False
+            fibre ^= low
+    return True
 
 
 def subspace(t: Topology, carrier: SubsetMask) -> Topology:

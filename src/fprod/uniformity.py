@@ -197,12 +197,13 @@ def induced_topology(u: Uniformity) -> Topology:
     return Topology(u.point_count, u.rows)
 
 
-def is_uniformly_continuous(f_map: Sequence[int], u_dom: Uniformity, u_cod: Uniformity) -> bool:
+def is_uniformly_continuous(fibres: Sequence[int], u_dom: Uniformity, u_cod: Uniformity) -> bool:
     """f x f maps the minimal domain entourage into the minimal codomain one.
 
-    That is, f maps each row into the row of f(x): the induced topologies' continuity.
+    That is, f maps each row into the row of f(x): the induced topologies'
+    continuity. The map is given by its fibres, as for is_continuous.
     """
-    return is_continuous(f_map, induced_topology(u_dom), induced_topology(u_cod))
+    return is_continuous(fibres, induced_topology(u_dom), induced_topology(u_cod))
 
 
 @lru_cache(maxsize=None)

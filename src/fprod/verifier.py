@@ -50,7 +50,7 @@ from .fproduct import (
     f_uniformity_base,
     filter_different,
     product_spec,
-    projection_map,
+    projection_fibres,
 )
 from .topology import (
     Topology,
@@ -438,7 +438,7 @@ def _projected_filters(spec: ProductSpec) -> Iterator[tuple[int, Factor, Filter]
     idx = spec.indexing
     for i, f in enumerate(spec.factors):
         assert f.filter is not None
-        yield i, f, pushforward(projection_map(i, idx), f.universe.size, ffil)
+        yield i, f, pushforward(projection_fibres(i, idx), ffil)
 
 
 def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
@@ -455,12 +455,9 @@ def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     box_filter = f_filter(spec)
     idx = spec.indexing
-    pmaps = [projection_map(i, idx) for i in range(len(spec.factors))]
+    fibres = [projection_fibres(i, idx) for i in range(len(spec.factors))]
     for g in enumerate_filters(idx.total, include_trivial=True):
-        if all(
-            pushforward(pmaps[i], f.universe.size, g) == f.filter
-            for i, f in enumerate(spec.factors)
-        ):
+        if all(pushforward(fibres[i], g) == f.filter for i, f in enumerate(spec.factors)):
             if not filter_leq(box_filter, g):
                 return False, {
                     "smaller_filter_with_matching_projections": serialize.filter_to_dict(

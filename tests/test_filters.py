@@ -15,7 +15,7 @@ from fprod.filters import (
     trivial_filter,
     validate_filter_base,
 )
-from fprod.foundations import InputError, SetFamily, SubsetMask
+from fprod.foundations import InputError, SetFamily, SubsetMask, check_fibres, map_fibres
 from fprod.verifier import enumerate_filters
 
 
@@ -196,20 +196,27 @@ class TestIntersectionRewrite:
                     assert lhs == rhs
 
 
+def pushforward_oracle(f_map, cod_size, fil):
+    """The image-of-core definition on a point map given by its values."""
+    if fil.trivial:
+        return trivial_filter(cod_size)
+    return principal_filter(SubsetMask.of(cod_size, (f_map[x] for x in fil.core)))
+
+
 class TestPushforward:
     def test_constant_map(self):
         f = principal_filter(SubsetMask.of(2, [0]))
-        out = pushforward((1, 1), 2, f)
+        out = pushforward(map_fibres((1, 1), 2), f)
         assert out == principal_filter(SubsetMask.of(2, [1]))
 
     def test_identity(self):
         for f in enumerate_filters(3, include_trivial=True):
-            assert pushforward((0, 1, 2), 3, f) == f
+            assert pushforward(map_fibres((0, 1, 2), 3), f) == f
 
     def test_surjection_keeps_ultrafilter(self):
         # a,b -> x; c -> y
         f = principal_filter(SubsetMask.of(3, [0]))
-        out = pushforward((0, 0, 1), 2, f)
+        out = pushforward(map_fibres((0, 0, 1), 2), f)
         assert out == principal_filter(SubsetMask.of(2, [0]))
         assert is_ultrafilter(out)
 
@@ -219,17 +226,65 @@ class TestPushforward:
                 if not is_ultrafilter(f):
                     continue
                 for f_map in itertools.product(range(m), repeat=n):
-                    assert is_ultrafilter(pushforward(f_map, m, f))
+                    assert is_ultrafilter(pushforward(map_fibres(f_map, m), f))
 
     def test_trivial_pushes_to_trivial(self):
-        assert pushforward((0, 0), 2, trivial_filter(2)) == trivial_filter(2)
+        assert pushforward(map_fibres((0, 0), 2), trivial_filter(2)) == trivial_filter(2)
 
     def test_malformed_map_rejected(self):
         f = trivial_filter(2)
         with pytest.raises(InputError):
-            pushforward((0,), 2, f)
+            pushforward(map_fibres((0,), 2), f)
         with pytest.raises(InputError):
-            pushforward((0, 5), 2, f)
+            pushforward(map_fibres((0, 5), 2), f)
+
+    def test_agrees_with_the_image_of_the_core(self):
+        checked = 0
+        for n in range(1, 5):
+            for fil in enumerate_filters(n, include_trivial=True):
+                for m in range(1, 4):
+                    for f_map in itertools.product(range(m), repeat=n):
+                        got = pushforward(map_fibres(f_map, m), fil)
+                        assert got == pushforward_oracle(f_map, m, fil)
+                        checked += 1
+        assert checked == 2 * 6 + 4 * 14 + 8 * 36 + 16 * 98  # filters with trivial, times maps
+
+    def test_fibres_that_do_not_partition_the_domain_are_rejected(self):
+        f = principal_filter(SubsetMask.of(2, [0]))
+        for fibres in [
+            (0b01, 0b11),  # point 0 has two images
+            (0b01, 0b00),  # point 1 has none
+            (0b101, 0b010),  # a point outside the domain
+            (-1, 0b100),  # a negative mask
+            (),  # no codomain
+        ]:
+            with pytest.raises(InputError):
+                pushforward(fibres, f)
+
+
+class TestMapFibres:
+    def test_fibres_of_a_map(self):
+        assert map_fibres((2, 0, 2), 3) == (0b010, 0b000, 0b101)
+        assert map_fibres((), 2) == (0, 0)
+
+    def test_range_checked_once_at_the_boundary(self):
+        with pytest.raises(InputError, match="out of codomain range"):
+            map_fibres((0, 3), 3)
+        with pytest.raises(InputError, match="out of codomain range"):
+            map_fibres((-1,), 3)
+
+    def test_check_fibres_accepts_exactly_the_partitions(self):
+        # every tuple of masks on 2 points into 2 codomain points
+        for fibres in itertools.product(range(-1, 5), repeat=2):
+            is_map = any(map_fibres(f_map, 2) == fibres for f_map in itertools.product(range(2), repeat=2))
+            try:
+                check_fibres(fibres, 2, 2)
+                accepted = True
+            except InputError:
+                accepted = False
+            assert accepted == is_map
+        with pytest.raises(InputError, match="one per codomain point"):
+            check_fibres((0b11,), 2, 2)
 
 
 class TestPrincipality:

@@ -16,6 +16,8 @@ from fprod.foundations import (
     SetFamily,
     SubsetMask,
     Universe,
+    map_fibres,
+    shared_indexing,
 )
 from fprod.fproduct import (
     Box,
@@ -41,8 +43,9 @@ from fprod.fproduct import (
     f_topology_via_base,
     filter_different,
     product_spec,
-    projection_map,
+    projection_fibres,
     projection_preimage,
+    squared_indexing,
 )
 from fprod.topology import (
     discrete,
@@ -303,6 +306,42 @@ class TestProductSpecIndexing:
         with pytest.raises(ResourceLimitError):
             spec.indexing
 
+    def test_specs_of_equal_factor_sizes_share_one_indexing(self):
+        spec = product_spec(discrete2_factors(3), trivial_filter(3))
+        other = product_spec(sierpinski_factors(3), principal_filter(mask(3, 0b001)))
+        assert spec.indexing is other.indexing is shared_indexing((2, 2, 2))
+        mixed = product_spec((preset_factor("discrete3"), preset_factor("discrete2")))
+        assert mixed.indexing is shared_indexing([3, 2])
+        assert mixed.indexing is not shared_indexing((2, 3))
+
+    def test_cap_fires_on_first_access_of_seen_sizes(self, monkeypatch):
+        assert product_spec(discrete2_factors(3), trivial_filter(3)).indexing.total == 8
+        monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
+        spec = product_spec(discrete2_factors(3), trivial_filter(3))
+        with pytest.raises(ResourceLimitError):
+            spec.indexing
+        monkeypatch.delenv("FPROD_MAX_PRODUCT")
+        assert spec.indexing is shared_indexing((2, 2, 2))
+
+    def test_squared_indexing_is_shared(self, monkeypatch):
+        idx = shared_indexing((2, 2))
+        assert squared_indexing(idx) is squared_indexing(idx) is shared_indexing((4, 4))
+        monkeypatch.setenv("FPROD_MAX_PRODUCT", "8")
+        with pytest.raises(ResourceLimitError):
+            squared_indexing(idx)
+
+    def test_digit_fibres_are_the_fibres_of_the_decoded_digits(self):
+        checked = 0
+        for k in range(1, 5):
+            for sizes in itertools.product((1, 2, 3), repeat=k):
+                idx = ProductIndexing(sizes)
+                assert len(idx.digit_fibres) == k
+                for i, s in enumerate(sizes):
+                    assert idx.digit_fibres[i] == map_fibres(projection_map_oracle(i, idx), s)
+                checked += 1
+        assert checked == 3 + 9 + 27 + 81
+        assert idx.digit_fibres is idx.digit_fibres  # computed once per indexing
+
 
 class TestFTopologyBase:
     def test_principal_filter_forces_first_coordinate(self):
@@ -476,8 +515,9 @@ class TestPointQueryClosedForms:
         for spec in self.small_specs():
             idx = spec.indexing
             for i, (w, s) in enumerate(zip(idx.weights, idx.factor_sizes)):
-                assert projection_map(i, idx) == projection_map_oracle(i, idx)
-                assert projection_map(i, idx) == tuple(code // w % s for code in range(idx.total))
+                fibres = projection_fibres(i, idx)
+                assert fibres == map_fibres(projection_map_oracle(i, idx), s)
+                assert fibres == map_fibres([code // w % s for code in range(idx.total)], s)
             sigmas, others = equalizers(spec), filter_different(spec)
             assert len(sigmas) == len(others) == idx.total
             for x in range(idx.total):
@@ -513,7 +553,9 @@ class TestPointQueryClosedForms:
             with pytest.raises(InputError):
                 different_by_filter(spec, 0, bad)
         with pytest.raises(InputError):
-            projection_map(2, spec.indexing)
+            projection_fibres(2, spec.indexing)
+        with pytest.raises(InputError):
+            projection_fibres(-1, spec.indexing)
 
 
 class TestEqualizer:
@@ -604,7 +646,7 @@ class TestFFilter:
         ff = f_filter(spec)
         idx = spec.indexing
         for i, f in enumerate(spec.factors):
-            assert pushforward(projection_map(i, idx), 2, ff) == f.filter
+            assert pushforward(projection_fibres(i, idx), ff) == f.filter
 
     def test_projection_strictly_smaller_for_pinned_coordinate(self):
         from fprod.filters import filter_leq, pushforward
@@ -612,7 +654,7 @@ class TestFFilter:
         spec = product_spec(filter_factors([0b01, 0b01]), principal_filter(mask(2, 0b01)))
         ff = f_filter(spec)
         idx = spec.indexing
-        proj = pushforward(projection_map(0, idx), 2, ff)
+        proj = pushforward(projection_fibres(0, idx), ff)
         assert proj == principal_filter(mask(2, 0b11))  # the indiscrete filter
         assert filter_leq(proj, spec.factors[0].filter)
         assert proj != spec.factors[0].filter
@@ -756,5 +798,6 @@ class TestFactorSlices:
             fwd = tuple(idx.decode_point(c)[i] for c in order)
             inv = tuple(order.index(codes[xi]) for xi in range(f.universe.size))
             assert sorted(fwd) == list(range(f.universe.size))
-            assert is_continuous(fwd, sub, f.topology)
-            assert is_continuous(inv, f.topology, sub)
+            n = f.universe.size
+            assert is_continuous(map_fibres(fwd, n), sub, f.topology)
+            assert is_continuous(map_fibres(inv, n), f.topology, sub)

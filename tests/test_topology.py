@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fprod.filters import principal_filter
-from fprod.foundations import InputError, SetFamily, SubsetMask
+from fprod.foundations import InputError, SetFamily, SubsetMask, map_fibres
 from fprod.topology import (
     Topology,
     discrete,
@@ -317,15 +317,15 @@ class TestSubspace:
 class TestContinuity:
     def test_identity_continuous(self):
         for t in enumerate_topologies(2):
-            assert is_continuous((0, 1), t, t)
+            assert is_continuous(map_fibres((0, 1), 2), t, t)
 
     def test_indiscrete_to_discrete_identity_fails(self):
-        assert not is_continuous((0, 1), indiscrete(2), discrete(2))
+        assert not is_continuous(map_fibres((0, 1), 2), indiscrete(2), discrete(2))
 
     def test_identity_is_a_homeomorphism_iff_the_topologies_are_equal(self):
         # P2.8's slice check reads topologies_equal for this two-way continuity
         for n in (1, 2, 3):
-            ident = tuple(range(n))
+            ident = map_fibres(range(n), n)
             for t1, t2 in itertools.product(enumerate_topologies(n), repeat=2):
                 both_ways = is_continuous(ident, t1, t2) and is_continuous(ident, t2, t1)
                 assert topologies_equal(t1, t2) == both_ways
@@ -341,7 +341,14 @@ class TestContinuity:
                     sum(1 << x for x in range(3) if v >> f_map[x] & 1) in dom_opens
                     for v in cod_opens
                 )
-                assert is_continuous(f_map, t_dom, t_cod) == oracle
+                assert is_continuous(map_fibres(f_map, 3), t_dom, t_cod) == oracle
+
+    def test_rejects_fibres_that_are_not_a_map(self):
+        t = discrete(2)
+        with pytest.raises(InputError, match="one per codomain point"):
+            is_continuous(map_fibres((0, 0), 1), t, t)
+        with pytest.raises(InputError, match="not total"):
+            is_continuous((0b01, 0b01), t, t)  # point 1 has no image, point 0 two
 
 
 class TestDisjointDense:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fprod.filters import principal_filter, trivial_filter, validate_filter_base
-from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, Universe
+from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, Universe, map_fibres
 from fprod.fproduct import Box, Factor, box_delta, f_uniformity, f_uniformity_base, product_spec
 from fprod.topology import discrete, indiscrete, is_continuous, topologies_equal
 from fprod.uniformity import (
@@ -288,18 +288,18 @@ class TestInducedTopology:
 class TestUniformContinuity:
     def test_identity(self):
         u = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
-        assert is_uniformly_continuous((0, 1), u, u)
+        assert is_uniformly_continuous(map_fibres((0, 1), 2), u, u)
 
     def test_into_coarsest(self):
         dom = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
         cod = generate_uniformity(SetFamily.of(4, [SubsetMask.full(4)]))
         for f_map in itertools.product(range(2), repeat=2):
-            assert is_uniformly_continuous(f_map, dom, cod)
+            assert is_uniformly_continuous(map_fibres(f_map, 2), dom, cod)
 
     def test_identity_from_coarse_to_fine_fails(self):
         coarse = generate_uniformity(SetFamily.of(4, [SubsetMask.full(4)]))
         fine = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
-        assert not is_uniformly_continuous((0, 1), coarse, fine)
+        assert not is_uniformly_continuous(map_fibres((0, 1), 2), coarse, fine)
 
     def test_matches_base_walking_definition_on_two_points(self):
         # for every V in the codomain base, some U in the domain base maps into V
@@ -318,16 +318,16 @@ class TestUniformContinuity:
                     )
                     for v in cod_base
                 )
-                assert is_uniformly_continuous(f_map, u_dom, u_cod) == oracle
+                assert is_uniformly_continuous(map_fibres(f_map, 2), u_dom, u_cod) == oracle
                 checked += 1
         assert checked == 9 * 9 * 4
 
     def test_rejects_a_map_off_either_universe(self):
         u = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
         with pytest.raises(InputError, match="not total on the domain"):
-            is_uniformly_continuous((0,), u, u)
+            is_uniformly_continuous(map_fibres((0,), 2), u, u)
         with pytest.raises(InputError, match="out of codomain range"):
-            is_uniformly_continuous((0, 2), u, u)
+            is_uniformly_continuous(map_fibres((0, 2), 2), u, u)
 
     def test_implies_topological_continuity(self):
         spaces = []
@@ -338,8 +338,9 @@ class TestUniformContinuity:
             n, m = u_dom.point_count, u_cod.point_count
             t_dom, t_cod = induced_topology(u_dom), induced_topology(u_cod)
             for f_map in itertools.product(range(m), repeat=n):
-                if is_uniformly_continuous(f_map, u_dom, u_cod):
-                    assert is_continuous(f_map, t_dom, t_cod)
+                fibres = map_fibres(f_map, m)
+                if is_uniformly_continuous(fibres, u_dom, u_cod):
+                    assert is_continuous(fibres, t_dom, t_cod)
 
 
 def diagonal_base_factor():

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+import fprod.fproduct
 import fprod.verifier
-from fprod.filters import Filter, trivial_filter
+from fprod.filters import Filter, principal_filter, trivial_filter
 from fprod.foundations import InputError, SetFamily, SubsetMask
 from fprod.fproduct import (
     ProductSpec,
@@ -232,6 +233,62 @@ class TestValidatorFaults:
         monkeypatch.setattr(fprod.verifier, "subspace", lambda t, carrier: indiscrete(len(carrier)))
         assert_fault_caught(monkeypatch, "P2.8", "slice_not_homeomorphic_at_factor")
 
+
+
+def swap_first_two_fibres(original):
+    """A projection_fibres fault: factor 0's first two digit values trade fibres."""
+
+    def swapped(i, idx):
+        fibres = original(i, idx)
+        if i == 0 and len(fibres) >= 2:
+            return (fibres[1], fibres[0], *fibres[2:])
+        return fibres
+
+    return swapped
+
+
+class TestProjectionFaults:
+    """P2.7, P4.2 and P4.3 fail, with a replayable witness, when the projection layer
+    they read (digit fibres, pushforward, continuity) is broken."""
+
+    def test_p27_catches_a_continuity_test_that_ignores_the_codomain(self, monkeypatch):
+        original = fprod.fproduct.is_continuous
+
+        def against_the_indiscrete_codomain(fibres, t_dom, t_cod):
+            return original(fibres, t_dom, indiscrete(t_cod.universe_size))
+
+        monkeypatch.setattr(fprod.fproduct, "is_continuous", against_the_indiscrete_codomain)
+        assert_fault_caught(monkeypatch, "P2.7", "all_projections_continuous")
+
+    def test_p27_catches_swapped_projection_fibres(self, monkeypatch):
+        original = fprod.fproduct.projection_fibres
+        monkeypatch.setattr(fprod.fproduct, "projection_fibres", swap_first_two_fibres(original))
+        assert_fault_caught(monkeypatch, "P2.7", "all_projections_continuous")
+
+    def test_p42_catches_a_pushforward_that_drops_the_lowest_image_point(self, monkeypatch):
+        original = fprod.verifier.pushforward
+
+        def dropping_the_lowest_point(fibres, fil):
+            image = original(fibres, fil)
+            core = image.core.bits
+            if core & (core - 1) == 0:  # the trivial filter or a one-point core
+                return image
+            return principal_filter(SubsetMask(image.universe_size, core & (core - 1)))
+
+        monkeypatch.setattr(fprod.verifier, "pushforward", dropping_the_lowest_point)
+        assert_fault_caught(monkeypatch, "P4.2", "projection_not_contained_at_factor")
+
+    def test_p42_catches_a_pushforward_that_always_returns_the_coarsest_filter(self, monkeypatch):
+        def whole_codomain(fibres, fil):
+            return principal_filter(SubsetMask.full(len(fibres)))  # the filter {X}
+
+        monkeypatch.setattr(fprod.verifier, "pushforward", whole_codomain)
+        assert_fault_caught(monkeypatch, "P4.2", "saturated_projection_identity_fails_at_factor")
+
+    def test_p43_catches_swapped_projection_fibres(self, monkeypatch):
+        original = fprod.verifier.projection_fibres
+        monkeypatch.setattr(fprod.verifier, "projection_fibres", swap_first_two_fibres(original))
+        assert_fault_caught(monkeypatch, "P4.3", "smaller_filter_with_matching_projections")
 
 def catalog_specs():
     """Every distinct product spec with an index filter that a default grid builds.
