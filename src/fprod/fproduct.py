@@ -85,14 +85,6 @@ class ProductSpec:
             object.__setattr__(self, "_indexing", idx)
         return self._indexing  # type: ignore[return-value]
 
-    def with_factors(self, factors: Sequence[Factor]) -> "ProductSpec":
-        """The same index set and filter over same-size replacement factors, sharing the indexing."""
-        spec = ProductSpec(self.index_universe, tuple(factors), self.index_filter)
-        if tuple(f.universe.size for f in spec.factors) != self.indexing.factor_sizes:
-            raise InputError("replacement factors must keep the factor sizes")
-        object.__setattr__(spec, "_indexing", self.indexing)
-        return spec
-
     def _require_index_filter(self) -> Filter:
         if self.index_filter is None:
             raise InputError("this construction needs an index filter")
@@ -128,26 +120,14 @@ def box_sigma(box: Box) -> SubsetMask:
     return box_delta(box).complement()
 
 
-def _box_bits(side_bits: Sequence[int], factor_sizes: Sequence[int]) -> int:
-    """Point mask of the box with the given side masks, without decoding a point.
+def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
+    """The box by its definition: the product of its sides, each point encoded.
 
-    Mixed-radix Kronecker shift-or, factor 0 the least-significant digit: the
-    mask over factors 0..i ORs one copy of the mask over factors 0..i-1,
-    shifted by c times their point count, for each element c of side i.
+    It shares no code with the kernel below, which the tests check against it.
     """
-    acc = 1
-    width = 1
-    for side, size in zip(side_bits, factor_sizes):
-        spread = 0
-        c = 0
-        while side:
-            if side & 1:
-                spread |= acc << (c * width)
-            side >>= 1
-            c += 1
-        acc = spread
-        width *= size
-    return acc
+    if tuple(m.universe_size for m in box.per_factor) != idx.factor_sizes:
+        raise InputError("box factor sizes do not match the indexing")
+    return SubsetMask.of(idx.total, map(idx.encode_point, itertools.product(*box.per_factor)))
 
 
 def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> list[int]:
@@ -189,13 +169,6 @@ def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> list[int
     return f_filter_cores(core, rows, spec.indexing.factor_sizes)
 
 
-def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
-    """The box as a concrete subset of the coded product universe."""
-    if tuple(m.universe_size for m in box.per_factor) != idx.factor_sizes:
-        raise InputError("box factor sizes do not match the indexing")
-    return SubsetMask(idx.total, _box_bits([side.bits for side in box.per_factor], idx.factor_sizes))
-
-
 def _accepted_choices(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], member, items):
     """The items of the side choices whose delta bits `member` accepts.
 
@@ -210,6 +183,14 @@ def _accepted_choices(side_lists: Sequence[Sequence[int]], factor_sizes: Sequenc
         full = (1 << size) - 1
         deltas = [d | (1 << i) if side == full else d for side in sides for d in deltas]
     return [item for item, d in zip(items, deltas) if member(d)]
+
+
+def _factor_parts(spec: ProductSpec, attr: str, product: str, need: str | None = None) -> list:
+    """Each factor's `attr`, or InputError when a factor lacks it."""
+    parts = [getattr(f, attr) for f in spec.factors]
+    if any(p is None for p in parts):
+        raise InputError(f"every factor needs a {need or product} for the product {product}")
+    return parts
 
 
 def _delta_member(spec: ProductSpec, delta_family: SetFamily | None):
@@ -230,11 +211,7 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
     """
     member = _delta_member(spec, delta_family)
     idx = spec.indexing
-    opens = []
-    for f in spec.factors:
-        if f.topology is None:
-            raise InputError("every factor needs a topology for the product topology")
-        opens.append([b for b in f.topology.opens().bits if b])
+    opens = [[b for b in t.opens().bits if b] for t in _factor_parts(spec, "topology", "topology")]
     masks = _accepted_choices(opens, idx.factor_sizes, member, _point_boxes(opens, idx.factor_sizes))
     return SetFamily(idx.total, sorted(set(masks)))
 
@@ -251,25 +228,13 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     """
     if delta_family is not None:
         return generate_topology(f_topology_base(spec, delta_family))
-    rows = []
-    for f in spec.factors:
-        if f.topology is None:
-            raise InputError("every factor needs a topology for the product topology")
-        rows.append(f.topology.mins)
+    rows = [t.mins for t in _factor_parts(spec, "topology", "topology")]
     return Topology(spec.indexing.total, tuple(_minimal_boxes(spec, rows)))
 
 
 def f_topology_via_base(spec: ProductSpec) -> Topology:
     """Definitional route: generate the topology from the enumerated box base."""
     return generate_topology(f_topology_base(spec))
-
-
-def projection_preimage(i: int, sub: SubsetMask, idx: ProductIndexing) -> SubsetMask:
-    """Points whose i-th coordinate lies in the given factor subset: the union of their fibres."""
-    fibres = projection_fibres(i, idx)
-    if sub.universe_size != len(fibres):
-        raise InputError("subset lives on the wrong factor")
-    return SubsetMask(idx.total, sum(fibres[d] for d in sub))
 
 
 def projection_fibres(i: int, idx: ProductIndexing) -> tuple[int, ...]:
@@ -289,77 +254,40 @@ def all_projections_continuous(spec: ProductSpec) -> bool:
     return True
 
 
-def equalizer(spec: ProductSpec, x: int) -> SubsetMask:
-    """Points agreeing with x on an index set the filter accepts.
-
-    The filter accepts exactly the supersets of its core, so this is the box
-    {x_i} on the core and the whole factor elsewhere. With the trivial index
-    filter the core is empty and the equalizer is the whole product; callers
-    that need a proper one should check the filter first.
-    """
-    core = spec._require_index_filter().core
-    idx = spec.indexing
-    if not 0 <= x < idx.total:
-        raise InputError(f"point code {x} out of range")
-    sides = [
-        1 << (x // w % s) if i in core else (1 << s) - 1
-        for i, (w, s) in enumerate(zip(idx.weights, idx.factor_sizes))
-    ]
-    return SubsetMask(idx.total, _box_bits(sides, idx.factor_sizes))
-
-
 def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
     """For each product point x, the box core_side(x_i, s_i) on the index-filter core, whole elsewhere."""
     core = spec._require_index_filter().core
     idx = spec.indexing
     sizes = idx.factor_sizes
-    rows = [
-        [core_side(a, s) if i in core else (1 << s) - 1 for a in range(s)]
-        for i, s in enumerate(sizes)
-    ]
-    return [SubsetMask(idx.total, m) for m in _point_boxes(rows, sizes)]
+    rows = [[core_side(a, s) for a in range(s)] for s in sizes]
+    boxes = f_filter_cores(core.complement().bits, rows, sizes)
+    return [SubsetMask(idx.total, m) for m in boxes]
 
 
 def equalizers(spec: ProductSpec) -> list[SubsetMask]:
-    """Every point's equalizer, in code order, built in one pass; see equalizer."""
+    """For each point x, in code order, the points that agree with x on a member of the index filter.
+
+    The filter accepts exactly the supersets of its core, so this is the box
+    {x_i} on the core and the whole factor elsewhere. With the trivial index
+    filter the core is empty and every equalizer is the whole product.
+    """
     return _core_boxes(spec, lambda a, s: 1 << a)
 
 
 def filter_different(spec: ProductSpec) -> list[SubsetMask]:
-    """For each point x, in code order, the points y with different_by_filter(spec, x, y).
+    """For each point x, in code order, the points that differ from x on a member of the index filter.
 
-    The box of digits other than x_i on the index-filter core, whole elsewhere.
+    That is, y differs from x at every index of the core: the box of digits
+    other than x_i on the core, whole elsewhere (all points for the trivial filter).
     """
     return _core_boxes(spec, lambda a, s: ((1 << s) - 1) ^ (1 << a))
 
 
-def different_by_filter(spec: ProductSpec, x: int, y: int) -> bool:
-    """True iff the set of coordinates where x and y differ belongs to the index filter.
-
-    That is, iff x and y differ at every index of the filter's core; always
-    true for the trivial filter, whose core is empty.
-    """
-    core = spec._require_index_filter().core
-    idx = spec.indexing
-    if not 0 <= x < idx.total or not 0 <= y < idx.total:
-        raise InputError("point code out of range")
-    core_bits = core.bits
-    for w, s in zip(idx.weights, idx.factor_sizes):
-        if core_bits & 1 and x // w % s == y // w % s:
-            return False
-        core_bits >>= 1
-    return True
-
-
 def _factor_filters(spec: ProductSpec) -> list[Filter]:
-    out = []
-    for f in spec.factors:
-        if f.filter is None:
-            raise InputError("every factor needs a filter for the product filter")
-        if not f.filter.is_proper:
-            raise InputError("factor filters must be proper")
-        out.append(f.filter)
-    return out
+    filters = _factor_parts(spec, "filter", "filter")
+    if not all(f.is_proper for f in filters):
+        raise InputError("factor filters must be proper")
+    return filters
 
 
 def f_filter_base(spec: ProductSpec) -> SetFamily:
@@ -386,21 +314,16 @@ def f_filter_cores(
     return _point_boxes(sides, factor_sizes)
 
 
-def f_filter_core(index_core: int, factor_cores: Sequence[int], factor_sizes: Sequence[int]) -> int:
-    """The product filter's core bits: the box whole on the index core, factor cores elsewhere."""
-    return f_filter_cores(index_core, [[c] for c in factor_cores], factor_sizes)[0]
-
-
 def f_filter(spec: ProductSpec) -> Filter:
     """The product filter: supersets of the accepted filter boxes.
 
-    Computed in closed form by f_filter_core; the definitional route through
-    f_filter_base generates the same filter.
+    Computed in closed form by f_filter_cores, with one core per factor; the
+    definitional route through f_filter_base generates the same filter.
     """
     index_core = spec._require_index_filter().core.bits
     idx = spec.indexing
-    cores = [ff.core.bits for ff in _factor_filters(spec)]
-    core = f_filter_core(index_core, cores, idx.factor_sizes)
+    cores = [[ff.core.bits] for ff in _factor_filters(spec)]
+    (core,) = f_filter_cores(index_core, cores, idx.factor_sizes)
     return principal_filter(SubsetMask(idx.total, core))
 
 
@@ -428,11 +351,8 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     total = idx.total
     squared_indexing(idx)  # enforces the squared-size cap
     sizes = idx.factor_sizes
-    member_lists = []
-    for s, f in zip(sizes, spec.factors):
-        if f.uniformity_base is None:
-            raise InputError("every factor needs a uniformity base for the product uniformity")
-        member_lists.append(sorted({*f.uniformity_base.bits, (1 << (s * s)) - 1}))
+    bases = _factor_parts(spec, "uniformity_base", "uniformity", "uniformity base")
+    member_lists = [sorted({*base.bits, (1 << (s * s)) - 1}) for s, base in zip(sizes, bases)]
     row_lists = [
         [Relation(s, SubsetMask(s * s, m)).rows() for m in members]
         for s, members in zip(sizes, member_lists)
@@ -453,9 +373,5 @@ def f_uniformity(spec: ProductSpec) -> Uniformity:
     """
     idx = spec.indexing
     squared_indexing(idx)  # enforces the squared-size cap
-    rows = []
-    for f in spec.factors:
-        if f.uniformity is None:
-            raise InputError("every factor needs a uniformity base for the product uniformity")
-        rows.append(f.uniformity.rows)
+    rows = [u.rows for u in _factor_parts(spec, "uniformity", "uniformity", "uniformity base")]
     return Uniformity(idx.total, _minimal_boxes(spec, rows))

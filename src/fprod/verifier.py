@@ -497,7 +497,7 @@ def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
         Factor(f.universe, topology=induced_topology(f.uniformity))  # type: ignore[arg-type]
         for f in spec.factors
     )
-    from_factors = f_topology_via_base(spec.with_factors(topo_factors))
+    from_factors = f_topology_via_base(ProductSpec(spec.index_universe, topo_factors, spec.index_filter))
     if topologies_equal(from_uniformity, from_factors):
         return True, None
     return False, {"induced_topology_differs": True}

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -22,7 +23,6 @@ from fprod.foundations import (
 from fprod.fproduct import (
     Box,
     _accepted_choices,
-    _box_bits,
     _point_boxes,
     Factor,
     ProductSpec,
@@ -30,12 +30,9 @@ from fprod.fproduct import (
     box_delta,
     box_sigma,
     box_to_pointset,
-    different_by_filter,
-    equalizer,
     equalizers,
     f_filter,
     f_filter_base,
-    f_filter_core,
     f_filter_cores,
     f_filter_via_base,
     f_topology,
@@ -44,7 +41,6 @@ from fprod.fproduct import (
     filter_different,
     product_spec,
     projection_fibres,
-    projection_preimage,
     squared_indexing,
 )
 from fprod.topology import (
@@ -110,6 +106,17 @@ def projection_map_oracle(i, idx):
     return tuple(idx.decode_point(code)[i] for code in range(idx.total))
 
 
+@functools.lru_cache(maxsize=None)
+def box_oracle(sides, sizes):
+    """One box's point mask by decoding every point: the codes whose digits all lie in their sides."""
+    idx = ProductIndexing(sizes)
+    bits = 0
+    for code in range(idx.total):
+        if all(side >> c & 1 for side, c in zip(sides, idx.decode_point(code))):
+            bits |= 1 << code
+    return bits
+
+
 class TestBoxes:
     def test_all_full_box(self):
         b = Box((mask(2, 0b11), mask(2, 0b11)))
@@ -168,7 +175,7 @@ class TestBoxes:
                 member = lambda bits: accepted >> bits & 1  # noqa: E731
                 got = _accepted_choices(side_lists, sizes, member, masks)
                 oracle = [
-                    _box_bits(c, sizes)
+                    box_oracle(c, sizes)
                     for c in itertools.product(*side_lists)
                     if member(box_delta(Box(tuple(map(mask, sizes, c)))).bits)
                 ]
@@ -183,22 +190,21 @@ class TestBoxes:
 
 class TestBoxKernel:
     def test_matches_decoding_oracle_on_mixed_radices(self):
+        # every single box: the kernel with one row per factor, and the Box route
         sizes = (2, 3, 1, 2)
         idx = ProductIndexing(sizes)
         for sides in itertools.product(*(range(1 << s) for s in sizes)):
-            oracle = 0
-            for code in range(idx.total):
-                if all(side >> c & 1 for side, c in zip(sides, idx.decode_point(code))):
-                    oracle |= 1 << code
-            assert _box_bits(sides, sizes) == oracle
+            oracle = box_oracle(sides, sizes)
+            assert _point_boxes([[side] for side in sides], sizes) == [oracle]
+            assert box_to_pointset(Box(tuple(map(mask, sizes, sides))), idx).bits == oracle
 
 
 def point_boxes_oracle(rows, sizes):
-    return [_box_bits(s[::-1], sizes) for s in itertools.product(*reversed(rows))]
+    return [box_oracle(s[::-1], sizes) for s in itertools.product(*reversed(rows))]
 
 
 class TestPointBoxKernel:
-    """The prefix-sharing _point_boxes against one _box_bits call per point."""
+    """The prefix-sharing _point_boxes against one decoded box per point."""
 
     def test_every_row_choice_on_small_sizes(self):
         size_tuples = [
@@ -246,7 +252,7 @@ def filter_cores_oracle(index_core, rows, sizes):
         sides = [
             (1 << s) - 1 if index_core >> i & 1 else c for i, (c, s) in enumerate(zip(cores, sizes))
         ]
-        out.append(_box_bits(sides, sizes))
+        out.append(box_oracle(tuple(sides), sizes))
     return out
 
 
@@ -276,8 +282,8 @@ class TestBoxBasesAgainstTheBoxRoute:
             for index_core in range(1 << len(sizes)):
                 want = filter_cores_oracle(index_core, rows, sizes)
                 assert f_filter_cores(index_core, rows, sizes) == want
-                cores = [r[-1] for r in rows]
-                assert f_filter_core(index_core, cores, sizes) == want[-1]
+                cores = [[r[-1]] for r in rows]  # one core per factor, as f_filter takes them
+                assert f_filter_cores(index_core, cores, sizes) == [want[-1]]
 
 
 class TestProductSpecIndexing:
@@ -287,18 +293,12 @@ class TestProductSpecIndexing:
         assert spec.indexing.factor_sizes == (2, 2, 2)
         assert spec == product_spec(discrete2_factors(3), trivial_filter(3))
 
-    def test_with_factors_shares_the_indexing(self):
+    def test_a_spec_rebuilt_over_same_size_factors_shares_the_indexing(self):
+        # as P5.ind rebuilds its spec over the induced factor topologies
         spec = product_spec(discrete2_factors(3), principal_filter(mask(3, 0b010)))
-        other = spec.with_factors(sierpinski_factors(3))
+        other = ProductSpec(spec.index_universe, sierpinski_factors(3), spec.index_filter)
         assert other == product_spec(sierpinski_factors(3), principal_filter(mask(3, 0b010)))
         assert other.indexing is spec.indexing
-
-    def test_with_factors_rejects_a_size_change(self):
-        spec = product_spec(discrete2_factors(2), trivial_filter(2))
-        with pytest.raises(InputError):
-            spec.with_factors((preset_factor("discrete2"), preset_factor("discrete3")))
-        with pytest.raises(InputError):
-            spec.with_factors(discrete2_factors(3))
 
     def test_cap_fires_on_first_access(self, monkeypatch):
         monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
@@ -450,7 +450,7 @@ class TestClosedFormTopology:
         ).mins
         spec = product_spec(sierpinski_factors(8), principal_filter(mask(8, 0b00000001)))
         expected = tuple(
-            _box_bits((pinned[a], free[b]), (16, 16)) for b in range(16) for a in range(16)
+            box_oracle((pinned[a], free[b]), (16, 16)) for b in range(16) for a in range(16)
         )
         assert f_topology(spec).mins == expected
 
@@ -469,23 +469,31 @@ class TestClosedFormTopology:
         assert len(calls) >= 3
 
 
+def fibre_union(i, sub, idx):
+    """The preimage of a factor subset under the i-th projection: the union of its values' fibres."""
+    fibres = projection_fibres(i, idx)
+    return SubsetMask(idx.total, sum(fibres[d] for d in sub))
+
+
 class TestProjections:
     def test_preimage_examples(self):
-        from fprod.foundations import ProductIndexing
-
         idx = ProductIndexing((2, 2))
-        assert projection_preimage(0, mask(2, 0b11), idx).is_full
-        assert projection_preimage(0, mask(2, 0), idx).is_empty
-        got = projection_preimage(1, mask(2, 0b01), idx)
+        assert fibre_union(0, mask(2, 0b11), idx).is_full
+        assert fibre_union(0, mask(2, 0), idx).is_empty
+        got = fibre_union(1, mask(2, 0b01), idx)
         assert got.elements() == (0, 1)
-        got0 = projection_preimage(0, mask(2, 0b01), idx)
+        got0 = fibre_union(0, mask(2, 0b01), idx)
         assert got0.elements() == (0, 2)
+        idx = ProductIndexing((3, 1, 2))
+        for i, s in enumerate(idx.factor_sizes):
+            values = projection_map_oracle(i, idx)
+            for sub in range(1 << s):
+                oracle = SubsetMask.of(idx.total, (c for c, v in enumerate(values) if sub >> v & 1))
+                assert fibre_union(i, mask(s, sub), idx) == oracle
 
     def test_out_of_range_rejected(self):
-        from fprod.foundations import ProductIndexing
-
         with pytest.raises(InputError):
-            projection_preimage(2, mask(2, 0b01), ProductIndexing((2, 2)))
+            projection_fibres(2, ProductIndexing((2, 2)))
 
     def test_continuity_iff_trivial_filter(self):
         for k in (1, 2, 3):
@@ -521,10 +529,9 @@ class TestPointQueryClosedForms:
             sigmas, others = equalizers(spec), filter_different(spec)
             assert len(sigmas) == len(others) == idx.total
             for x in range(idx.total):
-                assert equalizer(spec, x) == equalizer_oracle(spec, x) == sigmas[x]
+                assert sigmas[x] == equalizer_oracle(spec, x)
                 for y in range(idx.total):
-                    got = different_by_filter(spec, x, y)
-                    assert got == different_by_filter_oracle(spec, x, y) == (y in others[x])
+                    assert (y in others[x]) == different_by_filter_oracle(spec, x, y)
                     pairs += 1
         assert pairs == 22764
 
@@ -536,7 +543,7 @@ class TestPointQueryClosedForms:
             spec = product_spec(factors, fil)
             sigmas = equalizers(spec)
             for x in range(81):
-                assert equalizer(spec, x) == equalizer_oracle(spec, x) == sigmas[x]
+                assert sigmas[x] == equalizer_oracle(spec, x)
 
     def test_all_points_queries_need_an_index_filter(self):
         spec = product_spec(discrete2_factors(2))
@@ -547,11 +554,6 @@ class TestPointQueryClosedForms:
 
     def test_range_checks(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
-        for bad in (-1, 4):
-            with pytest.raises(InputError):
-                equalizer(spec, bad)
-            with pytest.raises(InputError):
-                different_by_filter(spec, 0, bad)
         with pytest.raises(InputError):
             projection_fibres(2, spec.indexing)
         with pytest.raises(InputError):
@@ -561,12 +563,12 @@ class TestPointQueryClosedForms:
 class TestEqualizer:
     def test_whole_space_filter_pins_everything(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b11)))
-        for x in range(4):
-            assert equalizer(spec, x).elements() == (x,)
+        for x, sigma in enumerate(equalizers(spec)):
+            assert sigma.elements() == (x,)
 
     def test_pinned_first_coordinate(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
-        got = equalizer(spec, 0)
+        got = equalizers(spec)[0]
         # oracle: z agrees with (0,0) on a member of <{1}> iff z_0 = 0
         idx = spec.indexing
         oracle = tuple(
@@ -576,32 +578,31 @@ class TestEqualizer:
 
     def test_trivial_filter_gives_whole_product(self):
         spec = product_spec(discrete2_factors(2), trivial_filter(2))
-        assert equalizer(spec, 3).is_full
+        assert equalizers(spec)[3].is_full
 
     def test_dense_for_every_proper_filter(self):
         for k in (1, 2, 3):
             for fil in enumerate_filters(k, include_trivial=False):
                 spec = product_spec(discrete2_factors(k), fil)
                 t = f_topology(spec)
-                for x in range(spec.indexing.total):
-                    assert t.is_dense(equalizer(spec, x))
+                for sigma in equalizers(spec):
+                    assert t.is_dense(sigma)
 
     def test_disjoint_when_different_by_filter(self):
         for k in (1, 2, 3):
             for fil in enumerate_filters(k, include_trivial=False):
                 spec = product_spec(discrete2_factors(k), fil)
-                total = spec.indexing.total
-                sigmas = [equalizer(spec, x) for x in range(total)]
-                for x in range(total):
-                    for y in range(total):
-                        if different_by_filter(spec, x, y):
-                            assert (sigmas[x] & sigmas[y]).is_empty
+                sigmas = equalizers(spec)
+                for x, others in enumerate(filter_different(spec)):
+                    for y in others:
+                        assert (sigmas[x] & sigmas[y]).is_empty
 
-    def test_different_by_filter_examples(self):
+    def test_filter_different_examples(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
-        assert not different_by_filter(spec, 0, 0)
-        assert different_by_filter(spec, 0, 1)  # differ exactly at coordinate 1
-        assert not different_by_filter(spec, 0, 2)
+        others = filter_different(spec)[0]
+        assert 0 not in others
+        assert 1 in others  # differ exactly at coordinate 1
+        assert 2 not in others
 
 
 class TestFFilter:
@@ -635,7 +636,8 @@ class TestFFilter:
                     assert f_filter_base(spec) == oracle
                     cores = [f.filter.core.bits for f in factors]
                     sizes = spec.indexing.factor_sizes
-                    assert f_filter_core(fil.core.bits, cores, sizes) == ff.core.bits
+                    want = filter_cores_oracle(fil.core.bits, [[c] for c in cores], sizes)
+                    assert [ff.core.bits] == want
                     checked += 1
         assert checked == 11 * 2 + 11**2 * 4 + 11**3 * 8
 
@@ -706,13 +708,32 @@ class TestNeighborhoodIdentity:
         def refused(*args, **kwargs):
             raise AssertionError("P4.5 builds no product filter spec per point")
 
+        built, yielded = [], []
+        original_post_init, entry = ProductSpec.__post_init__, verifier._REGISTRY["P4.5"]
+
+        def counted_post_init(self):
+            built.append(self)
+            original_post_init(self)
+
+        def recorded_instances(grid):
+            for spec in entry.instances(grid):
+                yielded.append(spec)
+                yield spec
+
         monkeypatch.setattr(fproduct, "f_topology_base", counted_base)
         monkeypatch.setattr(verifier, "f_filter_cores", counted_cores)
         monkeypatch.setattr(verifier, "f_filter", refused)
-        monkeypatch.setattr(ProductSpec, "with_factors", refused)
+        monkeypatch.setattr(ProductSpec, "__post_init__", counted_post_init)
+        monkeypatch.setitem(
+            verifier._REGISTRY, "P4.5", dataclasses.replace(entry, instances=recorded_instances)
+        )
         grid = dataclasses.replace(default_grid("P4.5"), max_instances=40)
         report = verify_proposition("P4.5", grid)
         assert report.passed and len(bases) == report.checked == 40
+        # the only product specs built are the generator's: one per instance,
+        # plus the 41st that shows the grid goes on
+        assert yielded[:40] == bases and len(yielded) == 41
+        assert list(map(id, built)) == list(map(id, yielded))
         # one kernel call per instance, returning one core per point
         assert kernel_calls == [
             (spec.indexing.factor_sizes, spec.indexing.total) for spec in bases
@@ -761,8 +782,8 @@ class TestResolvability:
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
         t = f_topology(spec)
         x, y = 0, 1  # differ exactly at the pinned coordinate
-        assert different_by_filter(spec, x, y)
-        sx, sy = equalizer(spec, x), equalizer(spec, y)
+        assert y in filter_different(spec)[x]
+        sx, sy = equalizers(spec)[x], equalizers(spec)[y]
         assert (sx & sy).is_empty
         assert t.is_dense(sx) and t.is_dense(sy)
         witness = find_disjoint_dense(t, 2)

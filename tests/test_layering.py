@@ -77,3 +77,13 @@ def test_no_private_attribute_is_read_across_modules(module):
         if attr not in own and attr in others
     ]
     assert crossing == []
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    import fprod
+
+    exported = fprod.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(fprod, name)] == []
+    imported = {name for _, name in imported_names("__init__") if not name.startswith("_")}
+    assert imported == set(exported)

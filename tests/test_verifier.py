@@ -10,7 +10,6 @@ from fprod.filters import Filter, principal_filter, trivial_filter
 from fprod.foundations import InputError, SetFamily, SubsetMask
 from fprod.fproduct import (
     ProductSpec,
-    different_by_filter,
     f_filter,
     f_filter_via_base,
     f_topology,
@@ -290,6 +289,76 @@ class TestProjectionFaults:
         monkeypatch.setattr(fprod.verifier, "projection_fibres", swap_first_two_fibres(original))
         assert_fault_caught(monkeypatch, "P4.3", "smaller_filter_with_matching_projections")
 
+
+class TestOrderFaults:
+    """P2.3, P2.5 and P2.10 fail, with a replayable witness, when the order or
+    saturation test they read is broken."""
+
+    def test_p23_catches_a_topology_order_that_always_holds(self, monkeypatch):
+        monkeypatch.setattr(fprod.verifier, "topology_leq", lambda t1, t2: True)
+        assert_fault_caught(monkeypatch, "P2.3", "topology_leq")
+
+    def test_p25_catches_a_saturation_test_that_never_holds(self, monkeypatch):
+        monkeypatch.setattr(fprod.verifier, "is_saturated", lambda fil: False)
+        assert_fault_caught(
+            monkeypatch, "P2.5", "member_missing_each_point", "point_complements_are_members"
+        )
+
+    def test_p210_catches_a_topology_order_that_always_holds(self, monkeypatch):
+        monkeypatch.setattr(fprod.verifier, "topology_leq", lambda t1, t2: True)
+        assert_fault_caught(monkeypatch, "P2.10", "strictly_finer_topology_exists")
+
+
+class TestSeparationFaults:
+    """E2.9, P2.10's coarser-Hausdorff branch and P3.1's density branch fail, with a
+    replayable witness, when the product topology, the Hausdorff test or the
+    equalizers they read are broken."""
+
+    @staticmethod
+    def assert_e29_fault_caught(monkeypatch, detail_key):
+        # E2.9 exhibits its inseparable pair, so without the fault the replay
+        # passes with that pair as its detail; assert only the verdict there
+        report = verify_proposition("E2.9")
+        assert not report.passed and report.witness is not None
+        assert detail_key in report.witness["detail"]
+        ok, detail = replay_witness("E2.9", report.witness)
+        assert not ok and detail == report.witness["detail"]
+        monkeypatch.undo()
+        ok, _ = replay_witness("E2.9", report.witness)
+        assert ok
+
+    @staticmethod
+    def topology_under(monkeypatch, index_filter):
+        """Patch f_topology to build the product under index_filter(k) instead."""
+        original = fprod.verifier.f_topology
+
+        def faulty(spec):
+            k = spec.index_universe.size
+            return original(ProductSpec(spec.index_universe, spec.factors, index_filter(k)))
+
+        monkeypatch.setattr(fprod.verifier, "f_topology", faulty)
+
+    def test_e29_catches_a_product_topology_that_ignores_the_index_filter(self, monkeypatch):
+        self.topology_under(monkeypatch, trivial_filter)
+        self.assert_e29_fault_caught(monkeypatch, "hausdorff")
+
+    def test_e29_catches_a_product_topology_that_pins_the_wrong_index(self, monkeypatch):
+        self.topology_under(monkeypatch, lambda k: principal_filter(SubsetMask.of(k, [k - 1])))
+        self.assert_e29_fault_caught(monkeypatch, "pair_unexpectedly_separated")
+
+    def test_p210_catches_a_hausdorff_test_that_always_holds(self, monkeypatch):
+        monkeypatch.setattr(fprod.verifier.Topology, "is_hausdorff", lambda t: True)
+        assert_fault_caught(monkeypatch, "P2.10", "strictly_coarser_hausdorff_exists")
+
+    def test_p31_catches_equalizers_that_pin_every_coordinate(self, monkeypatch):
+        def singletons(spec):
+            total = spec.indexing.total
+            return [SubsetMask.singleton(total, x) for x in range(total)]
+
+        monkeypatch.setattr(fprod.verifier, "equalizers", singletons)
+        assert_fault_caught(monkeypatch, "P3.1", "non_dense_equalizer_at")
+
+
 def catalog_specs():
     """Every distinct product spec with an index filter that a default grid builds.
 
@@ -367,6 +436,11 @@ class TestHypothesisProbe:
         assert "overlapping_equalizers" in report.witness["detail"]
 
     def test_p31_witness_is_the_first_filter_different_pair(self, monkeypatch):
+        def differ_on_a_filter_member(spec, x, y):  # the definition, decoding both points
+            xs, ys = spec.indexing.decode_point(x), spec.indexing.decode_point(y)
+            differ = sum(1 << i for i, (a, b) in enumerate(zip(xs, ys)) if a != b)
+            return spec.index_filter.member_bits(differ)
+
         # with every equalizer the whole product, each filter-different pair
         # overlaps, so the witness is the first such pair in row-major order
         monkeypatch.setattr(
@@ -384,7 +458,7 @@ class TestHypothesisProbe:
                     (x, y)
                     for x in range(total)
                     for y in range(total)
-                    if different_by_filter(spec, x, y)
+                    if differ_on_a_filter_member(spec, x, y)
                 )
                 ok, detail = _p31_check(spec)
                 assert not ok
