@@ -26,6 +26,7 @@ from .foundations import (
     SubsetMask,
     Universe,
     shared_indexing,
+    walk_memoized,
 )
 from .topology import Topology, generate_topology, is_continuous
 from .uniformity import Relation, Uniformity, generate_uniformity
@@ -130,7 +131,8 @@ def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
     return SubsetMask.of(idx.total, map(idx.encode_point, itertools.product(*box.per_factor)))
 
 
-def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> list[int]:
+@walk_memoized
+def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> tuple[int, ...]:
     """For each product point x, in code order, the mask of the box with sides rows[i][x_i].
 
     Prefix sharing: the boxes over factors 0..i-1 are kept in code order, and
@@ -138,6 +140,7 @@ def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> 
     below 2**width, width being the prefix point count, so its shifted copies
     do not overlap and b * sum(1 << (c * width) for c in side) equals the OR
     of b << (c * width) over c in side: one multiply per box and level.
+    Inside a grid walk the result is shared, so callers pass tuples.
     """
     masks = [1]
     width = 1
@@ -155,10 +158,10 @@ def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> 
                 pats.append(pat)
         masks = [m * pat for pat in pats for m in masks]
         width *= size
-    return masks
+    return tuple(masks)
 
 
-def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> list[int]:
+def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """For each product point x, the box whole on the index-filter core and rows[i][x_i] elsewhere.
 
     With factor minimal neighbourhoods as rows this is the minimal
@@ -169,20 +172,32 @@ def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> list[int
     return f_filter_cores(core, rows, spec.indexing.factor_sizes)
 
 
+@walk_memoized
+def _choice_deltas(full_sides: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
+    """The delta bits of each side choice, in the order _point_boxes builds their masks.
+
+    full_sides[i][j] tells whether side j of factor i is the whole factor;
+    level i adds bit i to the choices with a full side i.
+    """
+    deltas = [0]
+    for i, fulls in enumerate(full_sides):
+        deltas = [d | (1 << i) if full else d for full in fulls for d in deltas]
+    return tuple(deltas)
+
+
 def _accepted_choices(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], member, items):
     """The items of the side choices whose delta bits `member` accepts.
 
     The one box enumerator: the definitional box bases of the product
     topology, filter and uniformity all walk it. items holds one entry per
     side choice in the order _point_boxes(side_lists, factor_sizes) builds
-    their masks, list 0 varying fastest; the deltas are built level by level
-    in that order, level i adding bit i to the choices with a full side i.
+    their masks, list 0 varying fastest. The deltas depend only on which
+    sides are full, so a walk shares them across side lists of one shape.
     """
-    deltas = [0]
-    for i, (sides, size) in enumerate(zip(side_lists, factor_sizes)):
-        full = (1 << size) - 1
-        deltas = [d | (1 << i) if side == full else d for side in sides for d in deltas]
-    return [item for item, d in zip(items, deltas) if member(d)]
+    full_sides = tuple(
+        tuple(side == (1 << size) - 1 for side in sides) for sides, size in zip(side_lists, factor_sizes)
+    )
+    return [item for item, d in zip(items, _choice_deltas(full_sides)) if member(d)]
 
 
 def _factor_parts(spec: ProductSpec, attr: str, product: str, need: str | None = None) -> list:
@@ -211,7 +226,8 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
     """
     member = _delta_member(spec, delta_family)
     idx = spec.indexing
-    opens = [[b for b in t.opens().bits if b] for t in _factor_parts(spec, "topology", "topology")]
+    # bits[0] is the empty open set, the least member
+    opens = tuple(t.opens().bits[1:] for t in _factor_parts(spec, "topology", "topology"))
     masks = _accepted_choices(opens, idx.factor_sizes, member, _point_boxes(opens, idx.factor_sizes))
     return SetFamily(idx.total, sorted(set(masks)))
 
@@ -228,8 +244,8 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     """
     if delta_family is not None:
         return generate_topology(f_topology_base(spec, delta_family))
-    rows = [t.mins for t in _factor_parts(spec, "topology", "topology")]
-    return Topology(spec.indexing.total, tuple(_minimal_boxes(spec, rows)))
+    rows = tuple(t.mins for t in _factor_parts(spec, "topology", "topology"))
+    return Topology.of(spec.indexing.total, _minimal_boxes(spec, rows))
 
 
 def f_topology_via_base(spec: ProductSpec) -> Topology:
@@ -259,7 +275,7 @@ def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
     core = spec._require_index_filter().core
     idx = spec.indexing
     sizes = idx.factor_sizes
-    rows = [[core_side(a, s) for a in range(s)] for s in sizes]
+    rows = tuple(tuple(core_side(a, s) for a in range(s)) for s in sizes)
     boxes = f_filter_cores(core.complement().bits, rows, sizes)
     return [SubsetMask(idx.total, m) for m in boxes]
 
@@ -294,24 +310,24 @@ def f_filter_base(spec: ProductSpec) -> SetFamily:
     """Point sets of all boxes of factor-filter members whose delta is accepted."""
     member = spec._require_index_filter().member_bits
     idx = spec.indexing
-    members = [f.members().bits for f in _factor_filters(spec)]
+    members = tuple(f.members().bits for f in _factor_filters(spec))
     masks = _accepted_choices(members, idx.factor_sizes, member, _point_boxes(members, idx.factor_sizes))
     return SetFamily(idx.total, sorted(set(masks)))
 
 
 def f_filter_cores(
     index_core: int, core_rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]
-) -> list[int]:
+) -> tuple[int, ...]:
     """The product filter's core for each choice of one core per factor from core_rows.
 
     Each is the box whole on the index core and the chosen factor cores
     elsewhere; choices run in code order as in _point_boxes, row 0 fastest.
     """
-    sides = [
-        [(1 << s) - 1] * len(row) if index_core >> i & 1 else row
+    sides = tuple(
+        ((1 << s) - 1,) * len(row) if index_core >> i & 1 else tuple(row)
         for i, (row, s) in enumerate(zip(core_rows, factor_sizes))
-    ]
-    return _point_boxes(sides, factor_sizes)
+    )
+    return _point_boxes(sides, tuple(factor_sizes))
 
 
 def f_filter(spec: ProductSpec) -> Filter:
@@ -322,7 +338,7 @@ def f_filter(spec: ProductSpec) -> Filter:
     """
     index_core = spec._require_index_filter().core.bits
     idx = spec.indexing
-    cores = [[ff.core.bits] for ff in _factor_filters(spec)]
+    cores = tuple((ff.core.bits,) for ff in _factor_filters(spec))
     (core,) = f_filter_cores(index_core, cores, idx.factor_sizes)
     return principal_filter(SubsetMask(idx.total, core))
 
@@ -352,13 +368,13 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     squared_indexing(idx)  # enforces the squared-size cap
     sizes = idx.factor_sizes
     bases = _factor_parts(spec, "uniformity_base", "uniformity", "uniformity base")
-    member_lists = [sorted({*base.bits, (1 << (s * s)) - 1}) for s, base in zip(sizes, bases)]
+    member_lists = tuple(tuple(sorted({*base.bits, (1 << (s * s)) - 1})) for s, base in zip(sizes, bases))
     row_lists = [
         [Relation(s, SubsetMask(s * s, m)).rows() for m in members]
         for s, members in zip(sizes, member_lists)
     ]
     choices = [c[::-1] for c in itertools.product(*reversed(row_lists))]  # list 0 varies fastest
-    accepted = _accepted_choices(member_lists, [s * s for s in sizes], fil.member_bits, choices)
+    accepted = _accepted_choices(member_lists, tuple(s * s for s in sizes), fil.member_bits, choices)
     relations = (Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in accepted)
     return SetFamily(total * total, sorted(set(relations)))
 
@@ -373,5 +389,5 @@ def f_uniformity(spec: ProductSpec) -> Uniformity:
     """
     idx = spec.indexing
     squared_indexing(idx)  # enforces the squared-size cap
-    rows = [u.rows for u in _factor_parts(spec, "uniformity", "uniformity", "uniformity base")]
+    rows = tuple(u.rows for u in _factor_parts(spec, "uniformity", "uniformity", "uniformity base"))
     return Uniformity(idx.total, _minimal_boxes(spec, rows))

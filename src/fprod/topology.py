@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .filters import Filter, principal_filter
-from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, check_fibres
+from .foundations import (
+    InputError,
+    ResourceLimitError,
+    SetFamily,
+    SubsetMask,
+    check_fibres,
+    walk_memoized,
+)
 
 _OPENS_CAP = 20  # union closures approach 2**n members
 _ENUM_CAP = 4
@@ -103,6 +110,19 @@ class Topology:
         if not _is_transitive(self.mins):
             raise InputError("minimal neighbourhoods are not transitive")
 
+    @classmethod
+    def of(cls, universe_size: int, mins: Sequence[int]) -> "Topology":
+        """The topology with these minimal neighbourhoods, validated as the constructor does.
+
+        Inside a grid walk (foundations.grid_walk) each distinct vector is
+        built and validated once, and equal vectors give the same object.
+        """
+        return _shared_topology(universe_size, tuple(mins))
+
+    @cached_property
+    def _distinct_mins(self) -> tuple[int, ...]:
+        return tuple(dict.fromkeys(self.mins))
+
     @property
     def base(self) -> SetFamily:
         """The smallest base: the distinct minimal neighbourhoods, in canonical order."""
@@ -159,7 +179,13 @@ class Topology:
         """The set meets every minimal neighbourhood, hence every nonempty open set."""
         if mask.universe_size != self.universe_size:
             raise InputError("density query on the wrong universe")
-        return all(mask.bits & m for m in self.mins)
+        bits = mask.bits
+        return all(bits & m for m in self._distinct_mins)
+
+
+@walk_memoized
+def _shared_topology(universe_size: int, mins: tuple[int, ...]) -> Topology:
+    return Topology(universe_size, mins)
 
 
 def generate_topology(base: SetFamily) -> Topology:
@@ -168,7 +194,7 @@ def generate_topology(base: SetFamily) -> Topology:
     meets = _point_meets(n, base.bits)
     if not all(base.contains_bits(m) for m in meets):
         raise InputError("family is not a topology base")
-    return Topology(n, tuple(meets))
+    return Topology.of(n, meets)
 
 
 def topology_leq(t1: Topology, t2: Topology) -> bool:
@@ -215,7 +241,7 @@ def subspace(t: Topology, carrier: SubsetMask) -> Topology:
     for old in elems:
         m = t.mins[old]
         traces.append(sum(1 << new for new, e in enumerate(elems) if m >> e & 1))
-    return Topology(len(elems), tuple(traces))
+    return Topology.of(len(elems), traces)
 
 
 def find_disjoint_dense(t: Topology, n: int) -> tuple[SubsetMask, ...] | None:
@@ -230,7 +256,7 @@ def find_disjoint_dense(t: Topology, n: int) -> tuple[SubsetMask, ...] | None:
     size = t.universe_size
     if size > 16:
         raise ResourceLimitError("disjoint-dense search capped at 16 points")
-    neighbourhoods = set(t.mins)
+    neighbourhoods = t._distinct_mins
 
     def dense(bits: int) -> bool:
         return all(bits & m for m in neighbourhoods)

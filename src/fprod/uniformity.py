@@ -194,7 +194,7 @@ def induced_topology(u: Uniformity) -> Topology:
     The rows of the minimal entourage (the minimal balls) are the minimal
     neighbourhoods; they partition the space, because it is an equivalence.
     """
-    return Topology(u.point_count, u.rows)
+    return Topology.of(u.point_count, u.rows)
 
 
 def is_uniformly_continuous(fibres: Sequence[int], u_dom: Uniformity, u_cod: Uniformity) -> bool:

@@ -33,6 +33,7 @@ from .foundations import (
     SetFamily,
     SubsetMask,
     Universe,
+    grid_walk,
     is_intersection_closed,
 )
 from .fproduct import (
@@ -858,17 +859,18 @@ def _run(entry: _Entry, grid: InstanceGrid | None) -> PropositionReport:
     checked = 0
     passed, complete = True, True
     witness: dict | None = None  # the first failure, else the first exhibit
-    for inst in entry.instances(grid):
-        if grid.max_instances is not None and checked >= grid.max_instances:
-            complete = False
-            break
-        ok, detail = entry.check(inst)
-        checked += 1
-        if not ok or (detail is not None and witness is None):
-            witness = {**_encode(inst), "detail": detail}
-        if not ok:
-            passed = False
-            break
+    with grid_walk():  # the walk's instances share repeated product work
+        for inst in entry.instances(grid):
+            if grid.max_instances is not None and checked >= grid.max_instances:
+                complete = False
+                break
+            ok, detail = entry.check(inst)
+            checked += 1
+            if not ok or (detail is not None and witness is None):
+                witness = {**_encode(inst), "detail": detail}
+            if not ok:
+                passed = False
+                break
     return PropositionReport(
         prop_id=entry.check_id,
         description=entry.description,

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fprod import foundations
 from fprod.foundations import (
+    WALK_MEMO_BOUND,
     InputError,
     ProductIndexing,
     ResourceLimitError,
@@ -12,7 +14,9 @@ from fprod.foundations import (
     SubsetMask,
     Universe,
     canonicalize,
+    grid_walk,
     is_intersection_closed,
+    walk_memoized,
 )
 
 
@@ -180,6 +184,17 @@ class TestSubsetMask:
         assert m.elements() == (0, 3)
         assert len(m) == 2
 
+    def test_iteration_matches_the_positional_definition(self):
+        def positional(m):
+            return [i for i in range(m.universe_size) if m.bits >> i & 1]
+
+        masks = [SubsetMask(n, bits) for n in range(1, 11) for bits in range(1 << n)]
+        rng = random.Random(81)
+        masks += [SubsetMask(81, rng.getrandbits(81)) for _ in range(2000)]
+        masks += [SubsetMask(81, (1 << 81) - 1), SubsetMask(81, 1 << 80), SubsetMask(81, 1 << 64)]
+        for m in masks:
+            assert list(m) == positional(m)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(InputError):
             SubsetMask.of(2, [0]) | SubsetMask.of(3, [0])
@@ -226,3 +241,80 @@ class TestIntersectionClosed:
             if ok:
                 closed.append(fam_bits)
         assert len(closed) == 7
+
+
+class TestGridWalk:
+    """walk_memoized shares results inside grid_walk() and keeps nothing outside it."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        @walk_memoized
+        def memo(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return memo, calls
+
+    @staticmethod
+    def table_sizes():
+        tables = foundations._walk.tables
+        return None if tables is None else [t.cache_info().currsize for t in tables.values()]
+
+    def test_outside_a_walk_every_call_computes_and_nothing_is_kept(self):
+        square, calls = self.counted(lambda x: (x * x,))
+        assert square(3) == square(3) == (9,)
+        assert len(calls) == 2
+        assert self.table_sizes() is None
+
+    def test_inside_a_walk_each_distinct_argument_is_computed_once(self):
+        square, calls = self.counted(lambda x: (x * x,))
+        with grid_walk():
+            first = square(3)
+            assert square(3) is first
+            assert square(4) == (16,)
+            assert self.table_sizes() == [2]
+        assert calls == [(3,), (4,)]
+        assert self.table_sizes() is None
+
+    def test_a_table_keeps_at_most_the_bound(self):
+        ident, calls = self.counted(lambda x: x)
+        with grid_walk():
+            for x in range(WALK_MEMO_BOUND + 10):
+                ident(x)
+            assert self.table_sizes() == [WALK_MEMO_BOUND]
+            ident(0)  # evicted first, so computed again
+        assert len(calls) == WALK_MEMO_BOUND + 11
+
+    def test_errors_are_never_memoized(self):
+        def reject(x):
+            raise InputError(f"bad {x}")
+
+        bad, calls = self.counted(reject)
+        with grid_walk():
+            for _ in range(3):
+                with pytest.raises(InputError):
+                    bad(1)
+        assert calls == [(1,)] * 3
+
+    def test_tables_are_emptied_when_the_walk_raises(self):
+        ident, _ = self.counted(lambda x: x)
+        with pytest.raises(RuntimeError):
+            with grid_walk():
+                ident(1)
+                tables = foundations._walk.tables
+                raise RuntimeError("check failed")
+        assert tables == {} and self.table_sizes() is None
+
+    def test_a_nested_walk_has_its_own_tables_and_restores_the_enclosing_ones(self):
+        ident, calls = self.counted(lambda x: x)
+        with grid_walk():
+            ident(1)
+            with grid_walk():
+                ident(1)
+                ident(2)
+                assert self.table_sizes() == [2]
+            ident(1)
+            assert self.table_sizes() == [1]
+        assert calls == [(1,), (1,), (2,)]

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from fprod import fproduct
+from fprod import foundations, fproduct
 from fprod.cli import main
 from fprod.filters import principal_filter, trivial_filter
 from fprod.foundations import (
@@ -17,6 +17,7 @@ from fprod.foundations import (
     SetFamily,
     SubsetMask,
     Universe,
+    grid_walk,
     map_fibres,
     shared_indexing,
 )
@@ -195,7 +196,7 @@ class TestBoxKernel:
         idx = ProductIndexing(sizes)
         for sides in itertools.product(*(range(1 << s) for s in sizes)):
             oracle = box_oracle(sides, sizes)
-            assert _point_boxes([[side] for side in sides], sizes) == [oracle]
+            assert list(_point_boxes([[side] for side in sides], sizes)) == [oracle]
             assert box_to_pointset(Box(tuple(map(mask, sizes, sides))), idx).bits == oracle
 
 
@@ -214,7 +215,7 @@ class TestPointBoxKernel:
         for sizes in size_tuples:
             per_factor = [list(itertools.product(range(1 << s), repeat=s)) for s in sizes]
             for rows in itertools.product(*per_factor):
-                assert _point_boxes(rows, sizes) == point_boxes_oracle(rows, sizes)
+                assert list(_point_boxes(rows, sizes)) == point_boxes_oracle(rows, sizes)
                 checked += 1
         assert checked == 2 + 16 + (4 + 2 * 32 + 256) + (8 + 3 * 64 + 3 * 512 + 4096) + 512 * 16
 
@@ -223,14 +224,22 @@ class TestPointBoxKernel:
         saw_empty = saw_size_one = False
         for _ in range(400):
             sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
-            rows = [
-                [0 if rng.random() < 0.1 else rng.randrange(1 << s) for _ in range(s)]
+            rows = tuple(
+                tuple(0 if rng.random() < 0.1 else rng.randrange(1 << s) for _ in range(s))
                 for s in sizes
-            ]
+            )
             saw_empty |= any(0 in r for r in rows)
             saw_size_one |= 1 in sizes
-            assert _point_boxes(rows, sizes) == point_boxes_oracle(rows, sizes)
+            assert list(_point_boxes(rows, sizes)) == point_boxes_oracle(rows, sizes)
         assert saw_empty and saw_size_one
+
+    def test_same_grids_inside_a_grid_walk(self):
+        with grid_walk():
+            for _ in range(2):  # the second round's answers come from the walk's memo
+                self.test_seeded_random_rows()
+            table = foundations._walk.tables[_point_boxes.__wrapped__]
+            assert table.cache_info().hits >= 400
+            self.test_every_row_choice_on_small_sizes()  # more inputs than the bound: evicts
 
 
 def box_base_oracle(side_lists, idx, member):
@@ -281,9 +290,9 @@ class TestBoxBasesAgainstTheBoxRoute:
             rows = [list(range(1 << s)) for s in sizes]  # every core, any count per factor
             for index_core in range(1 << len(sizes)):
                 want = filter_cores_oracle(index_core, rows, sizes)
-                assert f_filter_cores(index_core, rows, sizes) == want
+                assert list(f_filter_cores(index_core, rows, sizes)) == want
                 cores = [[r[-1]] for r in rows]  # one core per factor, as f_filter takes them
-                assert f_filter_cores(index_core, cores, sizes) == [want[-1]]
+                assert list(f_filter_cores(index_core, cores, sizes)) == [want[-1]]
 
 
 class TestProductSpecIndexing:
@@ -322,6 +331,16 @@ class TestProductSpecIndexing:
             spec.indexing
         monkeypatch.delenv("FPROD_MAX_PRODUCT")
         assert spec.indexing is shared_indexing((2, 2, 2))
+
+    def test_cap_fires_before_the_walk_memo_is_read(self, monkeypatch):
+        with grid_walk():
+            first = f_topology(product_spec(discrete2_factors(3), trivial_filter(3)))
+            monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
+            again = product_spec(discrete2_factors(3), trivial_filter(3))
+            with pytest.raises(ResourceLimitError):
+                f_topology(again)
+            monkeypatch.delenv("FPROD_MAX_PRODUCT")
+            assert f_topology(again) is first
 
     def test_squared_indexing_is_shared(self, monkeypatch):
         idx = shared_indexing((2, 2))

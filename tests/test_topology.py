@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fprod.filters import principal_filter
-from fprod.foundations import InputError, SetFamily, SubsetMask, map_fibres
+from fprod.foundations import InputError, SetFamily, SubsetMask, grid_walk, map_fibres
 from fprod.topology import (
     Topology,
     discrete,
@@ -135,6 +135,21 @@ class TestRepresentation:
     def test_rejects_a_vector_that_is_not_a_preorder(self, n, mins):
         with pytest.raises(InputError):
             Topology(n, mins)
+        with grid_walk():  # errors are never memoized: every call raises
+            for _ in range(2):
+                with pytest.raises(InputError):
+                    Topology.of(n, mins)
+
+    def test_equal_vectors_give_one_object_inside_a_walk_only(self):
+        mins = (0b01, 0b11)
+        with grid_walk():
+            shared = Topology.of(2, mins)
+            assert Topology.of(2, list(mins)) is shared
+            assert generate_topology(fam(2, 0b01, 0b11)) is shared
+            assert subspace(shared, SubsetMask.full(2)) is shared
+        outside = Topology.of(2, mins)
+        assert outside == shared and outside is not shared
+        assert Topology.of(2, mins) is not outside
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_smallest_base_generates_the_same_topology(self, n):

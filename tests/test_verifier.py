@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -6,6 +7,7 @@ import pytest
 
 import fprod.fproduct
 import fprod.verifier
+from fprod import foundations
 from fprod.filters import Filter, principal_filter, trivial_filter
 from fprod.foundations import InputError, SetFamily, SubsetMask
 from fprod.fproduct import (
@@ -501,6 +503,60 @@ class TestBudget:
         )
         report = verify_proposition("P2.3", grid)
         assert report.complete and report.checked == 16
+
+
+class TestGridWalkMemo:
+    """A walk shares repeated product work, and that changes no report and outlives no walk."""
+
+    @pytest.mark.parametrize("check_id", sorted(_REGISTRY))
+    def test_default_report_matches_a_run_without_the_memo(self, check_id, monkeypatch):
+        run = search_counterexample if _REGISTRY[check_id].claim else verify_proposition
+        shared = run(check_id).to_dict()
+        monkeypatch.setattr(fprod.verifier, "grid_walk", contextlib.nullcontext)
+        alone = run(check_id).to_dict()
+        for key in ("passed", "checked", "complete", "witness"):
+            assert shared[key] == alone[key], key
+
+    @staticmethod
+    def spy_on_the_memo(monkeypatch, check_id, raise_at=None):
+        """Wrap the entry's check to record, after each instance, the walk's tables and entry count."""
+        entry = _REGISTRY[check_id]
+        seen = []
+
+        def check(inst):
+            if len(seen) == raise_at:
+                raise RuntimeError("check raised")
+            verdict = entry.check(inst)
+            tables = foundations._walk.tables
+            seen.append((tables, sum(t.cache_info().currsize for t in tables.values())))
+            return verdict
+
+        monkeypatch.setitem(_REGISTRY, check_id, dataclasses.replace(entry, check=check))
+        return seen
+
+    @staticmethod
+    def assert_dropped(seen):
+        tables, _ = seen[-1]
+        assert max(entries for _, entries in seen) > 0  # the walk did share work
+        assert tables == {}
+        assert foundations._walk.tables is None
+
+    def test_memo_is_dropped_when_the_budget_runs_out(self, monkeypatch):
+        seen = self.spy_on_the_memo(monkeypatch, "P2.3")
+        grid = dataclasses.replace(default_grid("P2.3"), max_instances=3)
+        assert not verify_proposition("P2.3", grid).complete
+        self.assert_dropped(seen)
+
+    def test_memo_is_dropped_when_an_instance_fails(self, monkeypatch):
+        seen = self.spy_on_the_memo(monkeypatch, "hausdorff-for-all-filters")
+        assert not search_counterexample("hausdorff-for-all-filters").passed
+        self.assert_dropped(seen)
+
+    def test_memo_is_dropped_when_a_check_raises(self, monkeypatch):
+        seen = self.spy_on_the_memo(monkeypatch, "P2.3", raise_at=5)
+        with pytest.raises(RuntimeError, match="check raised"):
+            verify_proposition("P2.3")
+        self.assert_dropped(seen)
 
 
 class TestCatalog:
