@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -19,21 +18,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed a configured size cap."""
-
-
-def product_cap() -> int:
-    """Cap on the number of points of a product; FPROD_MAX_PRODUCT overrides the default."""
-    raw = os.environ.get("FPROD_MAX_PRODUCT")
-    if raw is None:
-        return DEFAULT_MAX_PRODUCT
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"FPROD_MAX_PRODUCT is not an integer: {raw!r}") from None
-    if cap < 1:
-        raise InputError("FPROD_MAX_PRODUCT must be positive")
-    return cap
+    """An operation would exceed a size cap."""
 
 
 @dataclass(frozen=True)
@@ -276,9 +261,8 @@ class ProductIndexing:
         for size in self.factor_sizes:
             weights.append(total)
             total *= size
-        cap = product_cap()
-        if total > cap:
-            raise ResourceLimitError(f"product size {total} exceeds cap {cap}")
+        if total > DEFAULT_MAX_PRODUCT:
+            raise ResourceLimitError(f"product size {total} exceeds cap {DEFAULT_MAX_PRODUCT}")
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "weights", tuple(weights))
 
@@ -316,13 +300,11 @@ class ProductIndexing:
 
 
 def shared_indexing(factor_sizes: Iterable[int]) -> ProductIndexing:
-    """The one ProductIndexing of these factor sizes; the size cap is read on every call."""
-    return _indexing(tuple(factor_sizes), product_cap())
+    """The one ProductIndexing of these factor sizes, keyed by their tuple."""
+    return _cached_indexing(tuple(factor_sizes))
 
 
-@lru_cache(maxsize=256)  # a grid has a few dozen size tuples; eviction only costs a rebuild
-def _indexing(factor_sizes: tuple[int, ...], cap: int) -> ProductIndexing:
-    return ProductIndexing(factor_sizes)  # cap is in the key: a lowered cap builds anew, and raises
+_cached_indexing = lru_cache(maxsize=256)(ProductIndexing)  # a grid has a few dozen size tuples
 
 
 def map_fibres(f_map: Sequence[int], cod_size: int) -> tuple[int, ...]:

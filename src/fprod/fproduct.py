@@ -66,7 +66,7 @@ class ProductSpec:
     index_universe: Universe
     factors: tuple[Factor, ...]
     index_filter: Filter | None = None
-    _indexing: ProductIndexing | None = field(default=None, init=False, repr=False, compare=False)
+    _indexing: ProductIndexing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -77,14 +77,12 @@ class ProductSpec:
             and self.index_filter.universe_size != self.index_universe.size
         ):
             raise InputError("index filter lives on the wrong universe")
+        # built here, so a spec over the product size cap cannot exist
+        object.__setattr__(self, "_indexing", shared_indexing(f.universe.size for f in self.factors))
 
     @property
     def indexing(self) -> ProductIndexing:
-        # write-once cache, filled on first access so the size cap fires there
-        if self._indexing is None:
-            idx = shared_indexing(f.universe.size for f in self.factors)
-            object.__setattr__(self, "_indexing", idx)
-        return self._indexing  # type: ignore[return-value]
+        return self._indexing
 
     def _require_index_filter(self) -> Filter:
         if self.index_filter is None:
@@ -169,7 +167,7 @@ def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> tuple[in
     minimal entourages it is the row of x in the product's minimal entourage.
     """
     core = spec._require_index_filter().core.bits  # empty when the filter is trivial
-    return f_filter_cores(core, rows, spec.indexing.factor_sizes)
+    return f_filter_cores(core, rows, spec.indexing)
 
 
 @walk_memoized
@@ -274,9 +272,8 @@ def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
     """For each product point x, the box core_side(x_i, s_i) on the index-filter core, whole elsewhere."""
     core = spec._require_index_filter().core
     idx = spec.indexing
-    sizes = idx.factor_sizes
-    rows = tuple(tuple(core_side(a, s) for a in range(s)) for s in sizes)
-    boxes = f_filter_cores(core.complement().bits, rows, sizes)
+    rows = tuple(tuple(core_side(a, s) for a in range(s)) for s in idx.factor_sizes)
+    boxes = f_filter_cores(core.complement().bits, rows, idx)
     return [SubsetMask(idx.total, m) for m in boxes]
 
 
@@ -316,18 +313,27 @@ def f_filter_base(spec: ProductSpec) -> SetFamily:
 
 
 def f_filter_cores(
-    index_core: int, core_rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]
+    index_core: int, core_rows: Sequence[Sequence[int]], idx: ProductIndexing
 ) -> tuple[int, ...]:
     """The product filter's core for each choice of one core per factor from core_rows.
 
     Each is the box whole on the index core and the chosen factor cores
     elsewhere; choices run in code order as in _point_boxes, row 0 fastest.
+    InputError unless there is one row per factor, every side lies in its
+    factor and index_core in the index set.
     """
+    sizes = idx.factor_sizes
+    if len(core_rows) != len(sizes):
+        raise InputError(f"expected {len(sizes)} core rows, one per factor, got {len(core_rows)}")
+    if index_core >> len(sizes):
+        raise InputError(f"index core {index_core:#x} out of range for {len(sizes)} indexes")
+    if any(side >> s for row, s in zip(core_rows, sizes) for side in row):
+        raise InputError("a factor core has points outside its factor")
     sides = tuple(
         ((1 << s) - 1,) * len(row) if index_core >> i & 1 else tuple(row)
-        for i, (row, s) in enumerate(zip(core_rows, factor_sizes))
+        for i, (row, s) in enumerate(zip(core_rows, sizes))
     )
-    return _point_boxes(sides, tuple(factor_sizes))
+    return _point_boxes(sides, sizes)
 
 
 def f_filter(spec: ProductSpec) -> Filter:
@@ -339,7 +345,7 @@ def f_filter(spec: ProductSpec) -> Filter:
     index_core = spec._require_index_filter().core.bits
     idx = spec.indexing
     cores = tuple((ff.core.bits,) for ff in _factor_filters(spec))
-    (core,) = f_filter_cores(index_core, cores, idx.factor_sizes)
+    (core,) = f_filter_cores(index_core, cores, idx)
     return principal_filter(SubsetMask(idx.total, core))
 
 
@@ -364,19 +370,18 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     """
     fil = spec._require_index_filter()
     idx = spec.indexing
-    total = idx.total
-    squared_indexing(idx)  # enforces the squared-size cap
     sizes = idx.factor_sizes
+    pair_sizes = squared_indexing(idx).factor_sizes  # enforces the squared-size cap
     bases = _factor_parts(spec, "uniformity_base", "uniformity", "uniformity base")
-    member_lists = tuple(tuple(sorted({*base.bits, (1 << (s * s)) - 1})) for s, base in zip(sizes, bases))
+    member_lists = tuple(tuple(sorted({*base.bits, (1 << p) - 1})) for p, base in zip(pair_sizes, bases))
     row_lists = [
-        [Relation(s, SubsetMask(s * s, m)).rows() for m in members]
-        for s, members in zip(sizes, member_lists)
+        [Relation(s, SubsetMask(p, m)).rows() for m in members]
+        for s, p, members in zip(sizes, pair_sizes, member_lists)
     ]
     choices = [c[::-1] for c in itertools.product(*reversed(row_lists))]  # list 0 varies fastest
-    accepted = _accepted_choices(member_lists, tuple(s * s for s in sizes), fil.member_bits, choices)
+    accepted = _accepted_choices(member_lists, pair_sizes, fil.member_bits, choices)
     relations = (Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in accepted)
-    return SetFamily(total * total, sorted(set(relations)))
+    return SetFamily(idx.total * idx.total, sorted(set(relations)))
 
 
 def f_uniformity(spec: ProductSpec) -> Uniformity:

@@ -128,6 +128,8 @@ class InstanceGrid:
         object.__setattr__(self, "named_filters", tuple(self.named_filters))
         if not self.index_sizes or any(k < 1 for k in self.index_sizes):
             raise InputError("index sizes must be positive")
+        if self.factor_universe_max < 1:
+            raise InputError("factor size must be at least 1")
         if self.max_instances is not None and self.max_instances < 1:
             raise InputError("instance budget must be positive")
 
@@ -474,7 +476,7 @@ def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     t = f_topology_via_base(spec)
     assert spec.index_filter is not None
     rows = [f.topology.mins for f in spec.factors]  # type: ignore[union-attr]
-    cores = f_filter_cores(spec.index_filter.core.bits, rows, spec.indexing.factor_sizes)
+    cores = f_filter_cores(spec.index_filter.core.bits, rows, spec.indexing)
     for code, (got, want) in enumerate(zip(t.mins, cores)):
         if got != want:
             return False, {

@@ -144,6 +144,28 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err.startswith("error: input:") and field in err
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    @pytest.mark.parametrize("prop", ["P2.7", "P2.8", "P4.5", "P2.10"])
+    def test_two_on_a_factor_size_below_one(self, capsys, prop, size):
+        # no factor choices would mean no instances, and a vacuous pass
+        code, out, err = run(capsys, "verify", "--prop", prop, "--factor-size", size)
+        assert code == 2 and out == ""
+        assert err == "error: input: factor size must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--index-size", "0"), "index sizes must be positive"),
+            (("--budget", "0"), "instance budget must be positive"),
+            (("--filters", ","), "empty named filter entry ','"),
+            (("--filters", ";"), "filter source 'named' needs at least one named filter"),
+        ],
+    )
+    def test_two_on_a_malformed_grid(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", "--prop", "P2.8", *flags)
+        assert code == 2 and out == ""
+        assert err == f"error: input: {message}\n"
+
     def test_factors_flag_fixes_the_enumerated_factors(self, capsys):
         for prop, factors, checked in (("P2.8", "sierpinski", 1), ("P4.5", "discrete2", 4)):
             code, out, _ = run(capsys, "verify", "--prop", prop, "--factors", factors, "--json")

@@ -290,9 +290,24 @@ class TestBoxBasesAgainstTheBoxRoute:
             rows = [list(range(1 << s)) for s in sizes]  # every core, any count per factor
             for index_core in range(1 << len(sizes)):
                 want = filter_cores_oracle(index_core, rows, sizes)
-                assert list(f_filter_cores(index_core, rows, sizes)) == want
+                assert list(f_filter_cores(index_core, rows, shared_indexing(sizes))) == want
                 cores = [[r[-1]] for r in rows]  # one core per factor, as f_filter takes them
-                assert list(f_filter_cores(index_core, cores, sizes)) == [want[-1]]
+                assert list(f_filter_cores(index_core, cores, shared_indexing(sizes))) == [want[-1]]
+
+    @pytest.mark.parametrize(
+        "index_core, rows, sizes",
+        [
+            (0, [[1], [1]], (2, 2, 2)),  # a factor without a row
+            (0, [[1], [1], [1]], (2, 2)),  # a row without a factor
+            (0, [[7]], (2,)),  # a side outside its 2-point factor
+            (0, [[1], [-1]], (2, 2)),  # a negative side
+            (0b100, [[1], [1]], (2, 2)),  # an index outside the index set
+        ],
+        ids=["missing-row", "extra-row", "wide-side", "negative-side", "wide-core"],
+    )
+    def test_filter_cores_reject_rows_or_core_off_the_indexing(self, index_core, rows, sizes):
+        with pytest.raises(InputError):
+            f_filter_cores(index_core, rows, shared_indexing(sizes))
 
 
 class TestProductSpecIndexing:
@@ -309,11 +324,10 @@ class TestProductSpecIndexing:
         assert other == product_spec(sierpinski_factors(3), principal_filter(mask(3, 0b010)))
         assert other.indexing is spec.indexing
 
-    def test_cap_fires_on_first_access(self, monkeypatch):
-        monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
-        spec = product_spec(discrete2_factors(3), trivial_filter(3))
-        with pytest.raises(ResourceLimitError):
-            spec.indexing
+    def test_cap_fires_when_the_spec_is_built(self):
+        # 2**13 = 8,192 points, twice the cap
+        with pytest.raises(ResourceLimitError, match="product size 8192 exceeds cap 4096"):
+            product_spec(discrete2_factors(13), trivial_filter(13))
 
     def test_specs_of_equal_factor_sizes_share_one_indexing(self):
         spec = product_spec(discrete2_factors(3), trivial_filter(3))
@@ -323,31 +337,19 @@ class TestProductSpecIndexing:
         assert mixed.indexing is shared_indexing([3, 2])
         assert mixed.indexing is not shared_indexing((2, 3))
 
-    def test_cap_fires_on_first_access_of_seen_sizes(self, monkeypatch):
-        assert product_spec(discrete2_factors(3), trivial_filter(3)).indexing.total == 8
-        monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
-        spec = product_spec(discrete2_factors(3), trivial_filter(3))
-        with pytest.raises(ResourceLimitError):
-            spec.indexing
-        monkeypatch.delenv("FPROD_MAX_PRODUCT")
-        assert spec.indexing is shared_indexing((2, 2, 2))
-
-    def test_cap_fires_before_the_walk_memo_is_read(self, monkeypatch):
+    def test_cap_fires_before_the_walk_memo_is_read(self):
         with grid_walk():
-            first = f_topology(product_spec(discrete2_factors(3), trivial_filter(3)))
-            monkeypatch.setenv("FPROD_MAX_PRODUCT", "4")
-            again = product_spec(discrete2_factors(3), trivial_filter(3))
+            tables = foundations._walk.tables
             with pytest.raises(ResourceLimitError):
-                f_topology(again)
-            monkeypatch.delenv("FPROD_MAX_PRODUCT")
-            assert f_topology(again) is first
+                product_spec(discrete2_factors(13), trivial_filter(13))
+            assert tables == {}
 
-    def test_squared_indexing_is_shared(self, monkeypatch):
+    def test_squared_indexing_is_shared(self):
         idx = shared_indexing((2, 2))
         assert squared_indexing(idx) is squared_indexing(idx) is shared_indexing((4, 4))
-        monkeypatch.setenv("FPROD_MAX_PRODUCT", "8")
-        with pytest.raises(ResourceLimitError):
-            squared_indexing(idx)
+        # 2**7 = 128 points, but 4**7 = 16,384 pairs
+        with pytest.raises(ResourceLimitError, match="product size 16384 exceeds cap 4096"):
+            squared_indexing(shared_indexing((2,) * 7))
 
     def test_digit_fibres_are_the_fibres_of_the_decoded_digits(self):
         checked = 0
@@ -719,9 +721,9 @@ class TestNeighborhoodIdentity:
             bases.append(spec)
             return original_base(spec, *args, **kwargs)
 
-        def counted_cores(index_core, core_rows, factor_sizes):
-            cores = original_cores(index_core, core_rows, factor_sizes)
-            kernel_calls.append((factor_sizes, len(cores)))
+        def counted_cores(index_core, core_rows, idx):
+            cores = original_cores(index_core, core_rows, idx)
+            kernel_calls.append((idx, len(cores)))
             return cores
 
         def refused(*args, **kwargs):
@@ -754,16 +756,14 @@ class TestNeighborhoodIdentity:
         assert yielded[:40] == bases and len(yielded) == 41
         assert list(map(id, built)) == list(map(id, yielded))
         # one kernel call per instance, returning one core per point
-        assert kernel_calls == [
-            (spec.indexing.factor_sizes, spec.indexing.total) for spec in bases
-        ]
+        assert kernel_calls == [(spec.indexing, spec.indexing.total) for spec in bases]
 
     def test_p45_catches_a_kernel_that_ignores_the_index_core(self, monkeypatch):
         from fprod import verifier
 
         original = verifier.f_filter_cores
         monkeypatch.setattr(
-            verifier, "f_filter_cores", lambda _core, rows, sizes: original(0, rows, sizes)
+            verifier, "f_filter_cores", lambda _core, rows, idx: original(0, rows, idx)
         )
         report = verify_proposition("P4.5")
         assert not report.passed and report.witness is not None

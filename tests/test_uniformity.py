@@ -453,11 +453,14 @@ class TestProductUniformity:
                     checked += 1
         assert checked == 420
 
-    def test_squared_cap_fires(self, monkeypatch):
-        monkeypatch.setenv("FPROD_MAX_PRODUCT", "8")
-        spec = product_spec((diagonal_base_factor(),) * 2, trivial_filter(2))
-        with pytest.raises(ResourceLimitError):
+    def test_squared_cap_fires(self):
+        # 2**7 = 128 points fit under the cap; their 4**7 = 16,384 pairs do not
+        spec = product_spec((diagonal_base_factor(),) * 7, trivial_filter(7))
+        assert spec.indexing.total == 128
+        with pytest.raises(ResourceLimitError, match="product size 16384 exceeds cap 4096"):
             f_uniformity(spec)
+        with pytest.raises(ResourceLimitError):
+            f_uniformity_base(spec)
 
     def test_missing_base_rejected(self):
         f = Factor(Universe.points(2), topology=discrete(2))

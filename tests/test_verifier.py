@@ -505,6 +505,19 @@ class TestBudget:
         assert report.complete and report.checked == 16
 
 
+class TestGridInput:
+    @pytest.mark.parametrize(
+        "prop, grid, message",
+        [
+            ("P2.3", dict(filter_source="bogus"), "unknown filter source 'bogus'"),
+            ("P2.7", dict(index_sizes=(1,), factor_source="bogus"), "unknown factor source 'bogus'"),
+        ],
+    )
+    def test_an_unknown_source_raises(self, prop, grid, message):
+        with pytest.raises(InputError, match=message):
+            verify_proposition(prop, InstanceGrid(**grid))
+
+
 class TestGridWalkMemo:
     """A walk shares repeated product work, and that changes no report and outlives no walk."""
 
