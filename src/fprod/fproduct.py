@@ -28,7 +28,7 @@ from .foundations import (
     shared_indexing,
     walk_memoized,
 )
-from .topology import Topology, generate_topology, is_continuous
+from .topology import Topology, is_continuous, topology_from_base_bits
 from .uniformity import Relation, Uniformity, generate_uniformity
 
 
@@ -170,32 +170,32 @@ def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> tuple[in
     return f_filter_cores(core, rows, spec.indexing)
 
 
-@walk_memoized
-def _choice_deltas(full_sides: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
-    """The delta bits of each side choice, in the order _point_boxes builds their masks.
-
-    full_sides[i][j] tells whether side j of factor i is the whole factor;
-    level i adds bit i to the choices with a full side i.
-    """
+def _by_delta(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], items) -> tuple:
+    """items, one per side choice in _point_boxes order, as (delta, group) pairs in ascending delta."""
     deltas = [0]
-    for i, fulls in enumerate(full_sides):
-        deltas = [d | (1 << i) if full else d for full in fulls for d in deltas]
-    return tuple(deltas)
+    for i, (sides, size) in enumerate(zip(side_lists, factor_sizes)):  # level i sets bit i of full sides
+        deltas = [d | 1 << i if side == (1 << size) - 1 else d for side in sides for d in deltas]
+    groups: dict[int, list] = {}
+    for d, item in zip(deltas, items):
+        groups.setdefault(d, []).append(item)
+    return tuple((d, tuple(group)) for d, group in sorted(groups.items()))
 
 
-def _accepted_choices(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], member, items):
-    """The items of the side choices whose delta bits `member` accepts.
+@walk_memoized
+def _delta_groups(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> tuple:
+    """The box masks of all side choices, grouped by delta as _by_delta groups them.
 
-    The one box enumerator: the definitional box bases of the product
-    topology, filter and uniformity all walk it. items holds one entry per
-    side choice in the order _point_boxes(side_lists, factor_sizes) builds
-    their masks, list 0 varying fastest. The deltas depend only on which
-    sides are full, so a walk shares them across side lists of one shape.
+    A box is accepted exactly when its delta is, so a box base is the union of
+    the accepted groups: one membership test per distinct delta, not per box.
+    Inside a grid walk every index filter on one factor tuple shares the table.
     """
-    full_sides = tuple(
-        tuple(side == (1 << size) - 1 for side in sides) for sides, size in zip(side_lists, factor_sizes)
-    )
-    return [item for item, d in zip(items, _choice_deltas(full_sides)) if member(d)]
+    boxes = _point_boxes.__wrapped__(side_lists, factor_sizes)  # unmemoized: this table keeps them
+    return _by_delta(side_lists, factor_sizes, boxes)
+
+
+def _accepted(groups: tuple, member) -> set:
+    """The union of the groups whose delta `member` accepts."""
+    return {item for d, group in groups if member(d) for item in group}
 
 
 def _factor_parts(spec: ProductSpec, attr: str, product: str, need: str | None = None) -> list:
@@ -206,14 +206,6 @@ def _factor_parts(spec: ProductSpec, attr: str, product: str, need: str | None =
     return parts
 
 
-def _delta_member(spec: ProductSpec, delta_family: SetFamily | None):
-    if delta_family is not None:
-        if delta_family.universe_size != spec.index_universe.size:
-            raise InputError("delta family lives on the wrong universe")
-        return delta_family.contains_bits
-    return spec._require_index_filter().member_bits
-
-
 def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) -> SetFamily:
     """Point sets of all open boxes whose delta is accepted.
 
@@ -222,12 +214,16 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
     not need full filter structure). Boxes with an empty side are dropped;
     the empty set reappears as the empty union.
     """
-    member = _delta_member(spec, delta_family)
-    idx = spec.indexing
+    return SetFamily(spec.indexing.total, sorted(_open_boxes(spec, delta_family)))
+
+
+def _open_boxes(spec: ProductSpec, delta_family: SetFamily | None) -> set[int]:
+    if delta_family is not None and delta_family.universe_size != spec.index_universe.size:
+        raise InputError("delta family lives on the wrong universe")
+    member = spec._require_index_filter().member_bits if delta_family is None else delta_family.contains_bits
     # bits[0] is the empty open set, the least member
     opens = tuple(t.opens().bits[1:] for t in _factor_parts(spec, "topology", "topology"))
-    masks = _accepted_choices(opens, idx.factor_sizes, member, _point_boxes(opens, idx.factor_sizes))
-    return SetFamily(idx.total, sorted(set(masks)))
+    return _accepted(_delta_groups(opens, spec.indexing.factor_sizes), member)
 
 
 def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
@@ -241,14 +237,15 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     from the enumerated box base.
     """
     if delta_family is not None:
-        return generate_topology(f_topology_base(spec, delta_family))
+        return f_topology_via_base(spec, delta_family)
     rows = tuple(t.mins for t in _factor_parts(spec, "topology", "topology"))
     return Topology.of(spec.indexing.total, _minimal_boxes(spec, rows))
 
 
-def f_topology_via_base(spec: ProductSpec) -> Topology:
-    """Definitional route: generate the topology from the enumerated box base."""
-    return generate_topology(f_topology_base(spec))
+def f_topology_via_base(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
+    """Definitional route: generate_topology(f_topology_base(spec, delta_family)), minus the SetFamily."""
+    boxes = _open_boxes(spec, delta_family)
+    return topology_from_base_bits(spec.indexing.total, boxes, boxes.__contains__)
 
 
 def projection_fibres(i: int, idx: ProductIndexing) -> tuple[int, ...]:
@@ -308,8 +305,7 @@ def f_filter_base(spec: ProductSpec) -> SetFamily:
     member = spec._require_index_filter().member_bits
     idx = spec.indexing
     members = tuple(f.members().bits for f in _factor_filters(spec))
-    masks = _accepted_choices(members, idx.factor_sizes, member, _point_boxes(members, idx.factor_sizes))
-    return SetFamily(idx.total, sorted(set(masks)))
+    return SetFamily(idx.total, sorted(_accepted(_delta_groups(members, idx.factor_sizes), member)))
 
 
 def f_filter_cores(
@@ -366,22 +362,24 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     yet every uniformity contains it and delta needs it to be realizable),
     then a box is kept when its delta belongs to the index filter. The row of
     product point x in the box (R_0, ..., R_k) is the point box with sides
-    R_i-row(x_i), so the relation is built row by row.
+    R_i-row(x_i), so the relation is built row by row, once per box and walk.
     """
-    fil = spec._require_index_filter()
+    member = spec._require_index_filter().member_bits
     idx = spec.indexing
-    sizes = idx.factor_sizes
     pair_sizes = squared_indexing(idx).factor_sizes  # enforces the squared-size cap
     bases = _factor_parts(spec, "uniformity_base", "uniformity", "uniformity base")
     member_lists = tuple(tuple(sorted({*base.bits, (1 << p) - 1})) for p, base in zip(pair_sizes, bases))
-    row_lists = [
-        [Relation(s, SubsetMask(p, m)).rows() for m in members]
-        for s, p, members in zip(sizes, pair_sizes, member_lists)
-    ]
-    choices = [c[::-1] for c in itertools.product(*reversed(row_lists))]  # list 0 varies fastest
-    accepted = _accepted_choices(member_lists, pair_sizes, fil.member_bits, choices)
-    relations = (Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in accepted)
-    return SetFamily(idx.total * idx.total, sorted(set(relations)))
+    relations = _accepted(_entourage_groups(member_lists, idx.factor_sizes), member)
+    return SetFamily(idx.total * idx.total, sorted(relations))
+
+
+@walk_memoized
+def _entourage_groups(member_lists: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple:
+    """The relation of each box of factor entourages, grouped by delta as _delta_groups groups box masks."""
+    row_lists = [[Relation(s, SubsetMask(s * s, m)).rows() for m in ms] for s, ms in zip(sizes, member_lists)]
+    choices = (c[::-1] for c in itertools.product(*reversed(row_lists)))  # list 0 varies fastest
+    relations = [Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in choices]
+    return _by_delta(member_lists, [s * s for s in sizes], relations)
 
 
 def f_uniformity(spec: ProductSpec) -> Uniformity:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .filters import Filter, principal_filter
 from .foundations import (
@@ -30,7 +30,11 @@ _OPENS_CAP = 20  # union closures approach 2**n members
 _ENUM_CAP = 4
 
 
-def _point_meets(n: int, bits: Sequence[int]) -> list[int]:
+class NotABaseError(InputError):
+    """The family fails the point criterion, so it generates no topology."""
+
+
+def _point_meets(n: int, bits: Iterable[int]) -> list[int]:
     """For each point x, the intersection of the members through x (the whole set if none).
 
     Each member is visited once per element, so the cost is the total member
@@ -190,10 +194,14 @@ def _shared_topology(universe_size: int, mins: tuple[int, ...]) -> Topology:
 
 def generate_topology(base: SetFamily) -> Topology:
     """Topology generated by a covering, point-criterion base."""
-    n = base.universe_size
-    meets = _point_meets(n, base.bits)
-    if not all(base.contains_bits(m) for m in meets):
-        raise InputError("family is not a topology base")
+    return topology_from_base_bits(base.universe_size, base.bits, base.contains_bits)
+
+
+def topology_from_base_bits(n: int, bits: Iterable[int], contains: Callable[[int], bool]) -> Topology:
+    """generate_topology on a base given as its members' masks and a membership test."""
+    meets = _point_meets(n, bits)
+    if not all(map(contains, meets)):
+        raise NotABaseError("family is not a topology base")
     return Topology.of(n, meets)
 
 

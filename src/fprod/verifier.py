@@ -54,6 +54,7 @@ from .fproduct import (
     projection_fibres,
 )
 from .topology import (
+    NotABaseError,
     Topology,
     discrete,
     enumerate_topologies,
@@ -78,7 +79,7 @@ def enumerate_filters(n: int, include_trivial: bool = True) -> tuple[Filter, ...
     """All filters on an n-element universe: one principal filter per nonempty
     core (ascending bit-vector order), plus the trivial filter last."""
     if not 1 <= n <= _FILTER_ENUM_CAP:
-        raise InputError(f"filter enumeration supports 1 <= n <= {_FILTER_ENUM_CAP}")
+        raise InputError(f"filter enumeration supports 1 <= n <= {_FILTER_ENUM_CAP}, got n = {n}")
     out = [principal_filter(SubsetMask(n, bits)) for bits in range(1, 1 << n)]
     if include_trivial:
         out.append(trivial_filter(n))
@@ -473,18 +474,17 @@ def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     # both sides are principal with nonempty cores, so compare the cores: the
     # via-base minimal neighbourhood and the product core of the factor mins
-    t = f_topology_via_base(spec)
+    try:
+        t = f_topology_via_base(spec)
+    except NotABaseError:
+        return False, {"box_family_is_base": False}
     assert spec.index_filter is not None
     rows = [f.topology.mins for f in spec.factors]  # type: ignore[union-attr]
     cores = f_filter_cores(spec.index_filter.core.bits, rows, spec.indexing)
-    for code, (got, want) in enumerate(zip(t.mins, cores)):
-        if got != want:
-            return False, {
-                "neighborhood_identity_fails_at": serialize.product_point_label(
-                    code, spec
-                )
-            }
-    return True, None
+    if t.mins == cores:
+        return True, None
+    code = next(x for x, (got, want) in enumerate(zip(t.mins, cores)) if got != want)
+    return False, {"neighborhood_identity_fails_at": serialize.product_point_label(code, spec)}
 
 
 def _p52_check(spec: ProductSpec) -> tuple[bool, dict | None]:
@@ -500,7 +500,10 @@ def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
         Factor(f.universe, topology=induced_topology(f.uniformity))  # type: ignore[arg-type]
         for f in spec.factors
     )
-    from_factors = f_topology_via_base(ProductSpec(spec.index_universe, topo_factors, spec.index_filter))
+    try:
+        from_factors = f_topology_via_base(ProductSpec(spec.index_universe, topo_factors, spec.index_filter))
+    except NotABaseError:
+        return False, {"box_family_is_base": False}
     if topologies_equal(from_uniformity, from_factors):
         return True, None
     return False, {"induced_topology_differs": True}

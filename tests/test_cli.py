@@ -152,6 +152,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: input: factor size must be at least 1\n"
 
+    def test_two_names_the_product_size_that_p43_cannot_enumerate_filters_on(self, capsys):
+        # P4.3 walks every filter on the product, here on 2**3 = 8 points
+        code, out, err = run(capsys, "verify", "--prop", "P4.3", "--index-size", "3")
+        assert code == 2 and out == ""
+        assert err == "error: input: filter enumeration supports 1 <= n <= 4, got n = 8\n"
+
     @pytest.mark.parametrize(
         "flags, message",
         [

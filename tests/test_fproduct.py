@@ -18,12 +18,13 @@ from fprod.foundations import (
     SubsetMask,
     Universe,
     grid_walk,
+    is_intersection_closed,
     map_fibres,
     shared_indexing,
 )
 from fprod.fproduct import (
     Box,
-    _accepted_choices,
+    _delta_groups,
     _point_boxes,
     Factor,
     ProductSpec,
@@ -165,22 +166,30 @@ class TestBoxes:
 
     def test_enumerator_yields_the_boxes_box_delta_accepts_in_order(self):
         # full and proper sides on mixed sizes, then empty sides and size-1
-        # factors; the enumerator runs in code order, so compare as multisets
+        # factors; each delta group holds its boxes in code order, and a base
+        # is the union of the groups its member accepts
         cases = [
             ((2, 3, 1), [[0b01, 0b11], [0b111, 0b010, 0b110], [0b1]]),
             ((1, 2, 1), [[0b1, 0], [0b00, 0b10, 0b11], [0, 0b1]]),
         ]
         for sizes, side_lists in cases:
-            masks = _point_boxes(side_lists, sizes)
+            groups = _delta_groups(side_lists, sizes)
+            in_code_order = [c[::-1] for c in itertools.product(*reversed(side_lists))]
+            deltas = [box_delta(Box(tuple(map(mask, sizes, c)))).bits for c in in_code_order]
+            assert [d for d, _ in groups] == sorted(set(deltas))
+            for d, group in groups:
+                want = [box_oracle(c, sizes) for c, e in zip(in_code_order, deltas) if e == d]
+                assert list(group) == want
             for accepted in range(1 << 8):
                 member = lambda bits: accepted >> bits & 1  # noqa: E731
-                got = _accepted_choices(side_lists, sizes, member, masks)
+                got = [m for d, group in groups if member(d) for m in group]
                 oracle = [
                     box_oracle(c, sizes)
                     for c in itertools.product(*side_lists)
                     if member(box_delta(Box(tuple(map(mask, sizes, c)))).bits)
                 ]
                 assert collections.Counter(got) == collections.Counter(oracle)
+                assert fproduct._accepted(groups, member) == set(oracle)
 
     def test_pointset_size_mismatch(self):
         from fprod.foundations import ProductIndexing
@@ -477,17 +486,60 @@ class TestClosedFormTopology:
 
     @pytest.mark.parametrize("prop", ["P4.5", "P5.ind"])
     def test_definitional_checks_build_the_box_base(self, monkeypatch, prop):
-        calls = []
-        original = fproduct.f_topology_base
+        reads = []
+        original = fproduct._delta_groups
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counted(*args):
+            reads.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(fproduct, "f_topology_base", counted)
+        monkeypatch.setattr(fproduct, "_delta_groups", counted)
         grid = dataclasses.replace(default_grid(prop), max_instances=3)
-        verify_proposition(prop, grid)
-        assert len(calls) >= 3
+        report = verify_proposition(prop, grid)
+        assert report.checked == 3 and len(reads) == 3  # one grouped-table read per instance
+
+    @pytest.mark.parametrize("prop", ["P4.5", "P5.ind"])
+    def test_definitional_checks_catch_a_table_without_the_least_box_of_each_group(
+        self, monkeypatch, prop
+    ):
+        original = fproduct._delta_groups
+
+        def without_the_least_box(side_lists, factor_sizes):
+            return tuple((d, tuple(sorted(g)[1:])) for d, g in original(side_lists, factor_sizes))
+
+        monkeypatch.setattr(fproduct, "_delta_groups", without_the_least_box)
+        report = verify_proposition(prop)
+        assert not report.passed and report.witness is not None
+        assert report.witness["detail"] == {"box_family_is_base": False}
+        ok, detail = replay_witness(prop, report.witness)
+        assert not ok and detail == report.witness["detail"]
+
+    @pytest.mark.parametrize(
+        "prop, count", [("P4.5", 4624), ("P5.ind", 324), ("P5.2", 324), ("P2.1", 270)]
+    )
+    def test_via_base_generates_the_box_base_on_the_default_grid(self, prop, count):
+        # uniformity factors are read through their induced topologies, as P5.ind
+        # reads them; P2.1's delta families include the ones that give no base
+        from fprod.uniformity import induced_topology
+        from fprod.verifier import _REGISTRY
+
+        checked = not_bases = 0
+        for inst in _REGISTRY[prop].instances(default_grid(prop)):
+            spec, fam = inst if isinstance(inst, tuple) else (inst, None)
+            if spec.factors[0].topology is None:
+                induced = (Factor(f.universe, topology=induced_topology(f.uniformity)) for f in spec.factors)
+                spec = ProductSpec(spec.index_universe, tuple(induced), spec.index_filter)
+            if fam is not None and not is_intersection_closed(fam):  # Proposition 2.1: no base
+                with pytest.raises(InputError, match="^family is not a topology base$"):
+                    generate_topology(f_topology_base(spec, fam))
+                with pytest.raises(InputError, match="^family is not a topology base$"):
+                    f_topology_via_base(spec, fam)
+                not_bases += 1
+            else:
+                assert f_topology_via_base(spec, fam) == generate_topology(f_topology_base(spec, fam))
+            checked += 1
+        assert checked == count
+        assert (not_bases > 0) == (prop == "P2.1")
 
 
 def fibre_union(i, sub, idx):
@@ -714,12 +766,12 @@ class TestNeighborhoodIdentity:
     ):
         from fprod import verifier
 
-        bases, kernel_calls = [], []
-        original_base, original_cores = fproduct.f_topology_base, verifier.f_filter_cores
+        reads, kernel_calls = [], []
+        original_groups, original_cores = fproduct._delta_groups, verifier.f_filter_cores
 
-        def counted_base(spec, *args, **kwargs):
-            bases.append(spec)
-            return original_base(spec, *args, **kwargs)
+        def counted_groups(side_lists, factor_sizes):
+            reads.append((side_lists, factor_sizes))
+            return original_groups(side_lists, factor_sizes)
 
         def counted_cores(index_core, core_rows, idx):
             cores = original_cores(index_core, core_rows, idx)
@@ -741,7 +793,7 @@ class TestNeighborhoodIdentity:
                 yielded.append(spec)
                 yield spec
 
-        monkeypatch.setattr(fproduct, "f_topology_base", counted_base)
+        monkeypatch.setattr(fproduct, "_delta_groups", counted_groups)
         monkeypatch.setattr(verifier, "f_filter_cores", counted_cores)
         monkeypatch.setattr(verifier, "f_filter", refused)
         monkeypatch.setattr(ProductSpec, "__post_init__", counted_post_init)
@@ -750,13 +802,19 @@ class TestNeighborhoodIdentity:
         )
         grid = dataclasses.replace(default_grid("P4.5"), max_instances=40)
         report = verify_proposition("P4.5", grid)
-        assert report.passed and len(bases) == report.checked == 40
+        assert report.passed and len(reads) == report.checked == 40
         # the only product specs built are the generator's: one per instance,
         # plus the 41st that shows the grid goes on
-        assert yielded[:40] == bases and len(yielded) == 41
+        specs = yielded[:40]
+        assert len(yielded) == 41
         assert list(map(id, built)) == list(map(id, yielded))
+        # one grouped-table read per instance, of its factors' nonempty open sets
+        assert reads == [
+            (tuple(f.topology.opens().bits[1:] for f in spec.factors), spec.indexing.factor_sizes)
+            for spec in specs
+        ]
         # one kernel call per instance, returning one core per point
-        assert kernel_calls == [(spec.indexing, spec.indexing.total) for spec in bases]
+        assert kernel_calls == [(spec.indexing, spec.indexing.total) for spec in specs]
 
     def test_p45_catches_a_kernel_that_ignores_the_index_core(self, monkeypatch):
         from fprod import verifier
@@ -769,6 +827,14 @@ class TestNeighborhoodIdentity:
         assert not report.passed and report.witness is not None
         ok, detail = replay_witness("P4.5", report.witness)
         assert not ok and detail == report.witness["detail"]
+        # the witness names the first point whose neighbourhoods differ
+        from fprod.serialize import parse_instance, product_point_label
+
+        spec = parse_instance(report.witness["instance"])
+        rows = [f.topology.mins for f in spec.factors]
+        pairs = zip(f_topology(spec).mins, original(0, rows, spec.indexing))
+        first = next(x for x, (got, want) in enumerate(pairs) if got != want)
+        assert detail == {"neighborhood_identity_fails_at": product_point_label(first, spec)}
 
     def test_p45_passes_on_three_factors(self, capsys):
         # the default grid has two factors, so the kernel never sees three there

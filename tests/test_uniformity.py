@@ -4,7 +4,15 @@ import random
 import pytest
 
 from fprod.filters import principal_filter, trivial_filter, validate_filter_base
-from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, Universe, map_fibres
+from fprod.foundations import (
+    InputError,
+    ResourceLimitError,
+    SetFamily,
+    SubsetMask,
+    Universe,
+    grid_walk,
+    map_fibres,
+)
 from fprod.fproduct import Box, Factor, box_delta, f_uniformity, f_uniformity_base, product_spec
 from fprod.topology import discrete, indiscrete, is_continuous, topologies_equal
 from fprod.uniformity import (
@@ -20,7 +28,7 @@ from fprod.uniformity import (
     is_uniformly_continuous,
     validate_uniformity_base,
 )
-from fprod.verifier import enumerate_filters
+from fprod.verifier import _REGISTRY, default_grid, enumerate_filters
 
 
 def rel(n, pairs):
@@ -452,6 +460,17 @@ class TestProductUniformity:
                     assert f_uniformity(spec).minimal_entourage() == via_base.minimal_entourage()
                     checked += 1
         assert checked == 420
+
+    @pytest.mark.parametrize("prop", ["P5.2", "P5.ind"])
+    def test_box_base_matches_the_per_choice_oracle_on_the_default_grid(self, prop):
+        # inside a walk, as verify runs it: each factor tuple's relations are
+        # built once and shared by every index filter
+        checked = 0
+        with grid_walk():
+            for spec in _REGISTRY[prop].instances(default_grid(prop)):
+                assert f_uniformity_base(spec) == uniformity_base_oracle(spec)
+                checked += 1
+        assert checked == 324
 
     def test_squared_cap_fires(self):
         # 2**7 = 128 points fit under the cap; their 4**7 = 16,384 pairs do not
