@@ -173,15 +173,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
             ]
             mask = SubsetMask.of(spec.indexing.total, codes)
             verdict = t.is_dense(mask)
-            detail["set"] = serialize.product_subset_to_labels(mask, spec)
+            points = serialize.product_point_labels(spec)
+            detail["set"] = serialize.product_subset_to_labels(mask, points)
         elif prop == "resolvable":
             if args.n is None:
                 raise InputError("check resolvable needs --n")
             found = find_disjoint_dense(t, args.n)
             verdict = found is not None
             if found is not None:
+                points = serialize.product_point_labels(spec)
                 detail["dense_family"] = [
-                    serialize.product_subset_to_labels(m, spec) for m in found
+                    serialize.product_subset_to_labels(m, points) for m in found
                 ]
         else:
             raise InputError(f"unknown check {prop!r}; known: {_CHECK_PROPS}")
@@ -194,17 +196,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     started = time.monotonic()
     spec = _load_instance(args.instance)
     what = args.what
-    total = spec.indexing.total
-    points = [serialize.product_point_label(c, spec) for c in range(total)]
+    points = serialize.product_point_labels(spec)
 
     def labels(mask: SubsetMask) -> list[str]:
-        return sorted(points[x] for x in mask)
+        return serialize.product_subset_to_labels(mask, points)
 
     body: dict = {"kind": "construct", "what": what, "points": points}
     if what == "f-topology":
         t = f_topology(spec)
         body["base"] = [labels(m) for m in t.base]
-        if total <= 12:
+        if len(points) <= 12:
             body["opens"] = [labels(m) for m in t.opens()]
     elif what == "f-filter":
         fil = f_filter(spec)
@@ -307,9 +308,23 @@ def _add_grid_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--out")
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first main() call, not at import.
+
+    Building it costs more than a small command, and in-process callers run
+    many commands; parse_args returns a fresh namespace, so reuse keeps no state.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

@@ -20,7 +20,8 @@ arrays of [x, y] label pairs. Reports never carry timestamps in their body.
 
 from __future__ import annotations
 
-from typing import Any
+import itertools
+from typing import Any, Sequence
 
 from .filters import Filter, generate_filter, trivial_filter
 from .foundations import InputError, SetFamily, SubsetMask, Universe
@@ -173,6 +174,7 @@ def parse_instance(data: Any) -> ProductSpec:
 
 
 def product_point_label(code: int, spec: ProductSpec) -> str:
+    """The label of one product point: its factor labels in factor order."""
     coords = spec.indexing.decode_point(code)
     parts = [f.universe.labels[c] for f, c in zip(spec.factors, coords)]
     return "(" + ",".join(parts) + ")"
@@ -189,5 +191,16 @@ def product_point_from_label(label: str, spec: ProductSpec) -> int:
     return spec.indexing.encode_point(coords)
 
 
-def product_subset_to_labels(mask: SubsetMask, spec: ProductSpec) -> list[str]:
-    return sorted(product_point_label(code, spec) for code in mask)
+def product_point_labels(spec: ProductSpec) -> list[str]:
+    """Every point's product_point_label in code order, in one pass.
+
+    Factor 0's digit varies fastest, so the product runs over the factors in
+    reverse and each coordinate tuple is read back to front.
+    """
+    columns = [f.universe.labels for f in reversed(spec.factors)]
+    return ["(" + ",".join(reversed(coords)) + ")" for coords in itertools.product(*columns)]
+
+
+def product_subset_to_labels(mask: SubsetMask, points: Sequence[str]) -> list[str]:
+    """A product subset as sorted point labels, read from a product_point_labels table."""
+    return sorted(points[code] for code in mask)

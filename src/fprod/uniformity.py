@@ -106,36 +106,38 @@ def entourage_ball(u: Relation, x: int) -> SubsetMask:
     return SubsetMask(u.point_count, u.row_bits(x))
 
 
-def _relations_of(fam: SetFamily) -> tuple[int, list[Relation]]:
+def _is_equivalence(rows: Sequence[int]) -> bool:
+    """True iff each row holds its own point and equals the row of every point in it."""
+    n = len(rows)
+    return all(
+        not row >> n and row >> x & 1 and all(rows[y] == row for y in SubsetMask(n, row))
+        for x, row in enumerate(rows)
+    )
+
+
+def _base_rows(fam: SetFamily) -> tuple[int, ...] | None:
+    """The rows of the meet of fam's members when fam is a uniformity base, else None."""
     n = isqrt(fam.universe_size)
     if n * n != fam.universe_size:
         raise InputError("a relation family must live on a squared universe")
-    return n, [Relation(n, m) for m in fam]
+    meet = (1 << fam.universe_size) - 1
+    for b in fam.bits:
+        meet &= b
+    if not fam.contains_bits(meet):
+        return None
+    rows = Relation(n, SubsetMask(fam.universe_size, meet)).rows()
+    return rows if _is_equivalence(rows) else None
 
 
 def validate_uniformity_base(fam: SetFamily) -> bool:
     """The four base conditions: diagonal inside each member, inverses and
-    composition squares bounded by members, and downward directedness."""
-    if len(fam) == 0:
-        return False
-    n, rels = _relations_of(fam)
-    diag = diagonal(n).pairs.bits
-    for r in rels:
-        if diag & ~r.pairs.bits:
-            return False
-    for u in rels:
-        inv_bits = inverse(u).pairs.bits
-        if not any(b.pairs.bits & ~inv_bits == 0 for b in rels):
-            return False
-    squares = [compose(v, v).pairs.bits for v in rels]
-    for u in rels:
-        if not any(sq & ~u.pairs.bits == 0 for sq in squares):
-            return False
-    for u, v in itertools.combinations(rels, 2):
-        meet = u.pairs.bits & v.pairs.bits
-        if not any(w.pairs.bits & ~meet == 0 for w in rels):
-            return False
-    return True
+    composition squares bounded by members, and downward directedness.
+
+    On a finite set they hold exactly when the meet of the members is a member
+    (directedness, as in filters.validate_filter_base) and an equivalence
+    relation (the other three, applied to the meet).
+    """
+    return _base_rows(fam) is not None
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,10 @@ class Uniformity:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
-        n, rows = self.point_count, self.rows
-        if n < 1 or len(rows) != n:
+        if self.point_count < 1 or len(self.rows) != self.point_count:
             raise InputError("a uniformity needs at least one point and one row per point")
-        for x, row in enumerate(rows):
-            if row >> n or not row >> x & 1 or any(rows[y] != row for y in SubsetMask(n, row)):
-                raise InputError("a minimal entourage must be an equivalence relation")
+        if not _is_equivalence(self.rows):
+            raise InputError("a minimal entourage must be an equivalence relation")
 
     def minimal_entourage(self) -> Relation:
         """The smallest entourage, an equivalence relation."""
@@ -178,14 +178,11 @@ class Uniformity:
 
 
 def generate_uniformity(base: SetFamily) -> Uniformity:
-    """The uniformity generated by a validated base: its members' intersection."""
-    n, _ = _relations_of(base)
-    if not validate_uniformity_base(base):
+    """The uniformity generated by a base: its members' meet, validated as one."""
+    rows = _base_rows(base)
+    if rows is None:
         raise InputError("family is not a uniformity base")
-    bits = (1 << base.universe_size) - 1
-    for b in base.bits:
-        bits &= b
-    return Uniformity(n, Relation(n, SubsetMask(base.universe_size, bits)).rows())
+    return Uniformity(len(rows), rows)
 
 
 def induced_topology(u: Uniformity) -> Topology:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fprod import serialize
+import fprod
+from fprod import cli, serialize
 from fprod.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +60,17 @@ class TestGoldenReports:
         assert code == 0 and err == ""
         body = json.dumps(json_body(out), indent=2, sort_keys=True) + "\n"
         assert body == (GOLDEN / "construct_f_uniformity.json").read_text()
+
+    def test_construct_f_topology_json_matches_golden_byte_for_byte(self, capsys):
+        # mixed factor sizes 1, 3 and 2 with multi-character labels, whose
+        # lexicographic order differs from their code order
+        code, out, err = run(
+            capsys,
+            "construct", "--instance", str(GOLDEN / "mixed132.json"), "--what", "f-topology",
+        )
+        assert code == 0 and err == ""
+        body = json.dumps(json_body(out), indent=2, sort_keys=True) + "\n"
+        assert body == (GOLDEN / "construct_f_topology_mixed.json").read_text()
 
     def test_reports_are_deterministic(self, capsys):
         args = ("verify", "--prop", "P2.3", "--index-size", "2",
@@ -363,3 +378,91 @@ class TestInstanceRoundTrip:
         witness = json_body(out)["report"]["witness"]
         spec = serialize.parse_instance(witness["instance"])
         assert serialize.spec_to_dict(spec) == witness["instance"]
+
+
+class TestPointLabels:
+    @pytest.mark.parametrize("instance", [
+        json.loads((GOLDEN / "mixed132.json").read_text()),
+        {"index_set": ["a"], "factors": [{"points": ["x0", "x1", "x2", "x3"]}]},
+    ])
+    def test_one_pass_table_matches_the_single_point_label(self, instance):
+        spec = serialize.parse_instance(instance)
+        total = spec.indexing.total
+        assert serialize.product_point_labels(spec) == [
+            serialize.product_point_label(c, spec) for c in range(total)
+        ]
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call leaves state for the next."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Forget the shared parser and count the builds from here on."""
+        monkeypatch.setattr(cli, "_parser", None)
+        original = cli.build_parser
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        return calls
+
+    def test_a_rejected_command_leaves_the_next_one_as_a_first_call(self, capsys, builds):
+        first = run(capsys, "verify", "--prop", "E2.9")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--prop", "E2.9", "--index-size", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert run(capsys, "verify", "--prop", "E2.9") == first
+        assert first[0] == 0 and first[1].startswith("prop E2.9: PASS")
+
+    def test_no_flag_or_default_leaks_between_calls(self, capsys, builds, tmp_path):
+        code, out, _ = run(capsys, "verify", "--prop", "E2.9", "--json")
+        assert code == 0 and json.loads(out)["report"]["prop"] == "E2.9"
+        code, out, _ = run(capsys, "verify", "--prop", "E2.9")
+        assert code == 0 and out.startswith("prop E2.9: PASS")
+        # construct defaults json to true; a later check must not inherit it
+        report = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "construct", "--instance", str(GOLDEN / "ex29.json"),
+            "--what", "f-topology", "--out", str(report),
+        )
+        assert code == 0 and out == "" and report.is_file()
+        code, out, _ = run(
+            capsys, "check", "--instance", str(GOLDEN / "ex29.json"), "--prop", "hausdorff",
+        )
+        assert code == 0 and out == (GOLDEN / "check_ex29.txt").read_text()
+
+    def test_the_parser_is_built_at_most_once_across_calls(self, capsys, builds):
+        for _ in range(5):
+            run(capsys, "verify", "--prop", "E2.9")
+            run(capsys, "enumerate", "--what", "filters", "--size", "2")
+        with pytest.raises(SystemExit):
+            main(["verify"])
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_a_fresh_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import fprod.cli\n"
+            "print(len(built), fprod.cli._parser is None)\n"
+        )
+        src = str(Path(fprod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "0 True\n"

@@ -185,6 +185,36 @@ class TestUniformityBase:
                 count += got
         assert count == 9
 
+    def test_matches_four_condition_oracle_on_the_p52_box_families(self):
+        checked = positives = 0
+        with grid_walk():
+            for spec in _REGISTRY["P5.2"].instances(default_grid("P5.2")):
+                fam = f_uniformity_base(spec)
+                got = validate_uniformity_base(fam)
+                assert got == self.validate_oracle(fam, spec.indexing.total)
+                checked += 1
+                positives += got
+        assert checked == 324 and positives == 324
+
+    def test_matches_four_condition_oracle_on_a_sample_of_three_point_families(self):
+        # 2,000 seeded families of 1 to 5 reflexive relations on 3 points; half
+        # also hold their meet, so that the meet test is not decided at once
+        reflexive = [r.pairs.bits for r in all_relations(3) if diagonal(3).pairs.issubset(r.pairs)]
+        rng = random.Random(18)
+        verdicts = set()
+        for k in range(2000):
+            members = rng.sample(reflexive, rng.randint(1, 5))
+            if k % 2:
+                meet = members[0]
+                for b in members:
+                    meet &= b
+                members.append(meet)
+            fam = SetFamily(9, sorted(set(members)))
+            got = validate_uniformity_base(fam)
+            assert got == self.validate_oracle(fam, 3)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
     def test_enumeration_matches_scan(self):
         bases = enumerate_uniformity_bases(2)
         assert len(bases) == 9

@@ -151,18 +151,18 @@ class TestUniformityValidations:
     )
     def test_validations_per_run(self, monkeypatch, prop_id, expected_calls):
         import fprod.uniformity as uniformity
-        import fprod.verifier as verifier
 
         uniformity.enumerate_uniformity_bases(2)  # warm the cached scan
-        original = uniformity.validate_uniformity_base
+        # validate_uniformity_base and generate_uniformity both read a base
+        # through _base_rows, so it counts every validation
+        original = uniformity._base_rows
         calls = []
 
         def counting(fam):
             calls.append(fam)
             return original(fam)
 
-        for module in (uniformity, verifier):
-            monkeypatch.setattr(module, "validate_uniformity_base", counting)
+        monkeypatch.setattr(uniformity, "_base_rows", counting)
         report = verify_proposition(prop_id)
         assert report.passed and report.checked == 324
         assert len(calls) == expected_calls
