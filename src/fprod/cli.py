@@ -49,8 +49,11 @@ def _emit(args: argparse.Namespace, body: dict, started: float) -> None:
         text = _render_text(body)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -94,11 +97,18 @@ def _load_instance(path: str) -> ProductSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"instance file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance file is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read instance file {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"instance file is not valid UTF-8 JSON: {exc}") from None
     return serialize.parse_instance(data)
+
+
+def _reject_unread(args: argparse.Namespace, command: str, what: str, readers: dict[str, str]) -> None:
+    """InputError when a flag is given to a variant other than its one reader (readers: flag -> variant)."""
+    for flag, reader in readers.items():
+        if getattr(args, flag) is not None and what != reader:
+            raise InputError(f"{command} {what} does not read --{flag}")
 
 
 def _grid_from_args(args: argparse.Namespace, check_id: str, claim: bool = False) -> InstanceGrid:
@@ -149,8 +159,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    spec = _load_instance(args.instance)
     prop = args.prop
+    _reject_unread(args, "check", prop, {"set": "dense", "n": "resolvable"})
+    spec = _load_instance(args.instance)
     detail: dict = {}
     if prop == "continuous-projections":
         verdict = all_projections_continuous(spec)
@@ -223,6 +234,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     what = args.what
+    _reject_unread(args, "enumerate", what, {"d": "d-complements"})
     size = args.size
     body: dict = {"kind": "enumerate", "what": what, "size": size}
     uni = Universe.points(size)

@@ -60,14 +60,6 @@ class Filter:
         return SetFamily(n, out)  # ascending: combo ascends and its spread over free keeps order
 
 
-def _base_core(fam: SetFamily) -> int:
-    """The intersection of the members when fam is a filter base, else 0."""
-    meet = (1 << fam.universe_size) - 1
-    for b in fam.bits:
-        meet &= b
-    return meet if fam.contains_bits(meet) else 0
-
-
 def validate_filter_base(fam: SetFamily) -> bool:
     """True iff fam is nonempty, excludes the empty set, and is downward directed.
 
@@ -75,12 +67,12 @@ def validate_filter_base(fam: SetFamily) -> bool:
     members being itself a member; that member is nonempty exactly when the
     family is nonempty and excludes the empty set.
     """
-    return _base_core(fam) != 0
+    return bool(fam.least())
 
 
 def generate_filter(base: SetFamily) -> Filter:
     """The filter of all supersets of the members of a filter base, in normalized form."""
-    core = _base_core(base)
+    core = base.least()
     if not core:
         raise InputError("family is not a filter base")
     return principal_filter(SubsetMask(base.universe_size, core))

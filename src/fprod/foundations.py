@@ -183,7 +183,11 @@ class SetFamily:
 
     @classmethod
     def of(cls, universe_size: int, masks: Iterable[SubsetMask]) -> "SetFamily":
-        return canonicalize(masks, universe_size)
+        """Dedupe and sort masks into a family; InputError on a mask of another universe."""
+        masks = list(masks)
+        if any(m.universe_size != universe_size for m in masks):
+            raise InputError("masks do not match the requested universe size")
+        return cls(universe_size, sorted({m.bits for m in masks}))
 
     @property
     def members(self) -> tuple[SubsetMask, ...]:
@@ -203,20 +207,14 @@ class SetFamily:
     def contains_bits(self, bits: int) -> bool:
         return bits in self._bitset  # type: ignore[attr-defined]
 
+    def least(self) -> int | None:
+        """The meet of the members when it is a member, else None.
 
-def canonicalize(masks: Iterable[SubsetMask], universe_size: int | None = None) -> SetFamily:
-    """Dedupe and sort a raw sequence of masks into a SetFamily; idempotent."""
-    masks = list(masks)
-    sizes = {m.universe_size for m in masks}
-    if len(sizes) > 1:
-        raise InputError(f"masks on mixed universe sizes: {sorted(sizes)}")
-    if universe_size is None:
-        if not sizes:
-            raise InputError("cannot infer the universe size of an empty family")
-        universe_size = sizes.pop()
-    elif sizes and sizes.pop() != universe_size:
-        raise InputError("masks do not match the requested universe size")
-    return SetFamily(universe_size, sorted({mask.bits for mask in masks}))
+        On a finite universe that is when the family is downward directed;
+        the empty family's meet is the full set, which it lacks.
+        """
+        meet = reduce(operator.and_, self.bits, (1 << self.universe_size) - 1)
+        return meet if self.contains_bits(meet) else None
 
 
 def is_intersection_closed(fam: SetFamily) -> bool:

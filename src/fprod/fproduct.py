@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .filters import Filter, generate_filter, principal_filter
+from .filters import Filter, principal_filter
 from .foundations import (
     InputError,
     ProductIndexing,
@@ -94,39 +94,6 @@ def product_spec(factors: tuple[Factor, ...] | list[Factor], index_filter: Filte
     """Spec with the default index universe labelled 1..k."""
     factors = tuple(factors)
     return ProductSpec(Universe.indices(len(factors)), factors, index_filter)
-
-
-@dataclass(frozen=True)
-class Box:
-    """One subset of each factor; denotes the set of points hitting every choice."""
-
-    per_factor: tuple[SubsetMask, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_factor", tuple(self.per_factor))
-        if not self.per_factor:
-            raise InputError("a box needs at least one factor")
-
-
-def box_delta(box: Box) -> SubsetMask:
-    """Indexes where the box takes the whole factor (exact set equality)."""
-    k = len(box.per_factor)
-    return SubsetMask.of(k, (i for i, m in enumerate(box.per_factor) if m.is_full))
-
-
-def box_sigma(box: Box) -> SubsetMask:
-    """Support: indexes where the box is a proper subset of the factor."""
-    return box_delta(box).complement()
-
-
-def box_to_pointset(box: Box, idx: ProductIndexing) -> SubsetMask:
-    """The box by its definition: the product of its sides, each point encoded.
-
-    It shares no code with the kernel below, which the tests check against it.
-    """
-    if tuple(m.universe_size for m in box.per_factor) != idx.factor_sizes:
-        raise InputError("box factor sizes do not match the indexing")
-    return SubsetMask.of(idx.total, map(idx.encode_point, itertools.product(*box.per_factor)))
 
 
 @walk_memoized
@@ -336,18 +303,13 @@ def f_filter(spec: ProductSpec) -> Filter:
     """The product filter: supersets of the accepted filter boxes.
 
     Computed in closed form by f_filter_cores, with one core per factor; the
-    definitional route through f_filter_base generates the same filter.
+    definitional route, generate_filter(f_filter_base(spec)), is the same filter.
     """
     index_core = spec._require_index_filter().core.bits
     idx = spec.indexing
     cores = tuple((ff.core.bits,) for ff in _factor_filters(spec))
     (core,) = f_filter_cores(index_core, cores, idx)
     return principal_filter(SubsetMask(idx.total, core))
-
-
-def f_filter_via_base(spec: ProductSpec) -> Filter:
-    """Definitional route: generate the filter from the enumerated box base."""
-    return generate_filter(f_filter_base(spec))
 
 
 def squared_indexing(idx: ProductIndexing) -> ProductIndexing:

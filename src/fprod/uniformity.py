@@ -120,10 +120,8 @@ def _base_rows(fam: SetFamily) -> tuple[int, ...] | None:
     n = isqrt(fam.universe_size)
     if n * n != fam.universe_size:
         raise InputError("a relation family must live on a squared universe")
-    meet = (1 << fam.universe_size) - 1
-    for b in fam.bits:
-        meet &= b
-    if not fam.contains_bits(meet):
+    meet = fam.least()
+    if meet is None:
         return None
     rows = Relation(n, SubsetMask(fam.universe_size, meet)).rows()
     return rows if _is_equivalence(rows) else None

@@ -207,6 +207,62 @@ class TestExitCodes:
     def test_two_on_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--instance", "/nope.json", "--prop", "t1")
         assert code == 2
+        assert err == "error: input: cannot read instance file /nope.json: No such file or directory\n"
+
+    def test_two_on_an_instance_path_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "construct", "--instance", str(tmp_path), "--what", "f-topology")
+        assert code == 2 and out == ""
+        assert err == f"error: input: cannot read instance file {tmp_path}: Is a directory\n"
+
+    def test_two_on_an_unreadable_instance(self, capsys, monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)  # shadows the builtin in cli only
+        code, out, err = run(capsys, "check", "--instance", "inst.json", "--prop", "t1")
+        assert code == 2 and out == ""
+        assert err == "error: input: cannot read instance file inst.json: Permission denied\n"
+
+    def test_two_on_an_instance_that_is_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"index_set": ["\u00e9"]}'.encode("latin-1"))
+        code, out, err = run(capsys, "check", "--instance", str(bad), "--prop", "t1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: input: instance file is not valid UTF-8 JSON: 'utf-8' codec can't decode"
+            " byte 0xe9 in position 16: invalid continuation byte\n"
+        )
+
+    def test_two_when_the_report_cannot_be_written(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "--prop", "P2.5", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: input: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("check", "--prop", "t1", "--set", "x"), "check t1 does not read --set"),
+            (("check", "--prop", "hausdorff", "--n", "3"), "check hausdorff does not read --n"),
+            (("check", "--prop", "continuous-projections", "--set", "0,0,0"),
+             "check continuous-projections does not read --set"),
+            (("check", "--prop", "dense", "--set", "0,0,0", "--n", "2"), "check dense does not read --n"),
+            (("check", "--prop", "resolvable", "--n", "2", "--set", "0,0,0"),
+             "check resolvable does not read --set"),
+            (("enumerate", "--what", "topologies", "--size", "2", "--d", "5"),
+             "enumerate topologies does not read --d"),
+            (("enumerate", "--what", "filters", "--size", "2", "--d", "5"),
+             "enumerate filters does not read --d"),
+        ],
+        ids=["t1-set", "hausdorff-n", "projections-set", "dense-n", "resolvable-set", "topologies-d", "filters-d"],
+    )
+    def test_two_on_a_flag_the_command_does_not_read(self, capsys, argv, message):
+        if argv[0] == "check":
+            argv = ("check", "--instance", str(GOLDEN / "ex29.json"), *argv[1:])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: input: {message}\n"
 
 
 class TestCheckCommand:

@@ -13,7 +13,6 @@ from fprod.foundations import (
     SetFamily,
     SubsetMask,
     Universe,
-    canonicalize,
     grid_walk,
     is_intersection_closed,
     walk_memoized,
@@ -86,32 +85,69 @@ class TestEncodeDecode:
             ProductIndexing((64, 65))
 
 
-class TestCanonicalize:
+class TestSetFamilyOf:
     def test_dedupe_and_order(self):
         a = SubsetMask.of(2, [0])
         b = SubsetMask.of(2, [1])
-        fam = canonicalize([a, a, b])
+        fam = SetFamily.of(2, [a, a, b])
         assert fam.members == (a, b)
-        assert canonicalize(fam.members) == fam  # idempotent
+        assert SetFamily.of(2, fam.members) == fam  # idempotent
 
-    def test_empty_needs_size(self):
-        assert len(canonicalize([], universe_size=3)) == 0
-        with pytest.raises(InputError):
-            canonicalize([])
+    def test_empty_family(self):
+        assert SetFamily.of(3, []) == SetFamily(3, ())
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(InputError):
-            canonicalize([SubsetMask.of(2, [0]), SubsetMask.of(3, [0])])
+            SetFamily.of(2, [SubsetMask.of(2, [0]), SubsetMask.of(3, [0])])
+        with pytest.raises(InputError):  # every mask on one universe, but not the family's
+            SetFamily.of(3, [SubsetMask.of(2, [0])])
 
     def test_order_independent_of_input(self):
         rng = random.Random(20240817)
         masks = [SubsetMask(4, rng.randrange(16)) for _ in range(20)]
         oracle = sorted({m.bits for m in masks})
-        fam = canonicalize(masks, universe_size=4)
+        fam = SetFamily.of(4, masks)
         assert [m.bits for m in fam.members] == oracle
         for _ in range(5):
             rng.shuffle(masks)
-            assert canonicalize(masks, universe_size=4) == fam
+            assert SetFamily.of(4, masks) == fam
+
+
+def least_oracle(fam):
+    """Pairwise: the member that lies inside every other member, else None."""
+    inside_all = [a for a in fam.bits if all(a & ~b == 0 for b in fam.bits)]
+    return inside_all[0] if inside_all else None
+
+
+class TestSetFamilyLeast:
+    def test_every_family_on_one_to_three_points(self):
+        # a family on n points is a set of the 2**n subsets; 3 points have 2**8 families
+        checked = found = 0
+        for n in (1, 2, 3):
+            for fam_bits in range(1 << (1 << n)):
+                fam = SetFamily(n, [s for s in range(1 << n) if fam_bits >> s & 1])
+                assert fam.least() == least_oracle(fam)
+                checked += 1
+                found += fam.least() is not None
+        assert checked == 4 + 16 + 256
+        assert 0 < found < checked
+
+    def test_seeded_sample_on_four_points(self):
+        # 2000 of the 2**16 families on 4 points; half get their members' meet
+        # added, so directed families are as common as the others
+        rng = random.Random(19)
+        found = 0
+        for i in range(2000):
+            bits = {rng.randrange(16) for _ in range(rng.randint(0, 6))}
+            if i % 2 and bits:
+                meet = 15
+                for b in bits:
+                    meet &= b
+                bits.add(meet)
+            fam = SetFamily(4, sorted(bits))
+            assert fam.least() == least_oracle(fam)
+            found += fam.least() is not None
+        assert 0 < found < 2000  # both outcomes: 1268 of the 2000 have a least member
 
 
 class TestSetFamilyBits:

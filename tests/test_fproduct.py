@@ -9,7 +9,7 @@ import pytest
 
 from fprod import foundations, fproduct
 from fprod.cli import main
-from fprod.filters import principal_filter, trivial_filter
+from fprod.filters import generate_filter, principal_filter, trivial_filter
 from fprod.foundations import (
     InputError,
     ProductIndexing,
@@ -23,20 +23,15 @@ from fprod.foundations import (
     shared_indexing,
 )
 from fprod.fproduct import (
-    Box,
     _delta_groups,
     _point_boxes,
     Factor,
     ProductSpec,
     all_projections_continuous,
-    box_delta,
-    box_sigma,
-    box_to_pointset,
     equalizers,
     f_filter,
     f_filter_base,
     f_filter_cores,
-    f_filter_via_base,
     f_topology,
     f_topology_base,
     f_topology_via_base,
@@ -119,52 +114,13 @@ def box_oracle(sides, sizes):
     return bits
 
 
+def delta_of(sides, sizes):
+    """δ of a side choice: the indexes where the side is the whole factor."""
+    return sum(1 << i for i, (side, s) in enumerate(zip(sides, sizes)) if side == (1 << s) - 1)
+
+
 class TestBoxes:
-    def test_all_full_box(self):
-        b = Box((mask(2, 0b11), mask(2, 0b11)))
-        assert box_delta(b) == mask(2, 0b11)
-        assert box_sigma(b) == mask(2, 0b00)
-
-    def test_one_pinned_side(self):
-        b = Box((mask(2, 0b11), mask(2, 0b01)))
-        assert box_delta(b) == mask(2, 0b01)
-        assert box_sigma(b) == mask(2, 0b10)
-
-    def test_delta_distributes_over_intersection(self):
-        sides = [mask(2, b) for b in range(4)]
-        for s1, s2, s3, s4 in itertools.product(sides, repeat=4):
-            b1, b2 = Box((s1, s2)), Box((s3, s4))
-            meet = Box(tuple(a & b for a, b in zip(b1.per_factor, b2.per_factor)))
-            lhs = box_delta(meet)
-            rhs = box_delta(b1) & box_delta(b2)
-            assert lhs == rhs
-
-    def test_sigma_complements_delta_randomized(self):
-        rng = random.Random(7)
-        shapes = [(2, 2), (2, 3), (3, 3, 2), (4,)]
-        for _ in range(1000):
-            shape = rng.choice(shapes)
-            b = Box(tuple(mask(s, rng.randrange(1 << s)) for s in shape))
-            assert box_sigma(b) == box_delta(b).complement()
-
-    def test_pointset_examples(self):
-        from fprod.foundations import ProductIndexing
-
-        idx = ProductIndexing((2, 2))
-        assert box_to_pointset(Box((mask(2, 0b01), mask(2, 0b01))), idx).bits == 0b0001
-        assert box_to_pointset(Box((mask(2, 0b11), mask(2, 0b11))), idx).bits == 0b1111
-        # second coordinate pinned to 1 -> codes 2 and 3
-        got = box_to_pointset(Box((mask(2, 0b11), mask(2, 0b10))), idx)
-        oracle = [c for c in range(4) if idx.decode_point(c)[1] == 1]
-        assert got.elements() == tuple(oracle) == (2, 3)
-
-    def test_pointset_empty_iff_some_side_empty(self):
-        from fprod.foundations import ProductIndexing
-
-        idx = ProductIndexing((2, 2))
-        assert box_to_pointset(Box((mask(2, 0), mask(2, 0b11))), idx).is_empty
-
-    def test_enumerator_yields_the_boxes_box_delta_accepts_in_order(self):
+    def test_enumerator_yields_the_boxes_their_delta_accepts_in_order(self):
         # full and proper sides on mixed sizes, then empty sides and size-1
         # factors; each delta group holds its boxes in code order, and a base
         # is the union of the groups its member accepts
@@ -175,7 +131,7 @@ class TestBoxes:
         for sizes, side_lists in cases:
             groups = _delta_groups(side_lists, sizes)
             in_code_order = [c[::-1] for c in itertools.product(*reversed(side_lists))]
-            deltas = [box_delta(Box(tuple(map(mask, sizes, c)))).bits for c in in_code_order]
+            deltas = [delta_of(c, sizes) for c in in_code_order]
             assert [d for d, _ in groups] == sorted(set(deltas))
             for d, group in groups:
                 want = [box_oracle(c, sizes) for c, e in zip(in_code_order, deltas) if e == d]
@@ -186,27 +142,18 @@ class TestBoxes:
                 oracle = [
                     box_oracle(c, sizes)
                     for c in itertools.product(*side_lists)
-                    if member(box_delta(Box(tuple(map(mask, sizes, c)))).bits)
+                    if member(delta_of(c, sizes))
                 ]
                 assert collections.Counter(got) == collections.Counter(oracle)
                 assert fproduct._accepted(groups, member) == set(oracle)
 
-    def test_pointset_size_mismatch(self):
-        from fprod.foundations import ProductIndexing
-
-        with pytest.raises(InputError):
-            box_to_pointset(Box((mask(3, 0b111),)), ProductIndexing((2,)))
-
 
 class TestBoxKernel:
     def test_matches_decoding_oracle_on_mixed_radices(self):
-        # every single box: the kernel with one row per factor, and the Box route
+        # every single box: the kernel with one row per factor
         sizes = (2, 3, 1, 2)
-        idx = ProductIndexing(sizes)
         for sides in itertools.product(*(range(1 << s) for s in sizes)):
-            oracle = box_oracle(sides, sizes)
-            assert list(_point_boxes([[side] for side in sides], sizes)) == [oracle]
-            assert box_to_pointset(Box(tuple(map(mask, sizes, sides))), idx).bits == oracle
+            assert list(_point_boxes([[side] for side in sides], sizes)) == [box_oracle(sides, sizes)]
 
 
 def point_boxes_oracle(rows, sizes):
@@ -252,14 +199,14 @@ class TestPointBoxKernel:
 
 
 def box_base_oracle(side_lists, idx, member):
-    """The box base by the Box route: every accepted Box, each through box_to_pointset."""
-    boxes = [Box(c) for c in itertools.product(*side_lists)]
-    pointsets = [box_to_pointset(b, idx) for b in boxes if member(box_delta(b).bits)]
-    return SetFamily.of(idx.total, pointsets)
+    """The box base by its definition: the decoded box of every side choice whose δ is accepted."""
+    sizes = idx.factor_sizes
+    choices = [c for c in itertools.product(*side_lists) if member(delta_of(c, sizes))]
+    return SetFamily(idx.total, sorted({box_oracle(c, sizes) for c in choices}))
 
 
 def topology_base_oracle(spec, member):
-    opens = [[m for m in f.topology.opens() if not m.is_empty] for f in spec.factors]
+    opens = [[b for b in f.topology.opens().bits if b] for f in spec.factors]
     return box_base_oracle(opens, spec.indexing, member)
 
 
@@ -274,8 +221,8 @@ def filter_cores_oracle(index_core, rows, sizes):
     return out
 
 
-class TestBoxBasesAgainstTheBoxRoute:
-    """The bit-level bases against the Box/box_to_pointset route they replace.
+class TestBoxBasesAgainstTheOracle:
+    """The bit-level bases against one decoded box per accepted side choice.
 
     Small products under every filter are checked in the closed-form tests,
     which walk the same grids.
@@ -703,8 +650,8 @@ class TestFFilter:
                 for fil in enumerate_filters(k, include_trivial=True):
                     spec = product_spec(factors, fil)
                     ff = f_filter(spec)
-                    assert ff == f_filter_via_base(spec)
-                    members = [f.filter.members().members for f in factors]
+                    assert ff == generate_filter(f_filter_base(spec))
+                    members = [f.filter.members().bits for f in factors]
                     oracle = box_base_oracle(members, spec.indexing, fil.member_bits)
                     assert f_filter_base(spec) == oracle
                     cores = [f.filter.core.bits for f in factors]

@@ -13,7 +13,7 @@ from fprod.foundations import (
     grid_walk,
     map_fibres,
 )
-from fprod.fproduct import Box, Factor, box_delta, f_uniformity, f_uniformity_base, product_spec
+from fprod.fproduct import Factor, f_uniformity, f_uniformity_base, product_spec
 from fprod.topology import discrete, indiscrete, is_continuous, topologies_equal
 from fprod.uniformity import (
     Relation,
@@ -386,7 +386,7 @@ def diagonal_base_factor():
 
 
 def uniformity_base_oracle(spec):
-    """The entourage-box base by the Box route: each accepted Box, read pair by pair."""
+    """The entourage-box base by its definition: each box whose δ is accepted, read pair by pair."""
     idx = spec.indexing
     total, sizes = idx.total, idx.factor_sizes
     side_lists = [
@@ -395,7 +395,7 @@ def uniformity_base_oracle(spec):
     ]
     relations = []
     for choice in itertools.product(*side_lists):
-        if not spec.index_filter.member_bits(box_delta(Box(choice)).bits):
+        if not spec.index_filter.member_bits(sum(1 << i for i, r in enumerate(choice) if r.is_full)):
             continue
         points = [idx.decode_point(x) for x in range(total)]
         pairs = [
