@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from typing import Sequence
@@ -49,13 +50,25 @@ def _emit(args: argparse.Namespace, body: dict, started: float) -> None:
         text = _render_text(body)
     out = getattr(args, "out", None)
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
+        _write_out(out, text + "\n")
     else:
         print(text)
+
+
+def _write_out(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Fail on an unwritable --out before the command runs, and leave the path as it was."""
+    existed = os.path.lexists(path)
+    _write_out(path, "", mode="a")  # appending nothing keeps an existing file as it is
+    if not existed:
+        os.remove(path)
 
 
 def _render_text(body: dict) -> str:
@@ -168,9 +181,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         t = f_topology(spec)
         if prop == "hausdorff":
-            pair = t.inseparable_pair()
-            verdict = pair is None
-            if pair is not None:
+            verdict = t.is_hausdorff()
+            if not verdict:  # the pair scan only names the witness
+                pair = t.inseparable_pair()
                 detail["inseparable_pair"] = [serialize.product_point_label(x, spec) for x in pair]
         elif prop == "t1":
             verdict = t.is_t1()
@@ -338,6 +351,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         return args.handler(args)
     except InputError as exc:
         print(f"error: input: {exc}", file=sys.stderr)

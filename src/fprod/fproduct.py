@@ -36,8 +36,8 @@ from .uniformity import Relation, Uniformity, generate_uniformity
 class Factor:
     """One coordinate space: a universe plus whichever structures it carries.
 
-    A uniformity is given by a base, which is validated once here; the
-    uniformity it generates is kept as `uniformity` (None without a base).
+    A filter must be proper. A uniformity is given by a base, validated once
+    here; the uniformity it generates is kept as `uniformity` (None without a base).
     """
 
     universe: Universe
@@ -50,8 +50,11 @@ class Factor:
         n = self.universe.size
         if self.topology is not None and self.topology.universe_size != n:
             raise InputError("factor topology universe mismatch")
-        if self.filter is not None and self.filter.universe_size != n:
-            raise InputError("factor filter universe mismatch")
+        if self.filter is not None:
+            if self.filter.universe_size != n:
+                raise InputError("factor filter universe mismatch")
+            if not self.filter.is_proper:
+                raise InputError("factor filters must be proper")
         if self.uniformity_base is not None:
             if self.uniformity_base.universe_size != n * n:
                 raise InputError("factor uniformity base must live on the squared universe")
@@ -260,18 +263,11 @@ def filter_different(spec: ProductSpec) -> list[SubsetMask]:
     return _core_boxes(spec, lambda a, s: ((1 << s) - 1) ^ (1 << a))
 
 
-def _factor_filters(spec: ProductSpec) -> list[Filter]:
-    filters = _factor_parts(spec, "filter", "filter")
-    if not all(f.is_proper for f in filters):
-        raise InputError("factor filters must be proper")
-    return filters
-
-
 def f_filter_base(spec: ProductSpec) -> SetFamily:
     """Point sets of all boxes of factor-filter members whose delta is accepted."""
     member = spec._require_index_filter().member_bits
     idx = spec.indexing
-    members = tuple(f.members().bits for f in _factor_filters(spec))
+    members = tuple(f.members().bits for f in _factor_parts(spec, "filter", "filter"))
     return SetFamily(idx.total, sorted(_accepted(_delta_groups(members, idx.factor_sizes), member)))
 
 
@@ -307,7 +303,7 @@ def f_filter(spec: ProductSpec) -> Filter:
     """
     index_core = spec._require_index_filter().core.bits
     idx = spec.indexing
-    cores = tuple((ff.core.bits,) for ff in _factor_filters(spec))
+    cores = tuple((ff.core.bits,) for ff in _factor_parts(spec, "filter", "filter"))
     (core,) = f_filter_cores(index_core, cores, idx)
     return principal_filter(SubsetMask(idx.total, core))
 

@@ -95,10 +95,7 @@ def factor_to_dict(factor: Factor) -> dict:
     if factor.topology is not None:
         out["opens"] = family_to_json(factor.topology.base, factor.universe)
     if factor.filter is not None:
-        fil = factor.filter
-        out["filter"] = (
-            [] if fil.trivial else [mask_to_labels(fil.core, factor.universe)]
-        )
+        out["filter"] = [mask_to_labels(factor.filter.core, factor.universe)]
     if factor.uniformity_base is not None:
         n = factor.universe.size
         out["uniformity_base"] = [

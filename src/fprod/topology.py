@@ -170,14 +170,14 @@ class Topology:
         )
 
     def is_hausdorff(self) -> bool:
-        """Distinct points have disjoint minimal neighbourhoods."""
-        return self.inseparable_pair() is None
+        """Distinct points have disjoint minimal neighbourhoods. A point y != x in
+        mins[x] lies in mins[y] too, so this holds iff every point is open, as for T1."""
+        return all(m == 1 << x for x, m in enumerate(self.mins))
 
     def is_t1(self) -> bool:
-        """Every singleton is closed."""
-        n = self.universe_size
-        full = (1 << n) - 1
-        return all(self.is_open(SubsetMask(n, full ^ (1 << x))) for x in range(n))
+        """Every singleton is closed. On a finite space every set is then closed, so
+        every set is open as well: each minimal neighbourhood is a singleton."""
+        return all(m == 1 << x for x, m in enumerate(self.mins))
 
     def is_dense(self, mask: SubsetMask) -> bool:
         """The set meets every minimal neighbourhood, hence every nonempty open set."""
@@ -253,38 +253,27 @@ def subspace(t: Topology, carrier: SubsetMask) -> Topology:
 
 
 def find_disjoint_dense(t: Topology, n: int) -> tuple[SubsetMask, ...] | None:
-    """Search for n pairwise-disjoint dense subsets.
+    """The lexicographically least sequence of n pairwise-disjoint dense subsets, or None.
 
-    Exhaustive backtracking over subsets in ascending bit-vector order, so the
-    returned witness is the lexicographically least sequence; a branch is cut
-    as soon as the unclaimed remainder is not dense itself.
+    Every nonempty open set contains a minimal one: a minimal neighbourhood m
+    with mins[y] == m for each y in m. These are pairwise disjoint, and a set
+    is dense iff it meets each of them, so n disjoint dense sets exist iff each
+    has at least n points. Set j takes the j-th lowest point of each: any dense
+    set holds one point per minimal open set, none lower than these.
     """
     if n < 1:
         raise InputError("need n >= 1 dense sets")
     size = t.universe_size
-    if size > 16:
-        raise ResourceLimitError("disjoint-dense search capped at 16 points")
-    neighbourhoods = t._distinct_mins
-
-    def dense(bits: int) -> bool:
-        return all(bits & m for m in neighbourhoods)
-
-    def extend(allowed: int, k: int) -> list[SubsetMask] | None:
-        if k == 0:
-            return []
-        if not dense(allowed):
-            return None
-        sub = (0 - allowed) & allowed  # submasks of `allowed`, ascending
-        while sub:
-            if dense(sub):
-                rest = extend(allowed & ~sub, k - 1)
-                if rest is not None:
-                    return [SubsetMask(size, sub)] + rest
-            sub = (sub - allowed) & allowed
+    minimal = [m for m in t._distinct_mins if all(t.mins[y] == m for y in SubsetMask(size, m))]
+    if not minimal or min(m.bit_count() for m in minimal) < n:
         return None
-
-    found = extend((1 << size) - 1, n)
-    return None if found is None else tuple(found)
+    found = [0] * n
+    for m in minimal:
+        for j in range(n):
+            low = m & -m
+            found[j] |= low
+            m ^= low
+    return tuple(SubsetMask(size, bits) for bits in found)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fprod
-from fprod import cli, serialize
+from fprod import cli, serialize, verifier
 from fprod.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -240,6 +241,37 @@ class TestExitCodes:
         assert err == f"error: input: cannot write {target}: No such file or directory\n"
         assert not target.parent.exists()
 
+    def test_an_unwritable_report_fails_before_any_check(self, capsys, monkeypatch, tmp_path):
+        entry = verifier._REGISTRY["P2.7"]
+        checked = []
+
+        def counting(inst):
+            checked.append(inst)
+            return entry.check(inst)
+
+        monkeypatch.setitem(verifier._REGISTRY, "P2.7", dataclasses.replace(entry, check=counting))
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "verify", "--prop", "P2.7", "--factor-size", "3", "--budget", "20000",
+            "--out", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: input: cannot write {target}: No such file or directory\n"
+        assert checked == []
+        writable = tmp_path / "x.json"
+        code, _, _ = run(capsys, "verify", "--prop", "P2.7", "--budget", "3", "--out", str(writable))
+        assert code == 3 and len(checked) == 3  # the counter sees a run that writes
+
+    def test_a_failing_command_leaves_the_report_path_as_it_was(self, capsys, tmp_path):
+        kept = tmp_path / "keep.json"
+        kept.write_text("earlier report\n")
+        absent = tmp_path / "absent.json"
+        for target in (kept, absent):
+            code, out, err = run(capsys, "verify", "--prop", "P9.9", "--out", str(target))
+            assert code == 2 and out == "" and err.startswith("error: input: unknown proposition id")
+        assert kept.read_text() == "earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -293,6 +325,32 @@ class TestCheckCommand:
         assert body["verdict"] is True
         fam = body["detail"]["dense_family"]
         assert len(fam) == 2 and not (set(fam[0]) & set(fam[1]))
+
+    @pytest.mark.parametrize(
+        "n, verdict, family",
+        [
+            (1, True, [["(0,0,0,0,0)"]]),
+            (2, True, [["(0,0,0,0,0)"], ["(1,0,0,0,0)"]]),
+            (3, False, None),
+        ],
+    )
+    def test_resolvable_beyond_sixteen_points(self, capsys, tmp_path, n, verdict, family):
+        # sierpinski^5 pinned at index 1: the one minimal open set is {(0,0,0,0,0), (1,0,0,0,0)}
+        factor = {"points": ["0", "1"], "opens": [["0"], ["0", "1"]]}
+        instance = {
+            "index_set": ["1", "2", "3", "4", "5"],
+            "factors": [factor] * 5,
+            "index_filter": {"generators": [["1"]], "trivial": False},
+        }
+        path = tmp_path / "sierpinski5.json"
+        path.write_text(json.dumps(instance))
+        code, out, err = run(
+            capsys, "check", "--instance", str(path), "--prop", "resolvable", "--n", str(n), "--json",
+        )
+        assert code == 0 and err == ""
+        body = json_body(out)["report"]
+        assert body["verdict"] is verdict
+        assert body["detail"].get("dense_family") == family
 
     def test_t1(self, capsys):
         code, out, _ = run(

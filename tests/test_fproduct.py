@@ -689,10 +689,8 @@ class TestFFilter:
             assert validate_filter_base(f_filter_base(spec))
 
     def test_trivial_factor_filter_rejected(self):
-        f = Factor(Universe.points(2), filter=trivial_filter(2))
-        spec = product_spec((f,), trivial_filter(1))
-        with pytest.raises(InputError):
-            f_filter(spec)
+        with pytest.raises(InputError, match="factor filters must be proper"):
+            Factor(Universe.points(2), filter=trivial_filter(2))
 
 
 class TestOrderImmersion:

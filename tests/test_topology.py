@@ -1,10 +1,20 @@
+import functools
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from fprod.filters import principal_filter
-from fprod.foundations import InputError, SetFamily, SubsetMask, grid_walk, map_fibres
+from fprod.foundations import (
+    InputError,
+    ResourceLimitError,
+    SetFamily,
+    SubsetMask,
+    grid_walk,
+    map_fibres,
+)
 from fprod.topology import (
     Topology,
     discrete,
@@ -19,6 +29,60 @@ from fprod.topology import (
     topology_leq,
     validate_base,
 )
+
+
+def small_topologies():
+    """Every topology on 1..4 points."""
+    return [t for n in range(1, 5) for t in enumerate_topologies(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def p45_product_topologies():
+    """Every distinct product topology of P4.5's default grid.
+
+    Size bound: 1,121 topologies on up to 9 points (two factors, each a
+    topology on 1..3 points, under every filter on the 2-point index set).
+    """
+    from fprod.fproduct import f_topology
+    from fprod.verifier import _product_instances, default_grid
+
+    found = {f_topology(spec) for spec in _product_instances(default_grid("P4.5"))}
+    return sorted(found, key=lambda t: (t.universe_size, t.mins))
+
+
+def disjoint_dense_search(t, n):
+    """Search for n pairwise-disjoint dense subsets.
+
+    The definition that find_disjoint_dense answers in closed form. Exhaustive backtracking over subsets in ascending bit-vector order, so the
+    returned witness is the lexicographically least sequence; a branch is cut
+    as soon as the unclaimed remainder is not dense itself.
+    """
+    if n < 1:
+        raise InputError("need n >= 1 dense sets")
+    size = t.universe_size
+    if size > 16:
+        raise ResourceLimitError("disjoint-dense search capped at 16 points")
+    neighbourhoods = t._distinct_mins
+
+    def dense(bits: int) -> bool:
+        return all(bits & m for m in neighbourhoods)
+
+    def extend(allowed: int, k: int) -> list[SubsetMask] | None:
+        if k == 0:
+            return []
+        if not dense(allowed):
+            return None
+        sub = (0 - allowed) & allowed  # submasks of `allowed`, ascending
+        while sub:
+            if dense(sub):
+                rest = extend(allowed & ~sub, k - 1)
+                if rest is not None:
+                    return [SubsetMask(size, sub)] + rest
+            sub = (sub - allowed) & allowed
+        return None
+
+    found = extend((1 << size) - 1, n)
+    return None if found is None else tuple(found)
 
 
 def fam(n, *bit_sets):
@@ -262,6 +326,31 @@ class TestSeparation:
             assert t.is_hausdorff() == topologies_equal(t, d)
             assert t.is_t1() == topologies_equal(t, d)
 
+    def test_t1_and_hausdorff_agree_with_their_definitions(self):
+        """T1: every singleton's complement is open. Hausdorff: no x < y whose
+        minimal neighbourhoods meet, and on up to 4 points, disjoint open sets
+        around any two points; inseparable_pair names the first such x < y."""
+        topologies = small_topologies() + p45_product_topologies()
+        for t in topologies:
+            n = t.universe_size
+            full = (1 << n) - 1
+            t1 = all(t.is_open(SubsetMask(n, full ^ (1 << x))) for x in range(n))
+            meeting = [
+                (x, y) for x in range(n) for y in range(x + 1, n) if t.mins[x] & t.mins[y]
+            ]
+            assert t.is_t1() == t1
+            assert t.is_hausdorff() == (not meeting)
+            assert t.inseparable_pair() == (meeting[0] if meeting else None)
+            if n <= 4:
+                opens = t.opens().bits
+                separated = all(
+                    any(u >> x & 1 and v >> y & 1 and not u & v for u in opens for v in opens)
+                    for x in range(n)
+                    for y in range(x + 1, n)
+                )
+                assert t.is_hausdorff() == separated
+        assert len(topologies) == 1 + 4 + 29 + 355 + 1121
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_base_separation_matches_open_separation(self, n):
         for t in enumerate_topologies(n):
@@ -367,6 +456,41 @@ class TestContinuity:
 
 
 class TestDisjointDense:
+    def test_agrees_with_the_search_on_every_topology_up_to_4_points(self):
+        for t in small_topologies():
+            for n in range(1, t.universe_size + 2):
+                assert find_disjoint_dense(t, n) == disjoint_dense_search(t, n)
+
+    def test_agrees_with_the_search_on_the_p45_product_topologies(self):
+        topologies = p45_product_topologies()
+        assert len(topologies) == 1121
+        assert max(t.universe_size for t in topologies) == 9
+        for t in topologies:
+            for n in (1, 2, 3):
+                assert find_disjoint_dense(t, n) == disjoint_dense_search(t, n)
+
+    def test_a_count_beyond_every_minimal_open_set_answers_at_once(self):
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            assert find_disjoint_dense(indiscrete(4), 10**9) is None
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 64 * 1024  # no list of 10**9 sets
+
+    def test_answers_beyond_sixteen_points(self):
+        t = Topology(32, [(1 << 32) - 1] * 32)
+        found = find_disjoint_dense(t, 32)
+        assert [m.bits for m in found] == [1 << j for j in range(32)]
+        assert find_disjoint_dense(t, 33) is None
+
+    def test_rejects_a_count_below_one(self):
+        with pytest.raises(InputError, match="need n >= 1"):
+            find_disjoint_dense(discrete(2), 0)
+
     def test_indiscrete_pair(self):
         found = find_disjoint_dense(indiscrete(2), 2)
         assert found is not None

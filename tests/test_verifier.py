@@ -31,6 +31,7 @@ from fprod.verifier import (
     _decode,
     _encode,
     _p31_check,
+    _product_instances,
     default_grid,
     enumerate_filters,
     preset_factor,
@@ -716,6 +717,19 @@ class TestWitnessRoundTrip:
         report = verify_proposition("P2.8", grid)
         spec = serialize.parse_instance(report.witness["instance"])
         assert serialize.spec_to_dict(spec) == report.witness["instance"]
+
+    @pytest.mark.parametrize("source", ["all-filters", "all-topologies", "all-uniformity-bases"])
+    def test_every_spec_of_the_enumerated_factor_grids_round_trips(self, source):
+        from fprod import serialize
+
+        grids = {e.default_grid for e in _REGISTRY.values()}
+        grids = {g for g in grids if g.factor_source == source}
+        checked = 0
+        for grid in grids:
+            for spec in _product_instances(grid):
+                assert serialize.parse_instance(serialize.spec_to_dict(spec)) == spec
+                checked += 1
+        assert checked > 0
 
     def test_preset_factor_unknown(self):
         with pytest.raises(InputError):
