@@ -45,7 +45,7 @@ _CHECK_PROPS = ("hausdorff", "t1", "dense", "resolvable", "continuous-projection
 def _emit(args: argparse.Namespace, body: dict, started: float) -> None:
     if getattr(args, "json", False):
         payload = {"report": body, "meta": {"elapsed_seconds": round(time.monotonic() - started, 6)}}
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = serialize.to_json(payload)
     else:
         text = _render_text(body)
     out = getattr(args, "out", None)
@@ -87,7 +87,7 @@ def _render_text(body: dict) -> str:
             lines.append(f"note: {note}")
         if body["witness"] is not None:
             lines.append("witness:")
-            lines.append(json.dumps(body["witness"], indent=2, sort_keys=True))
+            lines.append(serialize.to_json(body["witness"]))
     elif kind == "check":
         lines.append(f"check {body['prop']}: {str(body['verdict']).lower()}")
         for key, value in sorted(body.get("detail", {}).items()):
@@ -102,7 +102,7 @@ def _render_text(body: dict) -> str:
         for item in body.get("items", []):
             lines.append(f"item: {json.dumps(item, sort_keys=True)}")
     else:
-        lines.append(json.dumps(body, indent=2, sort_keys=True))
+        lines.append(serialize.to_json(body))
     return "\n".join(lines)
 
 

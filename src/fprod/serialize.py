@@ -21,6 +21,8 @@ arrays of [x, y] label pairs. Reports never carry timestamps in their body.
 from __future__ import annotations
 
 import itertools
+import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .filters import Filter, generate_filter, trivial_filter
@@ -163,7 +165,13 @@ def parse_instance(data: Any) -> ProductSpec:
     factors_data = data["factors"]
     if not isinstance(factors_data, list):
         raise InputError("'factors' must be a list")
-    factors = tuple(factor_from_dict(f) for f in factors_data)
+    parsed: dict[str, Factor] = {}  # one parse per distinct factor, kept for this call only
+    factors = []
+    for f in factors_data:
+        key = repr(f)  # the factor's text: == would take True for 1 and 1.0
+        if key not in parsed:
+            parsed[key] = factor_from_dict(f)
+        factors.append(parsed[key])
     index_filter = None
     if "index_filter" in data and data["index_filter"] is not None:
         index_filter = filter_from_dict(data["index_filter"], index_universe)
@@ -201,3 +209,37 @@ def product_point_labels(spec: ProductSpec) -> list[str]:
 def product_subset_to_labels(mask: SubsetMask, points: Sequence[str]) -> list[str]:
     """A product subset as sorted point labels, read from a product_point_labels table."""
     return sorted(points[code] for code in mask)
+
+
+_encode_scalar = json.JSONEncoder().encode
+
+
+def to_json(value: Any) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte; keys must be str.
+
+    The stdlib uses its C encoder only without indent, so an indented dump
+    sends every list item through Python generators. Here a list of strings
+    (the labels of a subset) is one join over encode_basestring_ascii, and
+    only the containers above it are walked in Python.
+    """
+    return _indented(value, "\n")
+
+
+def _indented(value: Any, newline: str) -> str:
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        try:
+            body = sep.join(map(encode_basestring_ascii, value))
+        except TypeError:  # an item is not a string
+            body = sep.join([_indented(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(k) + ": " + _indented(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _encode_scalar(value)

@@ -161,13 +161,21 @@ class Topology:
         return principal_filter(self.minimal_neighborhood(x))
 
     def inseparable_pair(self) -> tuple[int, int] | None:
-        """The first x < y in code order whose minimal neighbourhoods meet, or None."""
+        """The first x < y in code order whose minimal neighbourhoods meet, or None.
+
+        A point is in such a pair iff it is not open or lies in another point's
+        minimal neighbourhood: iff it lies in some mins[y] != {y}. The lowest
+        such x has all its partners above it, so y is the first one after x.
+        """
         mins = self.mins
-        n = self.universe_size
-        return next(
-            ((x, y) for x in range(n) for y in range(x + 1, n) if mins[x] & mins[y]),
-            None,
-        )
+        shared = 0
+        for y, m in enumerate(mins):
+            if m != 1 << y:
+                shared |= m
+        if not shared:
+            return None
+        x = (shared & -shared).bit_length() - 1
+        return x, next(y for y in range(x + 1, self.universe_size) if mins[x] & mins[y])
 
     def is_hausdorff(self) -> bool:
         """Distinct points have disjoint minimal neighbourhoods. A point y != x in

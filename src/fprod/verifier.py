@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import or_
 from typing import Any, Callable, Iterator
 
 from . import serialize
@@ -414,17 +415,28 @@ def _p31_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     failure = _non_dense_equalizer(spec, t, sigmas)
     if failure is not None:
         return False, failure
-    bits = [sigma.bits for sigma in sigmas]
-    # x, then y ascending among the points filter-different from x
+    # y's equalizer meets x's iff it holds a point z of x's, so one table of
+    # holders per point and one OR of them per distinct equalizer suffice
+    owners: dict[SubsetMask, int] = {}  # each distinct equalizer -> the points that have it
+    for y, sigma in enumerate(sigmas):
+        owners[sigma] = owners.get(sigma, 0) | 1 << y
+    holders = [0] * len(sigmas)  # z -> the points whose equalizer holds z
+    for sigma, ys in owners.items():
+        for z in sigma:
+            holders[z] |= ys
+    # each distinct equalizer -> the points whose equalizer meets it
+    meeting = {sigma: reduce(or_, map(holders.__getitem__, sigma), 0) for sigma in owners}
+    # the lowest x, then the lowest y filter-different from x
     for x, others in enumerate(filter_different(spec)):
-        for y in others:
-            if bits[x] & bits[y]:
-                return False, {
-                    "overlapping_equalizers": [
-                        serialize.product_point_label(x, spec),
-                        serialize.product_point_label(y, spec),
-                    ]
-                }
+        clash = meeting[sigmas[x]] & others.bits
+        if clash:
+            y = (clash & -clash).bit_length() - 1
+            return False, {
+                "overlapping_equalizers": [
+                    serialize.product_point_label(x, spec),
+                    serialize.product_point_label(y, spec),
+                ]
+            }
     return True, None
 
 

@@ -1,0 +1,118 @@
+"""The report writer and the instance parser of fprod.serialize."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fprod import serialize
+from fprod.foundations import InputError
+
+
+def reference(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# every character class the encoder escapes: quotes, backslashes, control
+# characters, non-ASCII (astral and lone surrogates too), plus plain ASCII
+characters = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€ 😀\ud800a') | st.characters(
+    exclude_categories=()
+)
+texts = st.text(characters, max_size=8)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # nan and both infinities included
+    | texts
+)
+json_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.lists(texts, max_size=5)  # the joined fast path: every item a string
+    | st.dictionaries(texts, children, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestReportWriter:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(json_values)
+    def test_equals_the_stdlib_indented_sorted_dump(self, value):
+        assert serialize.to_json(value) == reference(value)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, None, 2**70, "é\n",
+        [], {}, [[]], {"a": {}}, ("x", ("y",)), ["a", 1, "b"], [1, "a"], ["a", ["b"]],
+        {"b": ["x", "y"], "a": [{"c": None}]},
+    ])
+    def test_edge_values(self, value):
+        assert serialize.to_json(value) == reference(value)
+
+    @pytest.mark.parametrize("value", [[object()], {"k": {1: 1, "a": 2}}, {"k": [{1: "x"}]}])
+    def test_raises_on_what_reports_never_hold(self, value):
+        # an object the stdlib cannot encode either, or a key that is not a str
+        with pytest.raises(TypeError):
+            serialize.to_json(value)
+
+    def test_a_label_list_is_one_line_per_label(self):
+        assert serialize.to_json({"s": ["(0,1)", "(1,1)"]}) == (
+            '{\n  "s": [\n    "(0,1)",\n    "(1,1)"\n  ]\n}'
+        )
+        assert math.isnan(json.loads(serialize.to_json([float("nan")]))[0])
+
+
+def factor(points, opens=None):
+    out = {"points": points}
+    if opens is not None:
+        out["opens"] = opens
+    return out
+
+
+def instance(factors):
+    return {
+        "index_set": [str(i + 1) for i in range(len(factors))],
+        "factors": factors,
+        "index_filter": {"generators": [], "trivial": True},
+    }
+
+
+class TestFactorMemo:
+    def test_a_repeated_factor_is_parsed_once_into_one_object(self, monkeypatch):
+        f = factor(["0", "1"], [["0"], ["1"]])
+        # as read from a file: equal factors, each its own dict
+        data = json.loads(json.dumps(instance([f] * 5)))
+        parses = []
+        original = serialize.factor_from_dict
+        monkeypatch.setattr(serialize, "factor_from_dict", lambda d: parses.append(d) or original(d))
+        spec = serialize.parse_instance(data)
+        assert parses == [f]
+        assert all(g is spec.factors[0] for g in spec.factors)
+        assert serialize.spec_to_dict(spec) == data
+
+    def test_factors_that_differ_in_one_label_stay_apart(self):
+        a = factor(["0", "1"], [["0"], ["1"]])
+        b = factor(["0", "2"], [["0"], ["2"]])
+        spec = serialize.parse_instance(instance([a, b, a, b]))
+        first, second = spec.factors[:2]
+        assert first is not second and first != second
+        assert spec.factors == (first, second, first, second)
+        assert first.universe.labels == ("0", "1") and second.universe.labels == ("0", "2")
+
+    def test_a_repeated_invalid_factor_raises_its_own_message(self):
+        bad = factor(["0", "1"], [["0"]])  # covers no neighbourhood of "1"
+        with pytest.raises(InputError) as direct:
+            serialize.factor_from_dict(bad)
+        with pytest.raises(InputError) as parsed:
+            serialize.parse_instance(instance([factor(["0"], [["0"]]), bad, bad]))
+        assert str(parsed.value) == str(direct.value) == "family is not a topology base"
+
+    def test_the_first_invalid_factor_is_the_one_reported(self):
+        unknown_key = {"points": ["0"], "colour": "red"}
+        bad_base = factor(["0", "1"], [["0"]])
+        with pytest.raises(InputError, match="unknown factor keys"):
+            serialize.parse_instance(instance([unknown_key, bad_base, unknown_key]))
+        with pytest.raises(InputError, match="not a topology base"):
+            serialize.parse_instance(instance([bad_base, unknown_key, bad_base]))

@@ -351,6 +351,41 @@ class TestSeparation:
                 assert t.is_hausdorff() == separated
         assert len(topologies) == 1 + 4 + 29 + 355 + 1121
 
+    def test_inseparable_pair_agrees_with_the_pair_scan_on_larger_products(self):
+        """Three-factor products of every topology on 1..2 points under every
+        filter on 3 indexes, and discrete2^k x X (X: opens {a} and {b, c}),
+        whose first inseparable pair comes after every isolated point."""
+        from fprod.filters import trivial_filter
+        from fprod.fproduct import Factor, f_topology, product_spec
+        from fprod.foundations import Universe
+        from fprod.verifier import enumerate_filters
+
+        def first_meeting(t):
+            n, mins = t.universe_size, t.mins
+            return next(
+                ((x, y) for x in range(n) for y in range(x + 1, n) if mins[x] & mins[y]), None
+            )
+
+        pool = [Factor(Universe.points(t.universe_size), topology=t) for t in small_topologies()[:5]]
+        products = [
+            f_topology(product_spec(factors, fil))
+            for factors in itertools.product(pool, repeat=3)
+            for fil in enumerate_filters(3, include_trivial=True)
+        ]
+        x_space = Factor(Universe.points(3), topology=Topology(3, (0b001, 0b110, 0b110)))
+        discrete2 = Factor(Universe.points(2), topology=discrete(2))
+        late = [
+            f_topology(product_spec(factors, trivial_filter(len(factors))))
+            for k in range(1, 7)
+            for factors in ([discrete2] * k + [x_space], [discrete2] * k)
+        ]
+        for t in products + late:
+            assert t.inseparable_pair() == first_meeting(t)
+        assert len(products) == 125 * 8
+        # x is the first code whose last digit is b, y the same code with c
+        assert [t.inseparable_pair() for t in late[::2]] == [(2**k, 2**k * 2) for k in range(1, 7)]
+        assert all(t.inseparable_pair() is None for t in late[1::2])
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_base_separation_matches_open_separation(self, n):
         for t in enumerate_topologies(n):

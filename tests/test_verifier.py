@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -478,6 +479,109 @@ class TestHypothesisProbe:
         report = verify_proposition("P3.1", grid)
         assert report.passed and report.complete
         assert report.checked == 15  # the proper filters on 4 indexes
+
+
+def p31_pairwise(spec):
+    """P3.1 by its definition: every equalizer dense, then no x, y (x ascending,
+    then y) with y filter-different from x whose equalizers meet."""
+    t = f_topology(spec)
+    sigmas = fprod.verifier.equalizers(spec)
+    for x, sigma in enumerate(sigmas):
+        if not t.is_dense(sigma):
+            return False, {"non_dense_equalizer_at": product_point_label(x, spec)}
+    for x, others in enumerate(fprod.verifier.filter_different(spec)):
+        for y in others:
+            if sigmas[x].bits & sigmas[y].bits:
+                return False, {
+                    "overlapping_equalizers": [
+                        product_point_label(x, spec), product_point_label(y, spec)
+                    ]
+                }
+    return True, None
+
+
+class TestP31Disjointness:
+    """P3.1's one-pass disjointness test against the pairwise scan it replaced."""
+
+    @staticmethod
+    def specs(grid):
+        return list(_REGISTRY["P3.1"].instances(grid))
+
+    def test_agrees_with_the_pairwise_scan_on_the_default_and_deep_grids(self):
+        deep = dataclasses.replace(
+            default_grid("P3.1"), index_sizes=(4,), factor_preset="discrete3"
+        )
+        specs = self.specs(default_grid("P3.1")) + self.specs(deep)
+        for spec in specs:
+            assert _p31_check(spec) == p31_pairwise(spec) == (True, None)
+        assert len(specs) == 11 + 15
+
+    def test_agrees_with_the_pairwise_scan_when_two_equalizers_overlap(self, monkeypatch):
+        # one point is added to one equalizer, so the equalizers are no longer
+        # symmetric and exactly the chosen pair (and maybe others) overlap
+        real = fprod.verifier.equalizers
+        cases = 0
+        for grid in (default_grid("P3.1"), dataclasses.replace(
+            default_grid("P3.1"), index_sizes=(2,), factor_preset="discrete3"
+        )):
+            for spec in self.specs(grid):
+                total = spec.indexing.total
+                different = fprod.verifier.filter_different(spec)
+                for x in sorted({0, total // 3, total - 1}):
+                    for y in sorted({min(different[x]), max(different[x])}):
+                        for a, b in ((x, y), (y, x)):
+                            sigmas = list(real(spec))
+                            sigmas[a] = sigmas[a] | SubsetMask.singleton(total, b)
+                            monkeypatch.setattr(
+                                fprod.verifier, "equalizers", lambda s, sigmas=sigmas: sigmas
+                            )
+                            ok, detail = _p31_check(spec)
+                            assert not ok and "overlapping_equalizers" in detail
+                            assert (ok, detail) == p31_pairwise(spec)
+                            cases += 1
+        assert cases == 148
+
+    def test_agrees_with_the_pairwise_scan_on_random_overlapping_equalizers(self, monkeypatch):
+        # each equalizer grows by a few random points, so one point can lie in
+        # several distinct equalizers; a superset of a dense set stays dense
+        real = fprod.verifier.equalizers
+        rng = random.Random(31)
+        verdicts = set()
+        for spec in self.specs(default_grid("P3.1")):
+            total = spec.indexing.total
+            for _ in range(30):
+                sigmas = [
+                    sigma | SubsetMask(total, rng.getrandbits(total) & rng.getrandbits(total))
+                    for sigma in real(spec)
+                ]
+                monkeypatch.setattr(fprod.verifier, "equalizers", lambda s, sigmas=sigmas: sigmas)
+                result = _p31_check(spec)
+                assert result == p31_pairwise(spec)
+                verdicts.add(result[0])
+        assert verdicts == {True, False}
+
+
+class TestP45Witness:
+    def test_names_the_first_point_whose_neighbourhoods_differ(self, monkeypatch):
+        # the via-base route is made to differ from the kernel at two points,
+        # neither of them point 0, so the witness must name the lower one
+        real = fprod.verifier.f_topology_via_base
+        checked = 0
+        for spec in itertools.islice(_product_instances(default_grid("P4.5")), 0, None, 97):
+            total = spec.indexing.total
+            if total < 3:
+                continue
+            first, last = total // 2, total - 1
+            mins = list(real(spec).mins)
+            mins[first] ^= 1
+            mins[last] ^= 1
+            fake = type("FakeTopology", (), {"mins": tuple(mins)})
+            monkeypatch.setattr(fprod.verifier, "f_topology_via_base", lambda s, fake=fake: fake)
+            ok, detail = fprod.verifier._p45_check(spec)
+            assert not ok
+            assert detail == {"neighborhood_identity_fails_at": product_point_label(first, spec)}
+            checked += 1
+        assert checked == 47
 
 
 class TestBudget:
