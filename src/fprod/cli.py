@@ -39,18 +39,14 @@ from .verifier import (
     verify_proposition,
 )
 
-_CHECK_PROPS = ("hausdorff", "t1", "dense", "resolvable", "continuous-projections")
-
-
 def _emit(args: argparse.Namespace, body: dict, started: float) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         payload = {"report": body, "meta": {"elapsed_seconds": round(time.monotonic() - started, 6)}}
         text = serialize.to_json(payload)
     else:
         text = _render_text(body)
-    out = getattr(args, "out", None)
-    if out:
-        _write_out(out, text + "\n")
+    if args.out:
+        _write_out(args.out, text + "\n")
     else:
         print(text)
 
@@ -72,7 +68,8 @@ def _check_writable(path: str) -> None:
 
 
 def _render_text(body: dict) -> str:
-    kind = body.get("kind")
+    """Text of a verify, search, check or enumerate report; construct writes only JSON."""
+    kind = body["kind"]
     lines: list[str] = []
     if kind == "verify" or kind == "search":
         if kind == "verify":
@@ -90,19 +87,17 @@ def _render_text(body: dict) -> str:
             lines.append(serialize.to_json(body["witness"]))
     elif kind == "check":
         lines.append(f"check {body['prop']}: {str(body['verdict']).lower()}")
-        for key, value in sorted(body.get("detail", {}).items()):
+        for key, value in sorted(body["detail"].items()):
             if isinstance(value, list) and all(isinstance(v, str) for v in value):
                 lines.append(f"{key.replace('_', ' ')}: {' and '.join(value)}")
             else:
                 lines.append(f"{key.replace('_', ' ')}: {json.dumps(value, sort_keys=True)}")
-    elif kind == "enumerate":
+    else:  # enumerate
         lines.append(f"{body['what']} of size {body['size']}: {body['count']}")
         if "note" in body:
             lines.append(f"note: {body['note']}")
-        for item in body.get("items", []):
+        for item in body["items"]:
             lines.append(f"item: {json.dumps(item, sort_keys=True)}")
-    else:
-        lines.append(serialize.to_json(body))
     return "\n".join(lines)
 
 
@@ -152,26 +147,18 @@ def _grid_from_args(args: argparse.Namespace, check_id: str, claim: bool = False
     return grid
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    report = verify_proposition(args.prop, _grid_from_args(args, args.prop))
-    _emit(args, {**report.to_dict(), "kind": "verify"}, started)
-    if not report.complete:
-        return 3
-    return 0 if report.passed else 1
+def _cmd_grid(args: argparse.Namespace) -> tuple[dict, int]:
+    """verify or search: 3 when the budget ran out, else 1 on a counterexample to a
+    proposition or on a claim with no witness in the whole grid, and 0 otherwise."""
+    search = args.command == "search"
+    check_id = args.claim if search else args.prop
+    walk = search_counterexample if search else verify_proposition
+    report = walk(check_id, _grid_from_args(args, check_id, claim=search))
+    code = int(report.passed == search) if report.complete else 3
+    return {**report.to_dict(), "kind": args.command}, code
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    report = search_counterexample(args.claim, _grid_from_args(args, args.claim, claim=True))
-    _emit(args, {**report.to_dict(), "kind": "search"}, started)
-    if not report.complete:
-        return 3
-    return 0 if not report.passed else 1
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     prop = args.prop
     _reject_unread(args, "check", prop, {"set": "dense", "n": "resolvable"})
     spec = _load_instance(args.instance)
@@ -181,9 +168,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         t = f_topology(spec)
         if prop == "hausdorff":
-            verdict = t.is_hausdorff()
-            if not verdict:  # the pair scan only names the witness
-                pair = t.inseparable_pair()
+            pair = t.inseparable_pair()
+            verdict = pair is None
+            if pair is not None:
                 detail["inseparable_pair"] = [serialize.product_point_label(x, spec) for x in pair]
         elif prop == "t1":
             verdict = t.is_t1()
@@ -199,7 +186,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             verdict = t.is_dense(mask)
             points = serialize.product_point_labels(spec)
             detail["set"] = serialize.product_subset_to_labels(mask, points)
-        elif prop == "resolvable":
+        else:  # resolvable
             if args.n is None:
                 raise InputError("check resolvable needs --n")
             found = find_disjoint_dense(t, args.n)
@@ -209,15 +196,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 detail["dense_family"] = [
                     serialize.product_subset_to_labels(m, points) for m in found
                 ]
-        else:
-            raise InputError(f"unknown check {prop!r}; known: {_CHECK_PROPS}")
-    body = {"kind": "check", "prop": prop, "verdict": verdict, "detail": detail}
-    _emit(args, body, started)
-    return 0
+    return {"kind": "check", "prop": prop, "verdict": verdict, "detail": detail}, 0
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_construct(args: argparse.Namespace) -> tuple[dict, int]:
     spec = _load_instance(args.instance)
     what = args.what
     points = serialize.product_point_labels(spec)
@@ -235,17 +217,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         fil = f_filter(spec)
         body["trivial"] = fil.trivial
         body["minimal"] = labels(fil.core)
-    elif what == "f-uniformity":
+    else:  # f-uniformity
         u = f_uniformity(spec)
         body["base"] = [[[points[x], points[y]] for x, y in u.minimal_entourage().pair_list()]]
-    else:
-        raise InputError(f"unknown construction {what!r}")
-    _emit(args, body, started)
-    return 0
+    return body, 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     what = args.what
     _reject_unread(args, "enumerate", what, {"d": "d-complements"})
     size = args.size
@@ -261,17 +239,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         body["items"] = [
             {"opens": serialize.family_to_json(t.opens(), uni)} for t in topos
         ]
-    elif what == "d-complements":
+    else:  # d-complements
         if args.d is None:
             raise InputError("enumerate d-complements needs --d")
         fam, note = d_complements_family(size, args.d)
         body["count"] = len(fam)
         body["items"] = serialize.family_to_json(fam, uni)
         body["note"] = note
-    else:
-        raise InputError(f"unknown enumeration {what!r}")
-    _emit(args, body, started)
-    return 0
+    return body, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="evaluate a predicate on a constructed product")
     p_check.add_argument("--instance", required=True)
-    p_check.add_argument("--prop", required=True, choices=_CHECK_PROPS)
+    p_check.add_argument("--prop", required=True,
+                         choices=("hausdorff", "t1", "dense", "resolvable", "continuous-projections"))
     p_check.add_argument("--set", help="semicolon-separated product points, e.g. '0,0;1,0'")
     p_check.add_argument("--n", type=int, help="number of disjoint dense sets for resolvable")
     p_check.add_argument("--json", action="store_true")
@@ -301,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verifier grid for one proposition")
     p_verify.add_argument("--prop", required=True)
     _add_grid_flags(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=_cmd_grid)
 
     p_search = sub.add_parser("search", help="search a grid for a counterexample to a claim")
     p_search.add_argument("--claim", required=True)
     _add_grid_flags(p_search)
-    p_search.set_defaults(handler=_cmd_search)
+    p_search.set_defaults(handler=_cmd_grid)
 
     p_enum = sub.add_parser("enumerate", help="print canonical enumerations with counts")
     p_enum.add_argument("--what", required=True,
@@ -349,11 +325,16 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command: each handler returns (report body, exit code) and writes
+    nothing; main alone times it, writes the report and maps errors to exit 2."""
     args = _shared_parser().parse_args(argv)
     try:
-        if getattr(args, "out", None):
+        if args.out:
             _check_writable(args.out)
-        return args.handler(args)
+        started = time.monotonic()
+        body, code = args.handler(args)
+        _emit(args, body, started)
+        return code
     except InputError as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 2

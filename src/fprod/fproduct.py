@@ -113,17 +113,15 @@ def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> 
     masks = [1]
     width = 1
     for side_rows, size in zip(rows, factor_sizes):
-        pats = side_rows  # over one-point prefixes a side is its own spread
-        if width > 1:
-            pats = []
-            for side in side_rows:
-                pat = shift = 0
-                while side:
-                    if side & 1:
-                        pat |= 1 << shift
-                    side >>= 1
-                    shift += width
-                pats.append(pat)
+        pats = []
+        for side in side_rows:
+            pat = shift = 0
+            while side:
+                if side & 1:
+                    pat |= 1 << shift
+                side >>= 1
+                shift += width
+            pats.append(pat)
         masks = [m * pat for pat in pats for m in masks]
         width *= size
     return tuple(masks)

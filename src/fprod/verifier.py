@@ -243,7 +243,16 @@ def _nontrivial_topology(f: Factor) -> bool:
 # entries with extra fields: generators and checks
 
 
+_P21_INDEX_CAP = 4  # 65,535 families at 4 indexes; 5 would be 4,294,967,295
+
+
 def _p21_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, SetFamily]]:
+    """Each factor choice with each of the 2^(2^k) - 1 nonempty families of index subsets."""
+    if max(grid.index_sizes) > _P21_INDEX_CAP:
+        raise InputError(
+            f"P2.1 walks every family of index subsets, so index sizes stop at "
+            f"{_P21_INDEX_CAP}, got {max(grid.index_sizes)}"
+        )
     for k in grid.index_sizes:
         subset_count = 1 << k
         for combo in itertools.product(_factor_choices(grid), repeat=k):

@@ -44,6 +44,19 @@ class TestGoldenReports:
         assert code == 0 and err == ""
         assert out == (GOLDEN / "check_ex29.txt").read_text()
 
+    @pytest.mark.parametrize("golden, code, argv", [
+        ("verify_e29.txt", 0, ("verify", "--prop", "E2.9")),
+        ("verify_p28_counterexample.txt", 1,
+         ("verify", "--prop", "P2.8", "--index-size", "2", "--factor-size", "2", "--filters", "1")),
+        ("search_hausdorff.txt", 0, ("search", "--claim", "hausdorff-for-all-filters")),
+        ("enumerate_d_complements.txt", 0,
+         ("enumerate", "--what", "d-complements", "--size", "3", "--d", "2")),
+    ])
+    def test_text_report_matches_golden(self, capsys, golden, code, argv):
+        got, out, err = run(capsys, *argv)
+        assert (got, err) == (code, "")
+        assert out == (GOLDEN / golden).read_text()
+
     def test_check_ex29_json_matches_golden(self, capsys):
         code, out, err = run(
             capsys,
@@ -176,6 +189,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--prop", "P9.9")
         assert code == 2
         assert "unknown proposition id" in err
+
+    def test_two_on_a_p21_index_size_above_four(self, capsys):
+        # 2^(2^5) - 1 families would be walked; the grid is refused before its first instance
+        code, out, err = run(capsys, "verify", "--prop", "P2.1", "--index-size", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: input: P2.1 walks every family of index subsets, so index sizes stop at 4, got 5\n"
 
     def test_two_on_out_of_scope_prop(self, capsys):
         code, _, err = run(capsys, "verify", "--prop", "P2.12")

@@ -15,7 +15,14 @@ from fprod.filters import (
     trivial_filter,
     validate_filter_base,
 )
-from fprod.foundations import InputError, SetFamily, SubsetMask, check_fibres, map_fibres
+from fprod.foundations import (
+    InputError,
+    ResourceLimitError,
+    SetFamily,
+    SubsetMask,
+    check_fibres,
+    map_fibres,
+)
 from fprod.verifier import enumerate_filters
 
 
@@ -314,9 +321,30 @@ class TestDComplements:
         assert len(family) == 4
         assert "trivial" in note
 
-    def test_intermediate_d_is_not_a_filter(self):
-        family, note = d_complements_family(3, 2)
-        assert not validate_filter_base(family) or "not intersection-closed" in note
+    @pytest.mark.parametrize("d", [2, 3])  # d == n is still intermediate: the empty set is out
+    def test_intermediate_d_is_not_a_filter(self, d):
+        family, note = d_complements_family(3, d)
+        assert "not intersection-closed" in note
+        assert not validate_filter_base(family)
         from fprod.foundations import is_intersection_closed
 
         assert not is_intersection_closed(family)
+
+    def test_d_complements_answer_at_sixteen_points_and_raise_at_seventeen(self):
+        family, _ = d_complements_family(16, 1)
+        assert [m.bits for m in family] == [(1 << 16) - 1]
+        with pytest.raises(ResourceLimitError, match="capped at universe size 16"):
+            d_complements_family(17, 1)
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (1, 0)])
+    def test_d_complements_reject_a_size_or_bound_below_one(self, n, d):
+        with pytest.raises(InputError, match="universe size >= 1 and a cardinal bound >= 1"):
+            d_complements_family(n, d)
+
+
+class TestMembersCap:
+    def test_members_answer_at_sixteen_points_and_raise_at_seventeen(self):
+        full = (1 << 16) - 1
+        assert [m.bits for m in principal_filter(SubsetMask(16, full)).members()] == [full]
+        with pytest.raises(ResourceLimitError, match="capped at universe size 16"):
+            principal_filter(SubsetMask(17, (1 << 17) - 1)).members()

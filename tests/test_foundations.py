@@ -191,6 +191,13 @@ def boolean_laws(n, abits, bbits):
     assert a & a.complement() == empty
 
 
+class TestSetFamilyContains:
+    def test_a_mask_of_another_universe_is_not_a_member(self):
+        fam = SetFamily(2, [0b01])
+        assert SubsetMask(2, 0b01) in fam
+        assert SubsetMask(3, 0b01) not in fam
+
+
 class TestSubsetMask:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_boolean_laws_exhaustive(self, n):
@@ -250,6 +257,11 @@ class TestUniverse:
         with pytest.raises(InputError):
             u.index_of("9")
         assert Universe.points(2).labels == ("0", "1")
+
+    def test_sixty_four_labels_and_no_more(self):
+        assert Universe.points(64).size == 64
+        with pytest.raises(ResourceLimitError, match="universe size 65 exceeds cap 64"):
+            Universe.points(65)
 
 
 class TestIntersectionClosed:

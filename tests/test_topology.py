@@ -226,6 +226,13 @@ class TestRepresentation:
         assert hash(discrete(2)) == hash(generated)
 
 
+class TestOpensCap:
+    def test_opens_answer_at_twenty_points_and_raise_at_twenty_one(self):
+        assert [m.bits for m in indiscrete(20).opens()] == [0, (1 << 20) - 1]
+        with pytest.raises(ResourceLimitError, match="capped at universe size 20"):
+            indiscrete(21).opens()
+
+
 class TestIsOpen:
     def test_sierpinski_cases(self):
         t = sierpinski()

@@ -72,6 +72,11 @@ def all_partitions(n):
 
 
 class TestRelationAlgebra:
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (-1, 0)])
+    def test_from_pairs_rejects_a_pair_out_of_range(self, pair):
+        with pytest.raises(InputError, match="out of range for 2 points"):
+            Relation.from_pairs(2, [pair])
+
     def test_diagonal_is_identity_for_composition(self):
         for n in (1, 2, 3):
             d = diagonal(n)
@@ -409,6 +414,20 @@ def uniformity_base_oracle(spec):
 
 
 class TestProductUniformity:
+    @pytest.mark.parametrize("build", [f_uniformity, f_uniformity_base])
+    def test_a_factor_without_a_uniformity_base_is_rejected(self, build):
+        spec = product_spec([Factor(Universe.points(2), topology=discrete(2))] * 2, trivial_filter(2))
+        with pytest.raises(InputError, match="^every factor needs a uniformity base for the product uniformity$"):
+            build(spec)
+
+    def test_members_answer_at_four_points_and_raise_at_five(self):
+        def whole(n):
+            return Uniformity(n, ((1 << n) - 1,) * n)
+
+        assert [m.bits for m in whole(4).members()] == [(1 << 16) - 1]
+        with pytest.raises(ResourceLimitError, match="capped at 4 points"):
+            whole(5).members()
+
     def test_factor_generates_its_uniformity_once(self):
         base = SetFamily.of(4, [diagonal(2).pairs, SubsetMask.full(4)])
         f = Factor(Universe.points(2), uniformity_base=base)

@@ -141,6 +141,17 @@ class TestVerifyDefaults:
         assert a == b
 
 
+class TestP21IndexCap:
+    def test_a_grid_with_any_index_size_above_four_yields_nothing(self):
+        grid = dataclasses.replace(default_grid("P2.1"), index_sizes=(3, 5))
+        with pytest.raises(InputError, match="index sizes stop at 4, got 5"):
+            next(_REGISTRY["P2.1"].instances(grid))
+
+    def test_index_size_four_still_yields_every_family(self):
+        grid = dataclasses.replace(default_grid("P2.1"), index_sizes=(4,))
+        assert sum(1 for _ in _REGISTRY["P2.1"].instances(grid)) == 2 ** 16 - 1
+
+
 class TestUniformityValidations:
     """A factor's uniformity base is validated once, when the factor is built."""
 
