@@ -143,16 +143,28 @@ def filter_leq(f: Filter, g: Filter) -> bool:
     return g.core.issubset(f.core)
 
 
+def fibre_image(fibres: Sequence[int], core_bits: int) -> int:
+    """The mask of the codomain points whose fibre meets core_bits: the image of that set.
+
+    The kernel of pushforward, on ints; fibres are trusted to partition the
+    domain (see foundations.check_fibres), as projection fibres do.
+    """
+    image = 0
+    for v, fibre in enumerate(fibres):
+        if fibre & core_bits:
+            image |= 1 << v
+    return image
+
+
 def pushforward(fibres: Sequence[int], fil: Filter) -> Filter:
     """The filter on the codomain generated by the images of the members.
 
-    The map is given by its fibres (see foundations.map_fibres). A principal
-    filter pushes to the principal filter at the image of its core, the points
-    whose fibre meets the core; the trivial filter pushes to the trivial
-    filter (the image family contains the empty set).
+    The map is given by its fibres (see foundations.map_fibres), checked here
+    to partition the domain. A principal filter pushes to the principal filter
+    at fibre_image of its core, nonempty because the fibres cover the core; the
+    trivial filter's empty core has the empty image, so it pushes to the
+    trivial filter.
     """
     check_fibres(fibres, fil.universe_size, len(fibres))
-    if fil.trivial:
-        return trivial_filter(len(fibres))
-    image = sum(1 << v for v, fibre in enumerate(fibres) if fibre & fil.core.bits)
-    return principal_filter(SubsetMask(len(fibres), image))
+    n = len(fibres)
+    return Filter(n, SubsetMask(n, fibre_image(fibres, fil.core.bits)))

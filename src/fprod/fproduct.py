@@ -28,7 +28,7 @@ from .foundations import (
     shared_indexing,
     walk_memoized,
 )
-from .topology import Topology, is_continuous, topology_from_base_bits
+from .topology import Topology, continuous_mins, topology_from_base_bits
 from .uniformity import Relation, Uniformity, generate_uniformity
 
 
@@ -135,7 +135,7 @@ def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> tuple[in
     minimal entourages it is the row of x in the product's minimal entourage.
     """
     core = spec._require_index_filter().core.bits  # empty when the filter is trivial
-    return f_filter_cores(core, rows, spec.indexing)
+    return _filter_cores(core, rows, spec.indexing.factor_sizes)
 
 
 def _by_delta(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], items) -> tuple:
@@ -224,11 +224,16 @@ def projection_fibres(i: int, idx: ProductIndexing) -> tuple[int, ...]:
 
 
 def all_projections_continuous(spec: ProductSpec) -> bool:
-    t = f_topology(spec)
+    """Each projection is continuous from the product topology to its factor's.
+
+    The indexing's digit fibres partition the product by construction, so
+    they go to topology.continuous_mins unchecked.
+    """
+    mins = f_topology(spec).mins
     idx = spec.indexing
     for i, f in enumerate(spec.factors):
         assert f.topology is not None
-        if not is_continuous(projection_fibres(i, idx), t, f.topology):
+        if not continuous_mins(projection_fibres(i, idx), mins, f.topology.mins):
             return False
     return True
 
@@ -238,7 +243,7 @@ def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
     core = spec._require_index_filter().core
     idx = spec.indexing
     rows = tuple(tuple(core_side(a, s) for a in range(s)) for s in idx.factor_sizes)
-    boxes = f_filter_cores(core.complement().bits, rows, idx)
+    boxes = _filter_cores(core.complement().bits, rows, idx.factor_sizes)
     return [SubsetMask(idx.total, m) for m in boxes]
 
 
@@ -286,6 +291,11 @@ def f_filter_cores(
         raise InputError(f"index core {index_core:#x} out of range for {len(sizes)} indexes")
     if any(side >> s for row, s in zip(core_rows, sizes) for side in row):
         raise InputError("a factor core has points outside its factor")
+    return _filter_cores(index_core, core_rows, sizes)
+
+
+def _filter_cores(index_core: int, core_rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple[int, ...]:
+    """f_filter_cores without its checks, for rows read off validated factor structures."""
     sides = tuple(
         ((1 << s) - 1,) * len(row) if index_core >> i & 1 else tuple(row)
         for i, (row, s) in enumerate(zip(core_rows, sizes))
@@ -302,7 +312,7 @@ def f_filter(spec: ProductSpec) -> Filter:
     index_core = spec._require_index_filter().core.bits
     idx = spec.indexing
     cores = tuple((ff.core.bits,) for ff in _factor_parts(spec, "filter", "filter"))
-    (core,) = f_filter_cores(index_core, cores, idx)
+    (core,) = _filter_cores(index_core, cores, idx.factor_sizes)
     return principal_filter(SubsetMask(idx.total, core))
 
 

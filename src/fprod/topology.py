@@ -178,14 +178,13 @@ class Topology:
         return x, next(y for y in range(x + 1, self.universe_size) if mins[x] & mins[y])
 
     def is_hausdorff(self) -> bool:
-        """Distinct points have disjoint minimal neighbourhoods. A point y != x in
-        mins[x] lies in mins[y] too, so this holds iff every point is open, as for T1."""
+        """Distinct points have disjoint minimal neighbourhoods; equally, every singleton
+        is closed (T1). Both hold iff every point is open: a point y != x in mins[x]
+        lies in mins[y] too, and a finite space whose points are closed has every set
+        closed, hence every set open."""
         return all(m == 1 << x for x, m in enumerate(self.mins))
 
-    def is_t1(self) -> bool:
-        """Every singleton is closed. On a finite space every set is then closed, so
-        every set is open as well: each minimal neighbourhood is a singleton."""
-        return all(m == 1 << x for x, m in enumerate(self.mins))
+    is_t1 = is_hausdorff
 
     def is_dense(self, mask: SubsetMask) -> bool:
         """The set meets every minimal neighbourhood, hence every nonempty open set."""
@@ -229,17 +228,38 @@ def topologies_equal(t1: Topology, t2: Topology) -> bool:
 
 def is_continuous(fibres: Sequence[int], t_dom: Topology, t_cod: Topology) -> bool:
     """f, given by its fibres (see foundations.map_fibres), maps the minimal
-    neighbourhood of each x into that of f(x): each point of fibre v keeps its
-    minimal neighbourhood inside the preimage of v's."""
+    neighbourhood of each x into that of f(x). The fibres are checked to
+    partition the domain, then continuous_mins decides."""
     check_fibres(fibres, t_dom.universe_size, t_cod.universe_size)
-    for v, fibre in enumerate(fibres):
-        preimage = sum(other for c, other in enumerate(fibres) if t_cod.mins[v] >> c & 1)
+    return continuous_mins(tuple(fibres), t_dom.mins, t_cod.mins)
+
+
+def continuous_mins(fibres: tuple[int, ...], dom_mins: Sequence[int], cod_mins: tuple[int, ...]) -> bool:
+    """The kernel of is_continuous, on the two minimal-neighbourhood vectors: each
+    point x keeps dom_mins[x] inside the preimage of cod_mins[f(x)]. The fibres are
+    trusted to partition the domain, as projection fibres do."""
+    for m, preimage in zip(dom_mins, _point_preimages(fibres, cod_mins)):
+        if m & ~preimage:
+            return False
+    return True
+
+
+@walk_memoized
+def _point_preimages(fibres: tuple[int, ...], cod_mins: tuple[int, ...]) -> tuple[int, ...]:
+    """For each domain point x, in code order, the preimage of cod_mins[f(x)]: the
+    union of the fibres of its points. Inside a grid walk every product on one
+    factor tuple shares the table."""
+    at = [0] * sum(f.bit_count() for f in fibres)
+    for fibre, m in zip(fibres, cod_mins):
+        preimage = 0
+        for c, other in enumerate(fibres):
+            if m >> c & 1:
+                preimage |= other
         while fibre:
             low = fibre & -fibre
-            if t_dom.mins[low.bit_length() - 1] & ~preimage:
-                return False
+            at[low.bit_length() - 1] = preimage
             fibre ^= low
-    return True
+    return tuple(at)
 
 
 def subspace(t: Topology, carrier: SubsetMask) -> Topology:

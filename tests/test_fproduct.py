@@ -9,7 +9,7 @@ import pytest
 
 from fprod import foundations, fproduct
 from fprod.cli import main
-from fprod.filters import generate_filter, principal_filter, trivial_filter
+from fprod.filters import fibre_image, generate_filter, principal_filter, pushforward, trivial_filter
 from fprod.foundations import (
     InputError,
     ProductIndexing,
@@ -17,6 +17,7 @@ from fprod.foundations import (
     SetFamily,
     SubsetMask,
     Universe,
+    check_fibres,
     grid_walk,
     is_intersection_closed,
     map_fibres,
@@ -41,6 +42,7 @@ from fprod.fproduct import (
     squared_indexing,
 )
 from fprod.topology import (
+    continuous_mins,
     discrete,
     enumerate_topologies,
     generate_topology,
@@ -52,6 +54,7 @@ from fprod.topology import (
     validate_base,
 )
 from fprod.verifier import (
+    _REGISTRY,
     default_grid,
     enumerate_filters,
     preset_factor,
@@ -527,6 +530,52 @@ class TestProjections:
             principal_filter(mask(2, 0b01)),
         )
         assert all_projections_continuous(spec)
+
+    def test_every_digit_fibre_passes_check_fibres(self):
+        # the fact that lets the checks hand projection fibres to the unchecked kernels
+        checked = 0
+        for k in range(1, 5):
+            for sizes in itertools.product((1, 2, 3, 4), repeat=k):
+                idx = shared_indexing(sizes)
+                for i, s in enumerate(sizes):
+                    check_fibres(projection_fibres(i, idx), idx.total, s)
+                    checked += 1
+        assert checked == 4 + 2 * 16 + 3 * 64 + 4 * 256
+
+    @pytest.mark.parametrize("prop, index_sizes, count", [
+        ("P4.2", (1, 2, 3, 4), 6 + 6**2 + 6**3 + 6**4),
+        ("P4.3", None, 9),
+    ])
+    def test_fibre_image_answers_as_pushforward_on_the_check_grids(self, prop, index_sizes, count):
+        # P4.2 and the identity claim push the product filter; P4.3 pushes every filter
+        grid = default_grid(prop)
+        if index_sizes is not None:
+            grid = dataclasses.replace(grid, index_sizes=index_sizes)
+        checked = 0
+        with grid_walk():
+            for spec in _REGISTRY[prop].instances(grid):
+                idx = spec.indexing
+                fils = enumerate_filters(idx.total) if prop == "P4.3" else (f_filter(spec),)
+                for i in range(len(spec.factors)):
+                    fibres = projection_fibres(i, idx)
+                    for fil in fils:
+                        assert fibre_image(fibres, fil.core.bits) == pushforward(fibres, fil).core.bits
+                checked += 1
+        assert checked == count
+
+    def test_continuous_mins_answers_as_is_continuous_on_the_p27_grid(self):
+        grid = dataclasses.replace(default_grid("P2.7"), index_sizes=(4,))
+        answers = collections.Counter()
+        with grid_walk():
+            for spec in _REGISTRY["P2.7"].instances(grid):
+                t = f_topology(spec)
+                for i, f in enumerate(spec.factors):
+                    fibres = projection_fibres(i, spec.indexing)
+                    got = continuous_mins(fibres, t.mins, f.topology.mins)
+                    assert got == is_continuous(fibres, t, f.topology)
+                    answers[got] += 1
+        assert sum(answers.values()) == 4 * 1296
+        assert answers[True] and answers[False]
 
 
 class TestPointQueryClosedForms:

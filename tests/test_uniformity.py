@@ -289,6 +289,25 @@ class TestGenerateUniformity:
         for blocks in all_partitions(3):
             self.axiom_oracle(partition_uniformity(3, blocks))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_member_agrees_with_the_materialized_members(self, n):
+        diag = diagonal(n).pairs.bits
+        reflexive = [r for r in all_relations(n) if diag & ~r.pairs.bits == 0]
+        assert len(reflexive) == 2 ** (n * n - n)
+        answers = set()
+        for blocks in all_partitions(n):
+            u = partition_uniformity(n, blocks)
+            members = {m.bits for m in u.members()}
+            for r in reflexive:
+                assert u.member(r) == (r.pairs.bits in members)
+                answers.add(u.member(r))
+        assert answers == ({True} if n == 1 else {True, False})
+
+    def test_member_rejects_a_relation_on_another_universe(self):
+        u = partition_uniformity(2, [[0, 1]])
+        with pytest.raises(InputError, match="membership query on the wrong universe"):
+            u.member(Relation.full(3))
+
 
 class TestEntourageBalls:
     def test_diagonal_ball(self):

@@ -263,15 +263,15 @@ def swap_first_two_fibres(original):
 
 class TestProjectionFaults:
     """P2.7, P4.2 and P4.3 fail, with a replayable witness, when the projection layer
-    they read (digit fibres, pushforward, continuity) is broken."""
+    they read (digit fibres, fibre images, continuity) is broken."""
 
     def test_p27_catches_a_continuity_test_that_ignores_the_codomain(self, monkeypatch):
-        original = fprod.fproduct.is_continuous
+        original = fprod.fproduct.continuous_mins
 
-        def against_the_indiscrete_codomain(fibres, t_dom, t_cod):
-            return original(fibres, t_dom, indiscrete(t_cod.universe_size))
+        def against_the_indiscrete_codomain(fibres, dom_mins, cod_mins):
+            return original(fibres, dom_mins, indiscrete(len(cod_mins)).mins)
 
-        monkeypatch.setattr(fprod.fproduct, "is_continuous", against_the_indiscrete_codomain)
+        monkeypatch.setattr(fprod.fproduct, "continuous_mins", against_the_indiscrete_codomain)
         assert_fault_caught(monkeypatch, "P2.7", "all_projections_continuous")
 
     def test_p27_catches_swapped_projection_fibres(self, monkeypatch):
@@ -280,23 +280,20 @@ class TestProjectionFaults:
         assert_fault_caught(monkeypatch, "P2.7", "all_projections_continuous")
 
     def test_p42_catches_a_pushforward_that_drops_the_lowest_image_point(self, monkeypatch):
-        original = fprod.verifier.pushforward
+        original = fprod.verifier.fibre_image
 
-        def dropping_the_lowest_point(fibres, fil):
-            image = original(fibres, fil)
-            core = image.core.bits
-            if core & (core - 1) == 0:  # the trivial filter or a one-point core
-                return image
-            return principal_filter(SubsetMask(image.universe_size, core & (core - 1)))
+        def dropping_the_lowest_point(fibres, core_bits):
+            image = original(fibres, core_bits)
+            return image & (image - 1) or image  # unchanged when empty or a single point
 
-        monkeypatch.setattr(fprod.verifier, "pushforward", dropping_the_lowest_point)
+        monkeypatch.setattr(fprod.verifier, "fibre_image", dropping_the_lowest_point)
         assert_fault_caught(monkeypatch, "P4.2", "projection_not_contained_at_factor")
 
     def test_p42_catches_a_pushforward_that_always_returns_the_coarsest_filter(self, monkeypatch):
-        def whole_codomain(fibres, fil):
-            return principal_filter(SubsetMask.full(len(fibres)))  # the filter {X}
+        def whole_codomain(fibres, core_bits):
+            return (1 << len(fibres)) - 1  # the core of the filter {X}
 
-        monkeypatch.setattr(fprod.verifier, "pushforward", whole_codomain)
+        monkeypatch.setattr(fprod.verifier, "fibre_image", whole_codomain)
         assert_fault_caught(monkeypatch, "P4.2", "saturated_projection_identity_fails_at_factor")
 
     def test_p43_catches_swapped_projection_fibres(self, monkeypatch):
