@@ -140,7 +140,13 @@ def filter_leq(f: Filter, g: Filter) -> bool:
     """True iff every member of f is a member of g (f is coarser)."""
     if f.universe_size != g.universe_size:
         raise InputError("filters live on different universes")
-    return g.core.issubset(f.core)
+    return core_leq(f.core.bits, g.core.bits)
+
+
+def core_leq(f_core: int, g_core: int) -> bool:
+    """filter_leq on the cores of two principal filters, given as point masks:
+    f is coarser than g iff g's core lies inside f's."""
+    return not g_core & ~f_core
 
 
 def fibre_image(fibres: Sequence[int], core_bits: int) -> int:

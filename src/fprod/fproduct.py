@@ -202,12 +202,13 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     and the minimal neighbourhood of x_i elsewhere, and these minimal boxes
     are the product's minimal neighbourhoods. An arbitrary
     intersection-closed delta_family has no core; its topology is generated
-    from the enumerated box base.
+    from the enumerated box base. The minimal boxes are a preorder by
+    construction, so they build through Topology.unchecked.
     """
     if delta_family is not None:
         return f_topology_via_base(spec, delta_family)
     rows = tuple(t.mins for t in _factor_parts(spec, "topology", "topology"))
-    return Topology.of(spec.indexing.total, _minimal_boxes(spec, rows))
+    return Topology.unchecked(spec.indexing.total, _minimal_boxes(spec, rows))
 
 
 def f_topology_via_base(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
@@ -303,17 +304,22 @@ def _filter_cores(index_core: int, core_rows: Sequence[Sequence[int]], sizes: Se
     return _point_boxes(sides, sizes)
 
 
+def f_filter_core(spec: ProductSpec) -> int:
+    """The product filter's core as a point mask: the box whole on the index-filter
+    core and each factor filter's core elsewhere (see f_filter)."""
+    index_core = spec._require_index_filter().core.bits
+    cores = tuple((ff.core.bits,) for ff in _factor_parts(spec, "filter", "filter"))
+    (core,) = _filter_cores(index_core, cores, spec.indexing.factor_sizes)
+    return core
+
+
 def f_filter(spec: ProductSpec) -> Filter:
     """The product filter: supersets of the accepted filter boxes.
 
-    Computed in closed form by f_filter_cores, with one core per factor; the
+    Computed in closed form by f_filter_core, with one core per factor; the
     definitional route, generate_filter(f_filter_base(spec)), is the same filter.
     """
-    index_core = spec._require_index_filter().core.bits
-    idx = spec.indexing
-    cores = tuple((ff.core.bits,) for ff in _factor_parts(spec, "filter", "filter"))
-    (core,) = _filter_cores(index_core, cores, idx.factor_sizes)
-    return principal_filter(SubsetMask(idx.total, core))
+    return principal_filter(SubsetMask(spec.indexing.total, f_filter_core(spec)))
 
 
 def squared_indexing(idx: ProductIndexing) -> ProductIndexing:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .filters import Filter, generate_filter, trivial_filter
 from .foundations import InputError, SetFamily, SubsetMask, Universe
@@ -32,8 +32,19 @@ from .topology import Topology, generate_topology
 from .uniformity import Relation
 
 
+# _BYTE_BITS[b] holds the bits of byte b as eight 0/1 bytes, least significant first
+_BYTE_BITS = tuple(bytes(b >> i & 1 for i in range(8)) for b in range(256))
+
+
+def _selected(labels: Sequence[str], bits: int) -> Iterator[str]:
+    """The labels at the set bits, in code order: the mask's bytes expand through
+    _BYTE_BITS into one 0/1 selector per code, which itertools.compress reads in C."""
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return itertools.compress(labels, b"".join(map(_BYTE_BITS.__getitem__, raw)))
+
+
 def mask_to_labels(mask: SubsetMask, universe: Universe) -> list[str]:
-    return sorted(universe.labels[i] for i in mask)
+    return sorted(_selected(universe.labels, mask.bits))
 
 
 def labels_to_mask(labels: Any, universe: Universe) -> SubsetMask:
@@ -208,7 +219,7 @@ def product_point_labels(spec: ProductSpec) -> list[str]:
 
 def product_subset_to_labels(mask: SubsetMask, points: Sequence[str]) -> list[str]:
     """A product subset as sorted point labels, read from a product_point_labels table."""
-    return sorted(points[code] for code in mask)
+    return sorted(_selected(points, mask.bits))
 
 
 _encode_scalar = json.JSONEncoder().encode

@@ -99,9 +99,14 @@ class Topology:
     universe_size: int
     mins: tuple[int, ...]
     _opens: SetFamily | None = field(default=None, init=False, repr=False, compare=False)
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mins", tuple(self.mins))
+        self._validate()
+
+    def _validate(self) -> None:
+        """InputError unless mins is a preorder on universe_size points; marks self validated."""
         n = self.universe_size
         if len(self.mins) != n:
             raise InputError("a topology needs one minimal neighbourhood per point")
@@ -113,13 +118,29 @@ class Topology:
                 raise InputError(f"point {x} is missing from its minimal neighbourhood")
         if not _is_transitive(self.mins):
             raise InputError("minimal neighbourhoods are not transitive")
+        object.__setattr__(self, "_validated", True)
 
     @classmethod
     def of(cls, universe_size: int, mins: Sequence[int]) -> "Topology":
         """The topology with these minimal neighbourhoods, validated as the constructor does.
 
         Inside a grid walk (foundations.grid_walk) each distinct vector is
-        built and validated once, and equal vectors give the same object.
+        built once, and equal vectors give the same object, whether this or
+        unchecked built it first; a vector is validated the first time this
+        asks for it, and an invalid one raises on every call.
+        """
+        t = _shared_topology(universe_size, tuple(mins))
+        if not t._validated:
+            t._validate()
+        return t
+
+    @classmethod
+    def unchecked(cls, universe_size: int, mins: Sequence[int]) -> "Topology":
+        """Topology.of without the validation, for fprod's own vectors that are
+        preorders by construction: f_topology's minimal boxes, subspace's traces,
+        induced_topology's equivalence rows and enumerate_topologies' transitive
+        vectors. Data from outside goes through Topology(...) or Topology.of; the
+        sampled agreement tests (tests/test_agreement.py) stand in for the check.
         """
         return _shared_topology(universe_size, tuple(mins))
 
@@ -196,7 +217,10 @@ class Topology:
 
 @walk_memoized
 def _shared_topology(universe_size: int, mins: tuple[int, ...]) -> Topology:
-    return Topology(universe_size, mins)
+    """A Topology built without __post_init__, so not yet validated."""
+    t = object.__new__(Topology)
+    t.__dict__.update(universe_size=universe_size, mins=mins, _opens=None, _validated=False)
+    return t
 
 
 def generate_topology(base: SetFamily) -> Topology:
@@ -277,7 +301,7 @@ def subspace(t: Topology, carrier: SubsetMask) -> Topology:
     for old in elems:
         m = t.mins[old]
         traces.append(sum(1 << new for new, e in enumerate(elems) if m >> e & 1))
-    return Topology.of(len(elems), traces)
+    return Topology.unchecked(len(elems), traces)  # the trace of a preorder is one
 
 
 def find_disjoint_dense(t: Topology, n: int) -> tuple[SubsetMask, ...] | None:
@@ -316,7 +340,7 @@ def enumerate_topologies(n: int) -> tuple[Topology, ...]:
         raise InputError(f"topology enumeration supports 1 <= n <= {_ENUM_CAP}")
     choices = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
     found = [
-        Topology(n, mins) for mins in itertools.product(*choices) if _is_transitive(mins)
+        Topology.unchecked(n, mins) for mins in itertools.product(*choices) if _is_transitive(mins)
     ]
     found.sort(key=lambda t: _union_closure(t.mins))
     return tuple(found)

@@ -187,9 +187,10 @@ def induced_topology(u: Uniformity) -> Topology:
     """Opens are the sets containing an entourage ball around each point.
 
     The rows of the minimal entourage (the minimal balls) are the minimal
-    neighbourhoods; they partition the space, because it is an equivalence.
+    neighbourhoods; they partition the space, because it is an equivalence,
+    so they are a preorder and need no validation.
     """
-    return Topology.of(u.point_count, u.rows)
+    return Topology.unchecked(u.point_count, u.rows)
 
 
 def is_uniformly_continuous(fibres: Sequence[int], u_dom: Uniformity, u_cod: Uniformity) -> bool:

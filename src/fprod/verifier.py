@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterator
 from . import serialize
 from .filters import (
     Filter,
+    core_leq,
     fibre_image,
     filter_leq,
     is_saturated,
@@ -45,6 +46,7 @@ from .fproduct import (
     equalizers,
     f_filter,
     f_filter_base,
+    f_filter_core,
     f_filter_cores,
     f_topology,
     f_topology_base,
@@ -459,15 +461,15 @@ def _p41_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     # the projection of the product filter is principal at fibre_image of its
-    # core, so filter_leq and == against the factor filter compare int cores
+    # core, so core_leq and == against the factor filter's core decide it
     assert spec.index_filter is not None
     saturated = is_saturated(spec.index_filter)
-    core = f_filter(spec).core.bits
+    core = f_filter_core(spec)
     idx = spec.indexing
     for i, f in enumerate(spec.factors):
         image = fibre_image(projection_fibres(i, idx), core)
         want = f.filter.core.bits  # type: ignore[union-attr]
-        if want & ~image:
+        if not core_leq(image, want):
             return False, {"projection_not_contained_at_factor": i}
         if saturated and image != want:
             return False, {"saturated_projection_identity_fails_at_factor": i}
@@ -475,13 +477,13 @@ def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
-    box_filter = f_filter(spec)
+    box_core = f_filter_core(spec)
     idx = spec.indexing
     fibres = [projection_fibres(i, idx) for i in range(len(spec.factors))]
     wants = [f.filter.core.bits for f in spec.factors]  # type: ignore[union-attr]
     for g in enumerate_filters(idx.total, include_trivial=True):
         if all(fibre_image(fib, g.core.bits) == want for fib, want in zip(fibres, wants)):
-            if not filter_leq(box_filter, g):
+            if not core_leq(box_core, g.core.bits):
                 return False, {
                     "smaller_filter_with_matching_projections": serialize.filter_to_dict(
                         g, Universe.points(idx.total)
@@ -543,14 +545,15 @@ def _claim_hausdorff_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _claim_projection_identity_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
-    ffil = f_filter(spec)
+    core = f_filter_core(spec)
     idx = spec.indexing
     for i, f in enumerate(spec.factors):
         fibres = projection_fibres(i, idx)
-        if fibre_image(fibres, ffil.core.bits) != f.filter.core.bits:  # type: ignore[union-attr]
+        if fibre_image(fibres, core) != f.filter.core.bits:  # type: ignore[union-attr]
+            projected = pushforward(fibres, f_filter(spec))
             return False, {
                 "factor": i,
-                "projected_filter": serialize.filter_to_dict(pushforward(fibres, ffil), f.universe),
+                "projected_filter": serialize.filter_to_dict(projected, f.universe),
                 "factor_filter": serialize.filter_to_dict(f.filter, f.universe),
             }
     return True, None

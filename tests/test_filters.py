@@ -4,6 +4,7 @@ import pytest
 
 from fprod.filters import (
     Filter,
+    core_leq,
     d_complements_family,
     filter_leq,
     frechet_filter,
@@ -179,6 +180,7 @@ class TestFilterLeq:
         for f, g in itertools.product(fils, repeat=2):
             oracle = set(m.bits for m in f.members()) <= set(m.bits for m in g.members())
             assert filter_leq(f, g) == oracle
+            assert core_leq(f.core.bits, g.core.bits) == oracle
 
     def test_partial_order_exhaustive(self):
         fils = enumerate_filters(3, include_trivial=True)

@@ -2,12 +2,16 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fprod import serialize
-from fprod.foundations import InputError
+from fprod.filters import Filter
+from fprod.foundations import InputError, SubsetMask, Universe
+from fprod.fproduct import Factor, f_filter, f_topology, product_spec
+from fprod.topology import discrete, sierpinski
 
 
 def reference(value):
@@ -116,3 +120,58 @@ class TestFactorMemo:
             serialize.parse_instance(instance([unknown_key, bad_base, unknown_key]))
         with pytest.raises(InputError, match="not a topology base"):
             serialize.parse_instance(instance([bad_base, unknown_key, bad_base]))
+
+
+def labels_oracle(mask, labels):
+    """The per-code generator the bytewise kernel replaced: one label per set bit."""
+    return sorted(labels[code] for code in mask)
+
+
+def _construct_workload_masks():
+    """Every subset that `construct` labels on the benchmark's products: each base
+    member of the f-topology and the f-filter core, with and without index core {1}."""
+    for t, k in ((discrete(2), 7), (sierpinski(), 8), (discrete(3), 4)):
+        factor = Factor(Universe.points(t.universe_size), topology=t,
+                        filter=Filter(t.universe_size, SubsetMask(t.universe_size, 1)))
+        for core in (0, 1):
+            spec = product_spec([factor] * k, Filter(k, SubsetMask(k, core)))
+            points = serialize.product_point_labels(spec)
+            for mask in (*f_topology(spec).base, f_filter(spec).core):
+                yield mask, points
+
+
+class TestSubsetLabels:
+    @staticmethod
+    def both(mask, labels):
+        universe = Universe(tuple(labels))
+        return serialize.mask_to_labels(mask, universe), serialize.product_subset_to_labels(mask, labels)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 4096])
+    def test_empty_full_and_top_bit_masks(self, n):
+        labels = [f"p{code:04d}"[::-1] for code in range(n)]  # label order differs from code order
+        for bits in (0, (1 << n) - 1, 1 << (n - 1)):
+            mask = SubsetMask(n, bits)
+            want = labels_oracle(mask, labels)
+            if n <= 64:  # a Universe holds at most 64 labels
+                assert self.both(mask, labels) == (want, want)
+            assert serialize.product_subset_to_labels(mask, labels) == want
+
+    def test_every_construct_workload_mask(self):
+        count = 0
+        for mask, points in _construct_workload_masks():
+            assert serialize.product_subset_to_labels(mask, points) == labels_oracle(mask, points)
+            count += 1
+        assert count > 500
+
+    def test_seeded_random_masks_up_to_4096_points(self):
+        rng = random.Random(2013)
+        for thinning in range(100):
+            n = rng.randint(1, 4096)
+            labels = [str(rng.random()) for _ in range(n)]
+            bits = rng.getrandbits(n)
+            for _ in range(thinning % 5):  # each AND halves the density
+                bits &= rng.getrandbits(n)
+            mask = SubsetMask(n, bits)
+            assert serialize.product_subset_to_labels(mask, labels) == labels_oracle(mask, labels)
+            if n <= 64:
+                assert serialize.mask_to_labels(mask, Universe(tuple(labels))) == labels_oracle(mask, labels)
