@@ -9,14 +9,15 @@ filter, or the product uniformity.
 On a finite product each of these structures is principal, so the
 constructions are computed in closed form from one minimal box per point; the
 enumerated box bases stay as the definitional routes that the propositions
-about them read.
+about them read. A filter with core C accepts exactly the boxes whole on C,
+so those bases enumerate only the accepted boxes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .filters import Filter, principal_filter
 from .foundations import (
@@ -28,7 +29,7 @@ from .foundations import (
     shared_indexing,
     walk_memoized,
 )
-from .topology import Topology, continuous_mins, topology_from_base_bits
+from .topology import Topology, continuous_mins, generate_topology, topology_from_base_bits
 from .uniformity import Relation, Uniformity, generate_uniformity
 
 
@@ -87,6 +88,14 @@ class ProductSpec:
     def indexing(self) -> ProductIndexing:
         return self._indexing
 
+    def with_index_filter(self, index_filter: Filter | None) -> ProductSpec:
+        """This spec under another index filter, sharing its factors and indexing."""
+        if index_filter is not None and index_filter.universe_size != self.index_universe.size:
+            raise InputError("index filter lives on the wrong universe")
+        spec = object.__new__(ProductSpec)
+        vars(spec).update(vars(self), index_filter=index_filter)
+        return spec
+
     def _require_index_filter(self) -> Filter:
         if self.index_filter is None:
             raise InputError("this construction needs an index filter")
@@ -135,41 +144,21 @@ def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> tuple[in
     minimal entourages it is the row of x in the product's minimal entourage.
     """
     core = spec._require_index_filter().core.bits  # empty when the filter is trivial
-    return _filter_cores(core, rows, spec.indexing.factor_sizes)
+    return filter_cores(core, rows, spec.indexing.factor_sizes)
 
 
-def _by_delta(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int], items) -> tuple:
-    """items, one per side choice in _point_boxes order, as (delta, group) pairs in ascending delta."""
-    deltas = [0]
-    for i, (sides, size) in enumerate(zip(side_lists, factor_sizes)):  # level i sets bit i of full sides
-        deltas = [d | 1 << i if side == (1 << size) - 1 else d for side in sides for d in deltas]
-    groups: dict[int, list] = {}
-    for d, item in zip(deltas, items):
-        groups.setdefault(d, []).append(item)
-    return tuple((d, tuple(group)) for d, group in sorted(groups.items()))
-
-
-@walk_memoized
-def _delta_groups(side_lists: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> tuple:
-    """The box masks of all side choices, grouped by delta as _by_delta groups them.
-
-    A box is accepted exactly when its delta is, so a box base is the union of
-    the accepted groups: one membership test per distinct delta, not per box.
-    Inside a grid walk every index filter on one factor tuple shares the table.
-    """
-    boxes = _point_boxes.__wrapped__(side_lists, factor_sizes)  # unmemoized: this table keeps them
-    return _by_delta(side_lists, factor_sizes, boxes)
-
-
-def _accepted(groups: tuple, member) -> set:
-    """The union of the groups whose delta `member` accepts."""
-    return {item for d, group in groups if member(d) for item in group}
+def _whole_on(d: int, side_lists: Iterable[Sequence[int]], sizes: Sequence[int]) -> tuple:
+    """side_lists with the whole factor alone at the indexes in d. When each list holds its
+    whole factor, these are the boxes whose delta contains d, the boxes a core d accepts."""
+    return tuple(
+        ((1 << s) - 1,) if d >> i & 1 else tuple(sides) for i, (sides, s) in enumerate(zip(side_lists, sizes))
+    )
 
 
 def _factor_parts(spec: ProductSpec, attr: str, product: str, need: str | None = None) -> list:
     """Each factor's `attr`, or InputError when a factor lacks it."""
     parts = [getattr(f, attr) for f in spec.factors]
-    if any(p is None for p in parts):
+    if None in parts:
         raise InputError(f"every factor needs a {need or product} for the product {product}")
     return parts
 
@@ -179,19 +168,28 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
 
     Acceptance is membership in the index filter, or in an arbitrary
     intersection-closed family passed as delta_family (the construction does
-    not need full filter structure). Boxes with an empty side are dropped;
-    the empty set reappears as the empty union.
+    not need full filter structure). Only accepted boxes are built: those
+    whole on the index-filter core, or for each member d of delta_family
+    those whose delta is exactly d, whole on d and a proper open set
+    elsewhere. Boxes with an empty side are dropped; the empty set reappears
+    as the empty union.
     """
-    return SetFamily(spec.indexing.total, sorted(_open_boxes(spec, delta_family)))
-
-
-def _open_boxes(spec: ProductSpec, delta_family: SetFamily | None) -> set[int]:
-    if delta_family is not None and delta_family.universe_size != spec.index_universe.size:
+    if delta_family is None:
+        return SetFamily(spec.indexing.total, sorted(_point_boxes(*_accepted_open_sides(spec))))
+    if delta_family.universe_size != spec.index_universe.size:
         raise InputError("delta family lives on the wrong universe")
-    member = spec._require_index_filter().member_bits if delta_family is None else delta_family.contains_bits
-    # bits[0] is the empty open set, the least member
-    opens = tuple(t.opens().bits[1:] for t in _factor_parts(spec, "topology", "topology"))
-    return _accepted(_delta_groups(opens, spec.indexing.factor_sizes), member)
+    sizes = spec.indexing.factor_sizes
+    proper = tuple(t.opens().bits[1:-1] for t in _factor_parts(spec, "topology", "topology"))
+    boxes = {b for d in delta_family.bits for b in _point_boxes(_whole_on(d, proper, sizes), sizes)}
+    return SetFamily(spec.indexing.total, sorted(boxes))
+
+
+def _accepted_open_sides(spec: ProductSpec) -> tuple[tuple, tuple[int, ...]]:
+    """The factors' nonempty open sets (bits[0] is the empty one), only the whole
+    factor on the index-filter core: the side lists of the accepted open boxes."""
+    core, sizes = spec._require_index_filter().core.bits, spec.indexing.factor_sizes
+    opens = (t.opens().bits[1:] for t in _factor_parts(spec, "topology", "topology"))
+    return _whole_on(core, opens, sizes), sizes
 
 
 def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
@@ -212,9 +210,21 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
 
 
 def f_topology_via_base(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
-    """Definitional route: generate_topology(f_topology_base(spec, delta_family)), minus the SetFamily."""
-    boxes = _open_boxes(spec, delta_family)
-    return topology_from_base_bits(spec.indexing.total, boxes, boxes.__contains__)
+    """Definitional route: generate_topology(f_topology_base(spec, delta_family)), minus the SetFamily.
+
+    Under the index filter the accepted boxes are one product of side lists,
+    so inside a grid walk the specs with equal accepted side lists share one
+    enumeration, point-meet pass, base check and Topology.
+    """
+    if delta_family is not None:
+        return generate_topology(f_topology_base(spec, delta_family))
+    return _topology_via_boxes(spec.indexing.total, *_accepted_open_sides(spec))
+
+
+@walk_memoized
+def _topology_via_boxes(n: int, side_lists: tuple, sizes: tuple) -> Topology:
+    boxes = _point_boxes.__wrapped__(side_lists, sizes)  # unmemoized: one call per family and walk
+    return topology_from_base_bits(n, boxes, frozenset(boxes).__contains__)
 
 
 def projection_fibres(i: int, idx: ProductIndexing) -> tuple[int, ...]:
@@ -244,7 +254,7 @@ def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
     core = spec._require_index_filter().core
     idx = spec.indexing
     rows = tuple(tuple(core_side(a, s) for a in range(s)) for s in idx.factor_sizes)
-    boxes = _filter_cores(core.complement().bits, rows, idx.factor_sizes)
+    boxes = filter_cores(core.complement().bits, rows, idx.factor_sizes)
     return [SubsetMask(idx.total, m) for m in boxes]
 
 
@@ -269,10 +279,9 @@ def filter_different(spec: ProductSpec) -> list[SubsetMask]:
 
 def f_filter_base(spec: ProductSpec) -> SetFamily:
     """Point sets of all boxes of factor-filter members whose delta is accepted."""
-    member = spec._require_index_filter().member_bits
-    idx = spec.indexing
+    core, sizes = spec._require_index_filter().core.bits, spec.indexing.factor_sizes
     members = tuple(f.members().bits for f in _factor_parts(spec, "filter", "filter"))
-    return SetFamily(idx.total, sorted(_accepted(_delta_groups(members, idx.factor_sizes), member)))
+    return SetFamily(spec.indexing.total, sorted(_point_boxes(_whole_on(core, members, sizes), sizes)))
 
 
 def f_filter_cores(
@@ -292,11 +301,12 @@ def f_filter_cores(
         raise InputError(f"index core {index_core:#x} out of range for {len(sizes)} indexes")
     if any(side >> s for row, s in zip(core_rows, sizes) for side in row):
         raise InputError("a factor core has points outside its factor")
-    return _filter_cores(index_core, core_rows, sizes)
+    return filter_cores(index_core, core_rows, sizes)
 
 
-def _filter_cores(index_core: int, core_rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple[int, ...]:
-    """f_filter_cores without its checks, for rows read off validated factor structures."""
+def filter_cores(index_core: int, core_rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple[int, ...]:
+    """The kernel of f_filter_cores, on factor sizes and without its checks: for
+    rows read off validated factor structures."""
     sides = tuple(
         ((1 << s) - 1,) * len(row) if index_core >> i & 1 else tuple(row)
         for i, (row, s) in enumerate(zip(core_rows, sizes))
@@ -309,7 +319,7 @@ def f_filter_core(spec: ProductSpec) -> int:
     core and each factor filter's core elsewhere (see f_filter)."""
     index_core = spec._require_index_filter().core.bits
     cores = tuple((ff.core.bits,) for ff in _factor_parts(spec, "filter", "filter"))
-    (core,) = _filter_cores(index_core, cores, spec.indexing.factor_sizes)
+    (core,) = filter_cores(index_core, cores, spec.indexing.factor_sizes)
     return core
 
 
@@ -332,26 +342,24 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
 
     Each factor base is augmented with the full square (a base may omit it,
     yet every uniformity contains it and delta needs it to be realizable),
-    then a box is kept when its delta belongs to the index filter. The row of
+    then the boxes are those whole on the index-filter core. The row of
     product point x in the box (R_0, ..., R_k) is the point box with sides
     R_i-row(x_i), so the relation is built row by row, once per box and walk.
     """
-    member = spec._require_index_filter().member_bits
-    idx = spec.indexing
+    core, idx = spec._require_index_filter().core.bits, spec.indexing
     pair_sizes = squared_indexing(idx).factor_sizes  # enforces the squared-size cap
     bases = _factor_parts(spec, "uniformity_base", "uniformity", "uniformity base")
-    member_lists = tuple(tuple(sorted({*base.bits, (1 << p) - 1})) for p, base in zip(pair_sizes, bases))
-    relations = _accepted(_entourage_groups(member_lists, idx.factor_sizes), member)
-    return SetFamily(idx.total * idx.total, sorted(relations))
+    member_lists = (sorted({*base.bits, (1 << p) - 1}) for p, base in zip(pair_sizes, bases))
+    relations = _entourage_boxes(_whole_on(core, member_lists, pair_sizes), idx.factor_sizes)
+    return SetFamily(idx.total * idx.total, relations)
 
 
 @walk_memoized
-def _entourage_groups(member_lists: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple:
-    """The relation of each box of factor entourages, grouped by delta as _delta_groups groups box masks."""
+def _entourage_boxes(member_lists: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple[int, ...]:
+    """The relations of all boxes of the listed factor entourages, ascending."""
     row_lists = [[Relation(s, SubsetMask(s * s, m)).rows() for m in ms] for s, ms in zip(sizes, member_lists)]
     choices = (c[::-1] for c in itertools.product(*reversed(row_lists)))  # list 0 varies fastest
-    relations = [Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in choices]
-    return _by_delta(member_lists, [s * s for s in sizes], relations)
+    return tuple(sorted(Relation.from_rows(_point_boxes(c, sizes)).pairs.bits for c in choices))
 
 
 def f_uniformity(spec: ProductSpec) -> Uniformity:

@@ -115,16 +115,13 @@ def _is_equivalence(rows: Sequence[int]) -> bool:
     )
 
 
-def _base_rows(fam: SetFamily) -> tuple[int, ...] | None:
-    """The rows of the meet of fam's members when fam is a uniformity base, else None."""
+def _meet_rows(fam: SetFamily) -> tuple[int, ...] | None:
+    """The rows of the meet of fam's members when that meet is a member, else None."""
     n = isqrt(fam.universe_size)
     if n * n != fam.universe_size:
         raise InputError("a relation family must live on a squared universe")
     meet = fam.least()
-    if meet is None:
-        return None
-    rows = Relation(n, SubsetMask(fam.universe_size, meet)).rows()
-    return rows if _is_equivalence(rows) else None
+    return None if meet is None else Relation(n, SubsetMask(fam.universe_size, meet)).rows()
 
 
 def validate_uniformity_base(fam: SetFamily) -> bool:
@@ -135,7 +132,8 @@ def validate_uniformity_base(fam: SetFamily) -> bool:
     (directedness, as in filters.validate_filter_base) and an equivalence
     relation (the other three, applied to the meet).
     """
-    return _base_rows(fam) is not None
+    rows = _meet_rows(fam)
+    return rows is not None and _is_equivalence(rows)
 
 
 @dataclass(frozen=True)
@@ -176,11 +174,14 @@ class Uniformity:
 
 
 def generate_uniformity(base: SetFamily) -> Uniformity:
-    """The uniformity generated by a base: its members' meet, validated as one."""
-    rows = _base_rows(base)
-    if rows is None:
-        raise InputError("family is not a uniformity base")
-    return Uniformity(len(rows), rows)
+    """The uniformity generated by a base: its members' meet, which Uniformity checks is an equivalence."""
+    rows = _meet_rows(base)
+    if rows is not None:
+        try:
+            return Uniformity(len(rows), rows)
+        except InputError:
+            pass
+    raise InputError("family is not a uniformity base")
 
 
 def induced_topology(u: Uniformity) -> Topology:

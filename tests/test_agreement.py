@@ -8,8 +8,11 @@ MacIver et al., "Hypothesis", JOSS 2019): factor preorders on 1 to 8 points,
 each the reflexive-transitive closure of a random relation, over 1 to 5
 indexes, with a random index core. A draw is kept when its product has at
 most MAX_POINTS points and its box base at most MAX_BOXES boxes, the sizes
-that the definitional routes enumerate in well under a second. Every test is
-derandomized, keeps no example database and states its max_examples.
+that the definitional routes enumerate in well under a second. The box bases,
+which build only the accepted boxes, are also drawn against tests/by_delta.py,
+which builds every box and keeps those whose δ is accepted, under random
+cores and random δ families. Every test is derandomized, keeps no example
+database and states its max_examples.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from fprod.fproduct import (
     f_filter_base,
     f_filter_core,
     f_topology,
+    f_topology_base,
     f_topology_via_base,
     f_uniformity,
     f_uniformity_base,
@@ -47,6 +51,7 @@ from fprod.topology import (
 from fprod.uniformity import Relation, Uniformity, generate_uniformity, induced_topology
 from fprod.verifier import _REGISTRY, default_grid, search_counterexample, verify_proposition
 
+import by_delta
 from validate_closed_forms import validating_closed_forms
 
 MAX_POINTS = 512
@@ -147,6 +152,32 @@ def test_f_filter_equals_the_filter_of_its_box_base(spec):
 @given(uniformity_products())
 def test_f_uniformity_equals_the_uniformity_of_its_box_base(spec):
     assert f_uniformity(spec) == generate_uniformity(f_uniformity_base(spec))
+
+
+@sampled(max_examples=300)
+@given(topology_products())
+def test_the_topology_base_is_the_by_delta_route_under_the_index_core(spec):
+    assert f_topology_base(spec) == by_delta.topology_base(spec)
+
+
+@sampled(max_examples=300)
+@given(topology_products(), st.data())
+def test_the_topology_base_is_the_by_delta_route_under_a_delta_family(spec, data):
+    k = len(spec.factors)
+    family = SetFamily(k, sorted(data.draw(st.sets(st.integers(0, (1 << k) - 1), min_size=1))))
+    assert f_topology_base(spec, family) == by_delta.topology_base(spec, family.contains_bits)
+
+
+@sampled(max_examples=200)
+@given(filter_products())
+def test_the_filter_base_is_the_by_delta_route(spec):
+    assert f_filter_base(spec) == by_delta.filter_base(spec)
+
+
+@sampled(max_examples=150)
+@given(uniformity_products())
+def test_the_uniformity_base_is_the_by_delta_route(spec):
+    assert f_uniformity_base(spec) == by_delta.uniformity_base(spec)
 
 
 @sampled(max_examples=200)

@@ -24,8 +24,8 @@ from fprod.foundations import (
     shared_indexing,
 )
 from fprod.fproduct import (
-    _delta_groups,
     _point_boxes,
+    _whole_on,
     Factor,
     ProductSpec,
     all_projections_continuous,
@@ -36,6 +36,7 @@ from fprod.fproduct import (
     f_topology,
     f_topology_base,
     f_topology_via_base,
+    f_uniformity_base,
     filter_different,
     product_spec,
     projection_fibres,
@@ -61,6 +62,8 @@ from fprod.verifier import (
     replay_witness,
     verify_proposition,
 )
+
+import by_delta
 
 
 def mask(n, bits):
@@ -123,32 +126,34 @@ def delta_of(sides, sizes):
 
 
 class TestBoxes:
-    def test_enumerator_yields_the_boxes_their_delta_accepts_in_order(self):
+    def test_whole_on_a_core_or_on_an_exact_delta_yields_those_boxes_in_order(self):
         # full and proper sides on mixed sizes, then empty sides and size-1
-        # factors; each delta group holds its boxes in code order, and a base
-        # is the union of the groups its member accepts
+        # factors; the side lists whole on d give the boxes whose delta holds
+        # d, the proper side lists whole on d those whose delta is d, and a
+        # delta family's base is the union of its members' exact-delta boxes
         cases = [
             ((2, 3, 1), [[0b01, 0b11], [0b111, 0b010, 0b110], [0b1]]),
             ((1, 2, 1), [[0b1, 0], [0b00, 0b10, 0b11], [0, 0b1]]),
         ]
         for sizes, side_lists in cases:
-            groups = _delta_groups(side_lists, sizes)
             in_code_order = [c[::-1] for c in itertools.product(*reversed(side_lists))]
             deltas = [delta_of(c, sizes) for c in in_code_order]
-            assert [d for d, _ in groups] == sorted(set(deltas))
-            for d, group in groups:
-                want = [box_oracle(c, sizes) for c, e in zip(in_code_order, deltas) if e == d]
-                assert list(group) == want
+            assert by_delta.deltas(side_lists, sizes) == deltas
+            proper = [[side for side in sides if side != (1 << s) - 1] for sides, s in zip(side_lists, sizes)]
+            exact = [_point_boxes(_whole_on(d, proper, sizes), sizes) for d in range(8)]
+            for d in range(8):
+                whole = [box_oracle(c, sizes) for c, e in zip(in_code_order, deltas) if e & d == d]
+                assert list(_point_boxes(_whole_on(d, side_lists, sizes), sizes)) == whole
+                assert list(exact[d]) == [box_oracle(c, sizes) for c, e in zip(in_code_order, deltas) if e == d]
             for accepted in range(1 << 8):
                 member = lambda bits: accepted >> bits & 1  # noqa: E731
-                got = [m for d, group in groups if member(d) for m in group]
+                got = [m for d, boxes in enumerate(exact) if member(d) for m in boxes]
                 oracle = [
                     box_oracle(c, sizes)
                     for c in itertools.product(*side_lists)
                     if member(delta_of(c, sizes))
                 ]
                 assert collections.Counter(got) == collections.Counter(oracle)
-                assert fproduct._accepted(groups, member) == set(oracle)
 
 
 class TestBoxKernel:
@@ -241,6 +246,27 @@ class TestBoxBasesAgainstTheOracle:
             checked += 1
         assert checked == 15 + 255
 
+    @pytest.mark.parametrize(
+        "prop, count", [("P2.1", 270), ("P4.1", 258), ("P4.5", 4624), ("P5.2", 324), ("P5.ind", 324)]
+    )
+    def test_accepted_only_bases_equal_the_by_delta_route_on_the_default_grid(self, prop, count):
+        checked = 0
+        with grid_walk():  # as the checks read them
+            for inst in _REGISTRY[prop].instances(default_grid(prop)):
+                spec, fam = inst if isinstance(inst, tuple) else (inst, None)
+                if fam is not None:
+                    assert f_topology_base(spec, fam) == by_delta.topology_base(spec, fam.contains_bits)
+                elif spec.factors[0].filter is not None:
+                    assert f_filter_base(spec) == by_delta.filter_base(spec)
+                elif spec.factors[0].uniformity_base is not None:
+                    assert f_uniformity_base(spec) == by_delta.uniformity_base(spec)
+                    induced = via_base_spec(spec)
+                    assert f_topology_base(induced) == by_delta.topology_base(induced)
+                else:
+                    assert f_topology_base(spec) == by_delta.topology_base(spec)
+                checked += 1
+        assert checked == count
+
     def test_filter_cores_match_one_box_per_choice(self):
         size_tuples = [
             sizes for k in (1, 2, 3) for sizes in itertools.product((1, 2), repeat=k)
@@ -282,6 +308,17 @@ class TestProductSpecIndexing:
         other = ProductSpec(spec.index_universe, sierpinski_factors(3), spec.index_filter)
         assert other == product_spec(sierpinski_factors(3), principal_filter(mask(3, 0b010)))
         assert other.indexing is spec.indexing
+
+    def test_a_refiltered_spec_is_the_spec_built_with_that_filter(self):
+        spec = product_spec(sierpinski_factors(3))
+        for fil in (*enumerate_filters(3, include_trivial=True), None):
+            other = spec.with_index_filter(fil)
+            built = product_spec(sierpinski_factors(3), fil)
+            assert other == built and hash(other) == hash(built) and other.index_filter is fil
+            assert other.factors is spec.factors and other.indexing is spec.indexing
+        assert spec.index_filter is None
+        with pytest.raises(InputError, match="index filter lives on the wrong universe"):
+            spec.with_index_filter(trivial_filter(2))
 
     def test_cap_fires_when_the_spec_is_built(self):
         # 2**13 = 8,192 points, twice the cap
@@ -391,6 +428,27 @@ class TestFTopology:
         assert [m.bits for m in opens] == [0b0000, 0b0011, 0b1100, 0b1111]
 
 
+def via_base_spec(spec):
+    """The spec whose f_topology_via_base a P4.5 or P5.ind check builds: P5.ind
+    reads its uniformity factors through their induced topologies."""
+    from fprod.uniformity import induced_topology
+
+    if spec.factors[0].topology is not None:
+        return spec
+    induced = (Factor(f.universe, topology=induced_topology(f.uniformity)) for f in spec.factors)
+    return ProductSpec(spec.index_universe, tuple(induced), spec.index_filter)
+
+
+def accepted_family(spec):
+    """(point count, accepted side lists, factor sizes): the whole factor alone on the core."""
+    idx, core = spec.indexing, spec.index_filter.core.bits
+    sides = tuple(
+        ((1 << s) - 1,) if core >> i & 1 else f.topology.opens().bits[1:]
+        for i, (f, s) in enumerate(zip(spec.factors, idx.factor_sizes))
+    )
+    return idx.total, sides, idx.factor_sizes
+
+
 class TestClosedFormTopology:
     def test_agrees_with_box_base_on_small_products(self):
         pool = [
@@ -434,35 +492,68 @@ class TestClosedFormTopology:
         )
         assert f_topology(spec).mins == expected
 
+    @pytest.mark.parametrize("prop, family_count", [("P4.5", 1156), ("P5.ind", 4)])
+    def test_definitional_checks_build_each_accepted_family_once_per_walk(self, monkeypatch, prop, family_count):
+        # a family is the point count, the accepted side lists and the factor
+        # sizes; every spec of one family shares its one via-base build
+        built = collections.Counter()
+        original = fproduct.topology_from_base_bits
+
+        def counted(n, bits, contains):
+            built[n, tuple(sorted(bits))] += 1
+            return original(n, bits, contains)
+
+        monkeypatch.setattr(fproduct, "topology_from_base_bits", counted)
+        report = verify_proposition(prop)
+        assert report.passed and report.checked == (4624 if prop == "P4.5" else 324)
+        families = {}
+        for spec in map(via_base_spec, _REGISTRY[prop].instances(default_grid(prop))):
+            families.setdefault(accepted_family(spec), spec)
+        assert len(families) == family_count == sum(built.values())
+        oracle = (by_delta.topology_base(spec) for spec in families.values())
+        assert built == collections.Counter((base.universe_size, base.bits) for base in oracle)
+
+    @pytest.mark.parametrize(
+        "prop, detail",
+        [
+            ("P4.5", {"box_family_is_base": False}),
+            # P5.ind's first family, {0011, 1100, 1111} on two 2-point factors
+            # under core {1}, is still a base without 0011, of another topology
+            ("P5.ind", {"induced_topology_differs": True}),
+        ],
+    )
+    def test_definitional_checks_catch_a_family_kernel_that_drops_the_least_box(self, monkeypatch, prop, detail):
+        # the via-base build enumerates each family through the unmemoized kernel
+        original = _point_boxes.__wrapped__
+
+        def without_the_least_box(rows, factor_sizes):
+            return tuple(sorted(original(rows, factor_sizes))[1:])
+
+        monkeypatch.setattr(_point_boxes, "__wrapped__", without_the_least_box)
+        self.assert_caught_and_replayed(monkeypatch, prop, detail)
+
     @pytest.mark.parametrize("prop", ["P4.5", "P5.ind"])
-    def test_definitional_checks_build_the_box_base(self, monkeypatch, prop):
-        reads = []
-        original = fproduct._delta_groups
+    def test_definitional_checks_catch_a_base_check_that_misses_the_least_box(self, monkeypatch, prop):
+        # every box enters the point meets, but the membership test lacks the
+        # least one: the point criterion is checked once per family, not skipped
+        original = fproduct.topology_from_base_bits
 
-        def counted(*args):
-            reads.append(args)
-            return original(*args)
+        def without_the_least_member(n, bits, contains):
+            least = min(bits)
+            return original(n, bits, lambda m: m != least and contains(m))
 
-        monkeypatch.setattr(fproduct, "_delta_groups", counted)
-        grid = dataclasses.replace(default_grid(prop), max_instances=3)
-        report = verify_proposition(prop, grid)
-        assert report.checked == 3 and len(reads) == 3  # one grouped-table read per instance
+        monkeypatch.setattr(fproduct, "topology_from_base_bits", without_the_least_member)
+        self.assert_caught_and_replayed(monkeypatch, prop, {"box_family_is_base": False})
 
-    @pytest.mark.parametrize("prop", ["P4.5", "P5.ind"])
-    def test_definitional_checks_catch_a_table_without_the_least_box_of_each_group(
-        self, monkeypatch, prop
-    ):
-        original = fproduct._delta_groups
-
-        def without_the_least_box(side_lists, factor_sizes):
-            return tuple((d, tuple(sorted(g)[1:])) for d, g in original(side_lists, factor_sizes))
-
-        monkeypatch.setattr(fproduct, "_delta_groups", without_the_least_box)
+    @staticmethod
+    def assert_caught_and_replayed(monkeypatch, prop, detail):
         report = verify_proposition(prop)
         assert not report.passed and report.witness is not None
-        assert report.witness["detail"] == {"box_family_is_base": False}
-        ok, detail = replay_witness(prop, report.witness)
-        assert not ok and detail == report.witness["detail"]
+        assert report.witness["detail"] == detail
+        ok, replayed = replay_witness(prop, report.witness)
+        assert not ok and replayed == detail
+        monkeypatch.undo()
+        assert replay_witness(prop, report.witness) == (True, None)
 
     @pytest.mark.parametrize(
         "prop, count", [("P4.5", 4624), ("P5.ind", 324), ("P5.2", 324), ("P2.1", 270)]
@@ -470,15 +561,10 @@ class TestClosedFormTopology:
     def test_via_base_generates_the_box_base_on_the_default_grid(self, prop, count):
         # uniformity factors are read through their induced topologies, as P5.ind
         # reads them; P2.1's delta families include the ones that give no base
-        from fprod.uniformity import induced_topology
-        from fprod.verifier import _REGISTRY
-
         checked = not_bases = 0
         for inst in _REGISTRY[prop].instances(default_grid(prop)):
             spec, fam = inst if isinstance(inst, tuple) else (inst, None)
-            if spec.factors[0].topology is None:
-                induced = (Factor(f.universe, topology=induced_topology(f.uniformity)) for f in spec.factors)
-                spec = ProductSpec(spec.index_universe, tuple(induced), spec.index_filter)
+            spec = via_base_spec(spec)
             if fam is not None and not is_intersection_closed(fam):  # Proposition 2.1: no base
                 with pytest.raises(InputError, match="^family is not a topology base$"):
                     generate_topology(f_topology_base(spec, fam))
@@ -755,21 +841,21 @@ class TestOrderImmersion:
 
 
 class TestNeighborhoodIdentity:
-    def test_p45_builds_the_box_base_once_per_instance_and_one_kernel_core_per_point(
+    def test_p45_builds_each_family_once_one_spec_per_factor_tuple_and_one_kernel_core_per_point(
         self, monkeypatch
     ):
         from fprod import verifier
 
-        reads, kernel_calls = [], []
-        original_groups, original_cores = fproduct._delta_groups, verifier.f_filter_cores
+        builds, kernel_calls = [], []
+        original_build, original_cores = fproduct.topology_from_base_bits, verifier.filter_cores
 
-        def counted_groups(side_lists, factor_sizes):
-            reads.append((side_lists, factor_sizes))
-            return original_groups(side_lists, factor_sizes)
+        def counted_build(n, bits, contains):
+            builds.append(n)
+            return original_build(n, bits, contains)
 
-        def counted_cores(index_core, core_rows, idx):
-            cores = original_cores(index_core, core_rows, idx)
-            kernel_calls.append((idx, len(cores)))
+        def counted_cores(index_core, core_rows, sizes):
+            cores = original_cores(index_core, core_rows, sizes)
+            kernel_calls.append((sizes, len(cores)))
             return cores
 
         def refused(*args, **kwargs):
@@ -787,8 +873,8 @@ class TestNeighborhoodIdentity:
                 yielded.append(spec)
                 yield spec
 
-        monkeypatch.setattr(fproduct, "_delta_groups", counted_groups)
-        monkeypatch.setattr(verifier, "f_filter_cores", counted_cores)
+        monkeypatch.setattr(fproduct, "topology_from_base_bits", counted_build)
+        monkeypatch.setattr(verifier, "filter_cores", counted_cores)
         monkeypatch.setattr(verifier, "f_filter", refused)
         monkeypatch.setattr(ProductSpec, "__post_init__", counted_post_init)
         monkeypatch.setitem(
@@ -796,26 +882,26 @@ class TestNeighborhoodIdentity:
         )
         grid = dataclasses.replace(default_grid("P4.5"), max_instances=40)
         report = verify_proposition("P4.5", grid)
-        assert report.passed and len(reads) == report.checked == 40
-        # the only product specs built are the generator's: one per instance,
-        # plus the 41st that shows the grid goes on
+        assert report.passed and report.checked == 40
+        # the 41st spec shows the grid goes on; each factor tuple's spec is
+        # built once and re-filtered for each of the 4 index filters
         specs = yielded[:40]
         assert len(yielded) == 41
-        assert list(map(id, built)) == list(map(id, yielded))
-        # one grouped-table read per instance, of its factors' nonempty open sets
-        assert reads == [
-            (tuple(f.topology.opens().bits[1:] for f in spec.factors), spec.indexing.factor_sizes)
-            for spec in specs
-        ]
+        assert [spec.factors for spec in built] == [spec.factors for spec in yielded[::4]]
+        for i, spec in enumerate(yielded):
+            assert spec.factors is built[i // 4].factors and spec.indexing is built[i // 4].indexing
+        assert [spec.index_filter for spec in yielded[:4]] == list(enumerate_filters(2, include_trivial=True))
+        # one via-base build per distinct accepted family, not per instance
+        assert len(builds) == len({accepted_family(spec) for spec in specs}) < 40
         # one kernel call per instance, returning one core per point
-        assert kernel_calls == [(spec.indexing, spec.indexing.total) for spec in specs]
+        assert kernel_calls == [(spec.indexing.factor_sizes, spec.indexing.total) for spec in specs]
 
     def test_p45_catches_a_kernel_that_ignores_the_index_core(self, monkeypatch):
         from fprod import verifier
 
-        original = verifier.f_filter_cores
+        original = verifier.filter_cores
         monkeypatch.setattr(
-            verifier, "f_filter_cores", lambda _core, rows, idx: original(0, rows, idx)
+            verifier, "filter_cores", lambda _core, rows, sizes: original(0, rows, sizes)
         )
         report = verify_proposition("P4.5")
         assert not report.passed and report.witness is not None
@@ -826,7 +912,7 @@ class TestNeighborhoodIdentity:
 
         spec = parse_instance(report.witness["instance"])
         rows = [f.topology.mins for f in spec.factors]
-        pairs = zip(f_topology(spec).mins, original(0, rows, spec.indexing))
+        pairs = zip(f_topology(spec).mins, original(0, rows, spec.indexing.factor_sizes))
         first = next(x for x, (got, want) in enumerate(pairs) if got != want)
         assert detail == {"neighborhood_identity_fails_at": product_point_label(first, spec)}
 

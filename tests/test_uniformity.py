@@ -242,6 +242,20 @@ class TestGenerateUniformity:
         with pytest.raises(InputError):
             generate_uniformity(SetFamily.of(4, [rel(2, [(0, 1), (1, 0)]).pairs]))
 
+    def test_the_equivalence_is_checked_once_per_base(self, monkeypatch):
+        import fprod.uniformity as uniformity
+
+        calls = []
+        original = uniformity._is_equivalence
+        monkeypatch.setattr(uniformity, "_is_equivalence", lambda rows: calls.append(rows) or original(rows))
+        generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
+        assert len(calls) == 1
+        not_symmetric = SetFamily.of(4, [rel(2, [(0, 0), (1, 1), (0, 1)]).pairs])
+        with pytest.raises(InputError, match="^family is not a uniformity base$"):
+            generate_uniformity(not_symmetric)
+        assert len(calls) == 2
+        assert not validate_uniformity_base(not_symmetric) and len(calls) == 3
+
     @pytest.mark.parametrize(
         "n, rows",
         [

@@ -167,15 +167,15 @@ class TestUniformityValidations:
 
         uniformity.enumerate_uniformity_bases(2)  # warm the cached scan
         # validate_uniformity_base and generate_uniformity both read a base
-        # through _base_rows, so it counts every validation
-        original = uniformity._base_rows
+        # through _meet_rows, so it counts every validation
+        original = uniformity._meet_rows
         calls = []
 
         def counting(fam):
             calls.append(fam)
             return original(fam)
 
-        monkeypatch.setattr(uniformity, "_base_rows", counting)
+        monkeypatch.setattr(uniformity, "_meet_rows", counting)
         report = verify_proposition(prop_id)
         assert report.passed and report.checked == 324
         assert len(calls) == expected_calls
