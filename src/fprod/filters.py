@@ -35,11 +35,6 @@ class Filter:
     def is_proper(self) -> bool:
         return not self.trivial
 
-    def member(self, mask: SubsetMask) -> bool:
-        if mask.universe_size != self.universe_size:
-            raise InputError("membership query on the wrong universe")
-        return self.core.issubset(mask)
-
     def member_bits(self, bits: int) -> bool:
         return self.core.bits & ~bits == 0
 

@@ -204,20 +204,18 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     construction, so they build through Topology.unchecked.
     """
     if delta_family is not None:
-        return f_topology_via_base(spec, delta_family)
+        return generate_topology(f_topology_base(spec, delta_family))
     rows = tuple(t.mins for t in _factor_parts(spec, "topology", "topology"))
     return Topology.unchecked(spec.indexing.total, _minimal_boxes(spec, rows))
 
 
-def f_topology_via_base(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
-    """Definitional route: generate_topology(f_topology_base(spec, delta_family)), minus the SetFamily.
+def f_topology_via_base(spec: ProductSpec) -> Topology:
+    """Definitional route: generate_topology(f_topology_base(spec)), minus the SetFamily.
 
     Under the index filter the accepted boxes are one product of side lists,
     so inside a grid walk the specs with equal accepted side lists share one
     enumeration, point-meet pass, base check and Topology.
     """
-    if delta_family is not None:
-        return generate_topology(f_topology_base(spec, delta_family))
     return _topology_via_boxes(spec.indexing.total, *_accepted_open_sides(spec))
 
 
@@ -284,29 +282,14 @@ def f_filter_base(spec: ProductSpec) -> SetFamily:
     return SetFamily(spec.indexing.total, sorted(_point_boxes(_whole_on(core, members, sizes), sizes)))
 
 
-def f_filter_cores(
-    index_core: int, core_rows: Sequence[Sequence[int]], idx: ProductIndexing
-) -> tuple[int, ...]:
+def filter_cores(index_core: int, core_rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple[int, ...]:
     """The product filter's core for each choice of one core per factor from core_rows.
 
     Each is the box whole on the index core and the chosen factor cores
     elsewhere; choices run in code order as in _point_boxes, row 0 fastest.
-    InputError unless there is one row per factor, every side lies in its
-    factor and index_core in the index set.
+    Nothing is checked: callers pass one row per factor, read off validated
+    factor structures of a spec that has passed the size cap.
     """
-    sizes = idx.factor_sizes
-    if len(core_rows) != len(sizes):
-        raise InputError(f"expected {len(sizes)} core rows, one per factor, got {len(core_rows)}")
-    if index_core >> len(sizes):
-        raise InputError(f"index core {index_core:#x} out of range for {len(sizes)} indexes")
-    if any(side >> s for row, s in zip(core_rows, sizes) for side in row):
-        raise InputError("a factor core has points outside its factor")
-    return filter_cores(index_core, core_rows, sizes)
-
-
-def filter_cores(index_core: int, core_rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple[int, ...]:
-    """The kernel of f_filter_cores, on factor sizes and without its checks: for
-    rows read off validated factor structures."""
     sides = tuple(
         ((1 << s) - 1,) * len(row) if index_core >> i & 1 else tuple(row)
         for i, (row, s) in enumerate(zip(core_rows, sizes))

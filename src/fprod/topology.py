@@ -12,7 +12,7 @@ base and the full open family are views derived on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -98,15 +98,9 @@ class Topology:
 
     universe_size: int
     mins: tuple[int, ...]
-    _opens: SetFamily | None = field(default=None, init=False, repr=False, compare=False)
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mins", tuple(self.mins))
-        self._validate()
-
-    def _validate(self) -> None:
-        """InputError unless mins is a preorder on universe_size points; marks self validated."""
         n = self.universe_size
         if len(self.mins) != n:
             raise InputError("a topology needs one minimal neighbourhood per point")
@@ -118,29 +112,19 @@ class Topology:
                 raise InputError(f"point {x} is missing from its minimal neighbourhood")
         if not _is_transitive(self.mins):
             raise InputError("minimal neighbourhoods are not transitive")
-        object.__setattr__(self, "_validated", True)
-
-    @classmethod
-    def of(cls, universe_size: int, mins: Sequence[int]) -> "Topology":
-        """The topology with these minimal neighbourhoods, validated as the constructor does.
-
-        Inside a grid walk (foundations.grid_walk) each distinct vector is
-        built once, and equal vectors give the same object, whether this or
-        unchecked built it first; a vector is validated the first time this
-        asks for it, and an invalid one raises on every call.
-        """
-        t = _shared_topology(universe_size, tuple(mins))
-        if not t._validated:
-            t._validate()
-        return t
 
     @classmethod
     def unchecked(cls, universe_size: int, mins: Sequence[int]) -> "Topology":
-        """Topology.of without the validation, for fprod's own vectors that are
-        preorders by construction: f_topology's minimal boxes, subspace's traces,
-        induced_topology's equivalence rows and enumerate_topologies' transitive
-        vectors. Data from outside goes through Topology(...) or Topology.of; the
-        sampled agreement tests (tests/test_agreement.py) stand in for the check.
+        """The topology with these minimal neighbourhoods, without the constructor's
+        checks, for fprod's own vectors that are preorders by construction:
+        f_topology's minimal boxes, subspace's traces, induced_topology's
+        equivalence rows, enumerate_topologies' transitive vectors and the point
+        meets of a base that topology_from_base_bits has checked. Data from
+        outside goes through Topology(...); the sampled agreement tests
+        (tests/test_agreement.py) stand in for the check.
+
+        Inside a grid walk (foundations.grid_walk) each distinct vector is built
+        once, and equal vectors give the same object.
         """
         return _shared_topology(universe_size, tuple(mins))
 
@@ -166,16 +150,16 @@ class Topology:
         mins = self.mins
         return all(mins[x] & ~mask.bits == 0 for x in mask)
 
+    @cached_property
+    def _opens(self) -> SetFamily:
+        n = self.universe_size
+        if n > _OPENS_CAP:
+            raise ResourceLimitError(f"open-set materialization capped at universe size {_OPENS_CAP}")
+        return SetFamily(n, _union_closure(self.mins))
+
     def opens(self) -> SetFamily:
         """All open sets: the union closure of the minimal neighborhoods, plus the empty set."""
-        if self._opens is None:
-            n = self.universe_size
-            if n > _OPENS_CAP:
-                raise ResourceLimitError(
-                    f"open-set materialization capped at universe size {_OPENS_CAP}"
-                )
-            object.__setattr__(self, "_opens", SetFamily(n, _union_closure(self.mins)))
-        return self._opens  # type: ignore[return-value]
+        return self._opens
 
     def neighborhoods_filter(self, x: int) -> Filter:
         """The filter of neighborhoods of x: all supersets of its minimal open set."""
@@ -217,9 +201,9 @@ class Topology:
 
 @walk_memoized
 def _shared_topology(universe_size: int, mins: tuple[int, ...]) -> Topology:
-    """A Topology built without __post_init__, so not yet validated."""
+    """A Topology built without __post_init__, so unvalidated."""
     t = object.__new__(Topology)
-    t.__dict__.update(universe_size=universe_size, mins=mins, _opens=None, _validated=False)
+    t.__dict__.update(universe_size=universe_size, mins=mins)
     return t
 
 
@@ -229,11 +213,17 @@ def generate_topology(base: SetFamily) -> Topology:
 
 
 def topology_from_base_bits(n: int, bits: Iterable[int], contains: Callable[[int], bool]) -> Topology:
-    """generate_topology on a base given as its members' masks and a membership test."""
+    """generate_topology on a base given as its members' masks and a membership test.
+
+    Once every point meet is a member, the meets are a preorder: an uncovered
+    point meets to the whole set, which as a member would cover it, so each x
+    lies in its meet; and a member through y contains y's meet, so y in
+    meets[x] puts meets[y] inside meets[x]. So they skip the constructor's checks.
+    """
     meets = _point_meets(n, bits)
     if not all(map(contains, meets)):
         raise NotABaseError("family is not a topology base")
-    return Topology.of(n, meets)
+    return Topology.unchecked(n, meets)
 
 
 def topology_leq(t1: Topology, t2: Topology) -> bool:

@@ -75,30 +75,6 @@ def diagonal(n: int) -> Relation:
     return Relation.from_pairs(n, ((x, x) for x in range(n)))
 
 
-def inverse(g: Relation) -> Relation:
-    return Relation.from_pairs(g.point_count, ((y, x) for x, y in g.pair_list()))
-
-
-def compose(g: Relation, h: Relation) -> Relation:
-    """Pairs (x, z) such that some y has (x, y) in g and (y, z) in h."""
-    if g.point_count != h.point_count:
-        raise InputError("relations live on different universes")
-    n = g.point_count
-    h_rows = [h.row_bits(y) for y in range(n)]
-    bits = 0
-    for x in range(n):
-        grow = g.row_bits(x)
-        zrow = 0
-        y = 0
-        while grow:
-            if grow & 1:
-                zrow |= h_rows[y]
-            grow >>= 1
-            y += 1
-        bits |= zrow << (x * n)
-    return Relation(n, SubsetMask(n * n, bits))
-
-
 def entourage_ball(u: Relation, x: int) -> SubsetMask:
     """The row of u at x: all points u-near to x."""
     if not 0 <= x < u.point_count:

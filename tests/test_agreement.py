@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from fprod import fproduct
 from fprod.cli import main
 from fprod.filters import Filter, generate_filter
-from fprod.foundations import InputError, SetFamily, SubsetMask, Universe, grid_walk
+from fprod.foundations import SetFamily, SubsetMask, Universe
 from fprod.fproduct import (
     Factor,
     f_filter,
@@ -41,14 +41,8 @@ from fprod.fproduct import (
     f_uniformity_base,
     product_spec,
 )
-from fprod.topology import (
-    Topology,
-    enumerate_topologies,
-    generate_topology,
-    sierpinski,
-    subspace,
-)
-from fprod.uniformity import Relation, Uniformity, generate_uniformity, induced_topology
+from fprod.topology import Topology, enumerate_topologies, sierpinski
+from fprod.uniformity import Relation, generate_uniformity
 from fprod.verifier import _REGISTRY, default_grid, search_counterexample, verify_proposition
 
 import by_delta
@@ -219,36 +213,6 @@ class TestFilterCore:
             assert f_filter_core(spec) == f_filter(spec).core.bits
 
 
-class TestValidationOrder:
-    def test_an_invalid_vector_built_unchecked_raises_at_the_first_checked_route(self):
-        invalid = (0b01, 0b01)  # point 1 is missing from its minimal neighbourhood
-        with grid_walk():
-            unchecked = Topology.unchecked(2, invalid)
-            assert unchecked.mins == invalid
-            for _ in range(2):  # and again on a repeat
-                with pytest.raises(InputError, match="point 1 is missing"):
-                    Topology.of(2, invalid)
-            assert Topology.unchecked(2, invalid) is unchecked
-
-    def test_a_vector_built_unchecked_is_the_object_of_the_checked_route(self):
-        spec = product_spec([Factor(Universe.points(2), topology=sierpinski())] * 2, Filter(2, SubsetMask(2, 0)))
-        u = Uniformity(4, (0b0011, 0b0011, 0b1100, 0b1100))
-        with grid_walk():
-            t = f_topology(spec)
-            assert Topology.of(t.universe_size, t.mins) is t
-            sub = subspace(t, SubsetMask(4, 0b0110))
-            assert Topology.of(2, sub.mins) is sub
-            induced = induced_topology(u)
-            assert Topology.of(4, u.rows) is induced
-            assert generate_topology(induced.base) is induced
-
-    def test_the_checked_route_first_gives_the_object_to_the_unchecked_routes(self):
-        with grid_walk():
-            t = Topology.of(4, (0b0011, 0b0011, 0b1100, 0b1100))
-            assert induced_topology(Uniformity(4, t.mins)) is t
-            assert subspace(t, SubsetMask.full(4)) is t
-
-
 class TestClosedFormsPassFullValidation:
     """Each call site of the unchecked constructors, validated on every default grid."""
 
@@ -275,4 +239,4 @@ class TestClosedFormsPassFullValidation:
         body.pop("meta")
         want = (folder / "construct_f_topology_mixed.json").read_text()
         assert json.dumps(body, indent=2, sort_keys=True) + "\n" == want
-        assert len(calls) == 1
+        assert calls == [1, 3, 2, 6]  # the three factors' generated topologies, then the product

@@ -100,8 +100,8 @@ class TestPrincipalAndTrivial:
 
     def test_trivial_contains_empty(self):
         f = trivial_filter(2)
-        assert f.member(SubsetMask.empty(2))
-        assert f.member(SubsetMask.of(2, [0]))
+        assert f.member_bits(0)
+        assert f.member_bits(0b01)
         assert len(trivial_filter(3).members()) == 8
 
     def test_trivial_is_the_empty_core(self):
@@ -117,7 +117,7 @@ class TestPrincipalAndTrivial:
         f = frechet_filter(5)
         for bits in range(1 << 5):
             complement_is_finite = True  # all subsets of a finite set are finite
-            assert f.member(SubsetMask(5, bits)) == complement_is_finite
+            assert f.member_bits(bits) == complement_is_finite
 
 
 class TestUltrafilter:
@@ -127,20 +127,19 @@ class TestUltrafilter:
     def test_two_point_core_is_not(self):
         f = principal_filter(SubsetMask.of(3, [0, 1]))
         assert not is_ultrafilter(f)
-        assert not f.member(SubsetMask.of(3, [0]))
-        assert not f.member(SubsetMask.of(3, [1, 2]))
+        assert not f.member_bits(0b001)
+        assert not f.member_bits(0b110)
 
     def test_trivial_rejected_despite_disjunction(self):
         t = trivial_filter(3)
         for bits in range(8):
-            m = SubsetMask(3, bits)
-            assert t.member(m) or t.member(m.complement())
+            assert t.member_bits(bits) or t.member_bits(0b111 ^ bits)
         assert not is_ultrafilter(t)
 
     def test_matches_disjunction_oracle_exhaustively(self):
         for f in enumerate_filters(3, include_trivial=False):
             oracle = all(
-                f.member(SubsetMask(3, b)) or f.member(SubsetMask(3, b).complement())
+                f.member_bits(b) or f.member_bits(0b111 ^ b)
                 for b in range(8)
             )
             assert is_ultrafilter(f) == oracle
@@ -200,8 +199,8 @@ class TestIntersectionRewrite:
         for f in enumerate_filters(n, include_trivial=True):
             for a in range(1 << n):
                 for b in range(1 << n):
-                    lhs = f.member(SubsetMask(n, a & b))
-                    rhs = f.member(SubsetMask(n, a)) and f.member(SubsetMask(n, b))
+                    lhs = f.member_bits(a & b)
+                    rhs = f.member_bits(a) and f.member_bits(b)
                     assert lhs == rhs
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from fprod import foundations, fproduct
 from fprod.cli import main
-from fprod.filters import fibre_image, generate_filter, principal_filter, pushforward, trivial_filter
+from fprod.filters import Filter, fibre_image, generate_filter, principal_filter, pushforward, trivial_filter
 from fprod.foundations import (
     InputError,
     ProductIndexing,
@@ -32,11 +32,12 @@ from fprod.fproduct import (
     equalizers,
     f_filter,
     f_filter_base,
-    f_filter_cores,
+    f_filter_core,
     f_topology,
     f_topology_base,
     f_topology_via_base,
     f_uniformity_base,
+    filter_cores,
     filter_different,
     product_spec,
     projection_fibres,
@@ -275,9 +276,9 @@ class TestBoxBasesAgainstTheOracle:
             rows = [list(range(1 << s)) for s in sizes]  # every core, any count per factor
             for index_core in range(1 << len(sizes)):
                 want = filter_cores_oracle(index_core, rows, sizes)
-                assert list(f_filter_cores(index_core, rows, shared_indexing(sizes))) == want
+                assert list(filter_cores(index_core, rows, sizes)) == want
                 cores = [[r[-1]] for r in rows]  # one core per factor, as f_filter takes them
-                assert list(f_filter_cores(index_core, cores, shared_indexing(sizes))) == [want[-1]]
+                assert list(filter_cores(index_core, cores, sizes)) == [want[-1]]
 
     @pytest.mark.parametrize(
         "index_core, rows, sizes",
@@ -290,9 +291,23 @@ class TestBoxBasesAgainstTheOracle:
         ],
         ids=["missing-row", "extra-row", "wide-side", "negative-side", "wide-core"],
     )
-    def test_filter_cores_reject_rows_or_core_off_the_indexing(self, index_core, rows, sizes):
+    def test_filter_cores_reject_rows_or_core_off_the_indexing(self, index_core, rows, sizes, monkeypatch):
+        """filter_cores checks nothing, so rows or a core off the indexing must be
+        stopped by the constructors a spec passes before f_filter_core reaches it.
+
+        Row i is factor i's filter core, and the index set has one index per row.
+        """
+
+        def unreachable(*args):
+            raise AssertionError("filter_cores was reached")
+
+        monkeypatch.setattr(fproduct, "filter_cores", unreachable)
         with pytest.raises(InputError):
-            f_filter_cores(index_core, rows, shared_indexing(sizes))
+            factors = [
+                Factor(Universe.points(s), filter=principal_filter(mask(s, rows[i][0])) if i < len(rows) else None)
+                for i, s in enumerate(sizes)
+            ]
+            f_filter_core(product_spec(factors, Filter(len(rows), mask(len(rows), index_core))))
 
 
 class TestProductSpecIndexing:
@@ -569,10 +584,11 @@ class TestClosedFormTopology:
                 with pytest.raises(InputError, match="^family is not a topology base$"):
                     generate_topology(f_topology_base(spec, fam))
                 with pytest.raises(InputError, match="^family is not a topology base$"):
-                    f_topology_via_base(spec, fam)
+                    f_topology(spec, fam)
                 not_bases += 1
             else:
-                assert f_topology_via_base(spec, fam) == generate_topology(f_topology_base(spec, fam))
+                via_base = f_topology_via_base(spec) if fam is None else f_topology(spec, fam)
+                assert via_base == generate_topology(f_topology_base(spec, fam))
             checked += 1
         assert checked == count
         assert (not_bases > 0) == (prop == "P2.1")

@@ -1,6 +1,8 @@
 """Import layering of the fprod modules, read from their source."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,30 @@ def test_the_package_exports_exactly_what_it_imports():
     assert [name for name in exported if not hasattr(fprod, name)] == []
     imported = {name for _, name in imported_names("__init__") if not name.startswith("_")}
     assert imported == set(exported)
+
+
+TRACING = SRC.parent.parent / "bench" / "tracing.py"
+
+
+def tracing_constant(name: str):
+    """The literal value bench/tracing.py assigns to a module-level name, read without importing it."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
+def test_every_traced_member_is_defined_on_its_class():
+    # the tracer wraps vars(cls)[attr] for each MEMBERS entry, so a deleted member crashes every bench mode
+    missing = [
+        f"{layer}.{cls_name}.{attr}"
+        for layer, cls_name, attr, _ in tracing_constant("MEMBERS")
+        if attr not in vars(getattr(importlib.import_module(f"fprod.{layer}"), cls_name))
+    ]
+    assert missing == []
+
+
+def test_the_distinct_spec_counter_can_call_its_function_with_two_positional_arguments():
+    layer, name = tracing_constant("_DISTINCT").split(".")
+    fn = getattr(importlib.import_module(f"fprod.{layer}"), name)
+    inspect.signature(fn).bind(object(), None)  # TypeError if the second parameter is gone

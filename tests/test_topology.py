@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from fprod.foundations import (
     map_fibres,
 )
 from fprod.topology import (
+    NotABaseError,
     Topology,
     discrete,
     enumerate_topologies,
@@ -177,6 +179,30 @@ class TestGenerateTopology:
                 t = generate_topology(family)
                 assert [m.bits for m in t.opens()] == union_closure_oracle(family)
 
+    def test_every_family_on_up_to_four_points_generates_iff_it_meets_the_point_criterion(self):
+        # all 65,812 families, the empty one included: generate_topology builds the
+        # point meets unchecked, so each accepted base is checked here against the
+        # validating constructor and against the unions of its members
+        bases = 0
+        for n in range(1, 5):
+            for fam_bits in range(1 << (1 << n)):
+                members = [m for m in range(1 << n) if fam_bits >> m & 1]
+                family = SetFamily(n, members)
+                through = [[m for m in members if m >> x & 1] for x in range(n)]
+                meets = [functools.reduce(operator.and_, ms, (1 << n) - 1) for ms in through]
+                if not all(ms and meet in members for ms, meet in zip(through, meets)):
+                    with pytest.raises(NotABaseError):
+                        generate_topology(family)
+                    continue
+                unions = {0}
+                for m in members:
+                    unions |= {u | m for u in unions}
+                t = generate_topology(family)
+                assert t == Topology(n, meets)
+                assert t.opens().bits == tuple(sorted(unions))
+                bases += 1
+        assert bases == 11_644
+
     def test_opens_match_oracle_on_random_4_point_bases(self):
         rng = random.Random(52)
         for _ in range(100):
@@ -199,21 +225,25 @@ class TestRepresentation:
     def test_rejects_a_vector_that_is_not_a_preorder(self, n, mins):
         with pytest.raises(InputError):
             Topology(n, mins)
-        with grid_walk():  # errors are never memoized: every call raises
+        with pytest.raises(InputError):
+            generate_topology(SetFamily(n, sorted(set(mins))))
+        with grid_walk():  # a walk-shared unchecked vector does not get past the constructor
+            Topology.unchecked(n, mins)
             for _ in range(2):
                 with pytest.raises(InputError):
-                    Topology.of(n, mins)
+                    Topology(n, mins)
 
     def test_equal_vectors_give_one_object_inside_a_walk_only(self):
         mins = (0b01, 0b11)
         with grid_walk():
-            shared = Topology.of(2, mins)
-            assert Topology.of(2, list(mins)) is shared
+            shared = Topology.unchecked(2, mins)
+            assert Topology.unchecked(2, list(mins)) is shared
             assert generate_topology(fam(2, 0b01, 0b11)) is shared
             assert subspace(shared, SubsetMask.full(2)) is shared
-        outside = Topology.of(2, mins)
+            assert Topology(2, mins) == shared and Topology(2, mins) is not shared
+        outside = Topology.unchecked(2, mins)
         assert outside == shared and outside is not shared
-        assert Topology.of(2, mins) is not outside
+        assert Topology.unchecked(2, mins) is not outside
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_smallest_base_generates_the_same_topology(self, n):

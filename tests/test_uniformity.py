@@ -18,13 +18,11 @@ from fprod.topology import discrete, indiscrete, is_continuous, topologies_equal
 from fprod.uniformity import (
     Relation,
     Uniformity,
-    compose,
     diagonal,
     entourage_ball,
     enumerate_uniformity_bases,
     generate_uniformity,
     induced_topology,
-    inverse,
     is_uniformly_continuous,
     validate_uniformity_base,
 )
@@ -44,6 +42,22 @@ def compose_oracle(g, h):
             if any(g.contains(x, y) and h.contains(y, z) for y in range(n)):
                 out.append((x, z))
     return Relation.from_pairs(n, out)
+
+
+def inverse_oracle(g):
+    return Relation.from_pairs(g.point_count, ((y, x) for x, y in g.pair_list()))
+
+
+def compose_rows(g, h):
+    """Row by row: the row of x is the union of h's rows at the points of g's row."""
+    h_rows = h.rows()
+    out = []
+    for grow in g.rows():
+        row = 0
+        for y in SubsetMask(g.point_count, grow):
+            row |= h_rows[y]
+        out.append(row)
+    return Relation.from_rows(out)
 
 
 def all_relations(n):
@@ -77,17 +91,22 @@ class TestRelationAlgebra:
         with pytest.raises(InputError, match="out of range for 2 points"):
             Relation.from_pairs(2, [pair])
 
+    # The package keeps no composition or inverse: a finite uniformity is
+    # stored as its minimal entourage. These laws pin the oracles that
+    # TestUniformityBase and TestGenerateUniformity judge it by, and
+    # compose_rows checks Relation's row layout against its pairs.
     def test_diagonal_is_identity_for_composition(self):
         for n in (1, 2, 3):
             d = diagonal(n)
             for r in all_relations(n):
-                assert compose(d, r) == r
-                assert compose(r, d) == r
+                for compose in (compose_oracle, compose_rows):
+                    assert compose(d, r) == r
+                    assert compose(r, d) == r
 
     def test_single_pair_composition(self):
         g = rel(3, [(0, 1)])
         h = rel(3, [(1, 2)])
-        assert compose(g, h) == rel(3, [(0, 2)])
+        assert compose_oracle(g, h) == compose_rows(g, h) == rel(3, [(0, 2)])
 
     def test_compose_matches_oracle_and_associates(self):
         rng = random.Random(4181)
@@ -96,19 +115,19 @@ class TestRelationAlgebra:
             g, h, k = (
                 Relation(n, SubsetMask(16, rng.randrange(1 << 16))) for _ in range(3)
             )
-            assert compose(g, h) == compose_oracle(g, h)
-            assert compose(compose(g, h), k) == compose(g, compose(h, k))
+            assert compose_rows(g, h) == compose_oracle(g, h)
+            assert compose_rows(compose_rows(g, h), k) == compose_rows(g, compose_rows(h, k))
 
     def test_inverse_examples(self):
-        assert inverse(diagonal(3)) == diagonal(3)
-        assert inverse(rel(2, [(0, 1)])) == rel(2, [(1, 0)])
+        assert inverse_oracle(diagonal(3)) == diagonal(3)
+        assert inverse_oracle(rel(2, [(0, 1)])) == rel(2, [(1, 0)])
 
     def test_inverse_antidistributes_over_composition(self):
         rng = random.Random(2718)
         for _ in range(200):
             g = Relation(3, SubsetMask(9, rng.randrange(1 << 9)))
             h = Relation(3, SubsetMask(9, rng.randrange(1 << 9)))
-            assert inverse(compose(g, h)) == compose(inverse(h), inverse(g))
+            assert inverse_oracle(compose_rows(g, h)) == compose_rows(inverse_oracle(h), inverse_oracle(g))
 
     def test_rows_round_trip(self):
         for n in (1, 2, 3):
@@ -122,19 +141,19 @@ class TestRelationAlgebra:
 
     def test_inverse_is_an_involution(self):
         for r in all_relations(2):
-            assert inverse(inverse(r)) == r
+            assert inverse_oracle(inverse_oracle(r)) == r
 
     def test_diagonal_shape(self):
         assert diagonal(1).pair_list() == ((0, 0),)
         d3 = diagonal(3)
         assert len(d3.pair_list()) == 3
-        assert inverse(d3) == d3
-        assert compose(d3, d3) == d3
+        assert inverse_oracle(d3) == d3
+        assert compose_rows(d3, d3) == d3
 
     def test_domain_diagonal_inside_r_after_r_inverse(self):
         def check(r):
             n = r.point_count
-            back = compose(r, inverse(r))
+            back = compose_rows(r, inverse_oracle(r))
             for x in range(n):
                 if r.row_bits(x):
                     assert back.contains(x, x)
@@ -167,10 +186,10 @@ class TestUniformityBase:
         diag = diagonal(n)
         c1 = all(diag.pairs.issubset(r.pairs) for r in rels)
         c2 = all(
-            any(b.pairs.issubset(inverse(u).pairs) for b in rels) for u in rels
+            any(b.pairs.issubset(inverse_oracle(u).pairs) for b in rels) for u in rels
         )
         c3 = all(
-            any(compose(v, v).pairs.issubset(u.pairs) for v in rels) for u in rels
+            any(compose_oracle(v, v).pairs.issubset(u.pairs) for v in rels) for u in rels
         )
         c4 = all(
             any(w.pairs.issubset(u.pairs & v.pairs) for w in rels)
@@ -279,9 +298,9 @@ class TestGenerateUniformity:
         member_bits = {m.pairs.bits for m in members}
         diag = diagonal(n)
         assert all(diag.pairs.issubset(m.pairs) for m in members)
-        assert all(inverse(m).pairs.bits in member_bits for m in members)
+        assert all(inverse_oracle(m).pairs.bits in member_bits for m in members)
         assert all(
-            any(compose(v, v).pairs.issubset(m.pairs) for v in members)
+            any(compose_oracle(v, v).pairs.issubset(m.pairs) for v in members)
             for m in members
         )
         for a, b in itertools.combinations(members, 2):

@@ -1,9 +1,10 @@
 """Walk P2.8's factor-size-4 grid with the closed forms fully validated, and assert it passes.
 
-f_topology, subspace, induced_topology and enumerate_topologies build through
-Topology.unchecked, which skips the preorder checks because their vectors are
-preorders by construction. Inside validating_closed_forms() it validates as
-Topology.of does, so an invalid closed form raises InputError.
+f_topology, subspace, induced_topology, enumerate_topologies and
+topology_from_base_bits build through Topology.unchecked, which skips the
+preorder checks because their vectors are preorders by construction. Inside
+validating_closed_forms() it validates through Topology(...) and still returns
+the walk-shared object, so an invalid closed form raises InputError.
 
     python tests/validate_closed_forms.py
 
@@ -29,7 +30,8 @@ def validating_closed_forms() -> Iterator[list[int]]:
 
     def validating(cls, universe_size, mins):
         calls.append(universe_size)
-        return Topology.of(universe_size, mins)  # validates a vector the first time it is asked for
+        Topology(universe_size, mins)  # InputError unless mins is a preorder
+        return original.__func__(cls, universe_size, mins)
 
     Topology.unchecked = classmethod(validating)  # type: ignore[method-assign, assignment]
     try:
