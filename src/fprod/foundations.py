@@ -65,7 +65,8 @@ class Universe:
 
 @dataclass(frozen=True)
 class SubsetMask:
-    """A subset of an n-element universe as an n-bit vector (bit i set = element i in)."""
+    """A subset of an n-element universe as an n-bit vector (bit i set = element i in),
+    validated, with read-only views; set algebra is done on the .bits ints."""
 
     universe_size: int
     bits: int
@@ -85,10 +86,6 @@ class SubsetMask:
     @classmethod
     def full(cls, n: int) -> "SubsetMask":
         return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def singleton(cls, n: int, element: int) -> "SubsetMask":
-        return cls.of(n, (element,))
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "SubsetMask":
@@ -122,37 +119,9 @@ class SubsetMask:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def _check(self, other: "SubsetMask") -> None:
-        if self.universe_size != other.universe_size:
-            raise InputError("subset operands live on different universes")
-
-    def __and__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check(other)
-        return SubsetMask(self.universe_size, self.bits & other.bits)
-
-    def __or__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check(other)
-        return SubsetMask(self.universe_size, self.bits | other.bits)
-
-    def __sub__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check(other)
-        return SubsetMask(self.universe_size, self.bits & ~other.bits)
-
-    def complement(self) -> "SubsetMask":
-        full = (1 << self.universe_size) - 1
-        return SubsetMask(self.universe_size, self.bits ^ full)
-
-    def issubset(self, other: "SubsetMask") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
     @property
     def is_empty(self) -> bool:
         return self.bits == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.bits == (1 << self.universe_size) - 1
 
     def elements(self) -> tuple[int, ...]:
         return tuple(self)

@@ -251,8 +251,9 @@ def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
     """For each product point x, the box core_side(x_i, s_i) on the index-filter core, whole elsewhere."""
     core = spec._require_index_filter().core
     idx = spec.indexing
+    k = len(idx.factor_sizes)
     rows = tuple(tuple(core_side(a, s) for a in range(s)) for s in idx.factor_sizes)
-    boxes = filter_cores(core.complement().bits, rows, idx.factor_sizes)
+    boxes = filter_cores(core.bits ^ ((1 << k) - 1), rows, idx.factor_sizes)
     return [SubsetMask(idx.total, m) for m in boxes]
 
 

@@ -129,12 +129,9 @@ class Topology:
         return _shared_topology(universe_size, tuple(mins))
 
     @cached_property
-    def _distinct_mins(self) -> tuple[int, ...]:
-        return tuple(dict.fromkeys(self.mins))
-
-    @property
     def base(self) -> SetFamily:
-        """The smallest base: the distinct minimal neighbourhoods, in canonical order."""
+        """The smallest base: the distinct minimal neighbourhoods, in canonical order.
+        Cached, because is_dense reads it on each query and P3.1 asks once per point."""
         return SetFamily(self.universe_size, sorted(set(self.mins)))
 
     def minimal_neighborhood(self, x: int) -> SubsetMask:
@@ -196,7 +193,7 @@ class Topology:
         if mask.universe_size != self.universe_size:
             raise InputError("density query on the wrong universe")
         bits = mask.bits
-        return all(bits & m for m in self._distinct_mins)
+        return all(bits & m for m in self.base.bits)
 
 
 @walk_memoized
@@ -231,13 +228,6 @@ def topology_leq(t1: Topology, t2: Topology) -> bool:
     if t1.universe_size != t2.universe_size:
         raise InputError("topologies live on different universes")
     return all(m2 & ~m1 == 0 for m1, m2 in zip(t1.mins, t2.mins))
-
-
-def topologies_equal(t1: Topology, t2: Topology) -> bool:
-    """Same open sets, that is, the same minimal-neighbourhood vector."""
-    if t1.universe_size != t2.universe_size:
-        raise InputError("topologies live on different universes")
-    return t1.mins == t2.mins
 
 
 def is_continuous(fibres: Sequence[int], t_dom: Topology, t_cod: Topology) -> bool:
@@ -306,7 +296,7 @@ def find_disjoint_dense(t: Topology, n: int) -> tuple[SubsetMask, ...] | None:
     if n < 1:
         raise InputError("need n >= 1 dense sets")
     size = t.universe_size
-    minimal = [m for m in t._distinct_mins if all(t.mins[y] == m for y in SubsetMask(size, m))]
+    minimal = [m for m in t.base.bits if all(t.mins[y] == m for y in SubsetMask(size, m))]
     if not minimal or min(m.bit_count() for m in minimal) < n:
         return None
     found = [0] * n

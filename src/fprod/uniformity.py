@@ -51,14 +51,6 @@ class Relation:
             bits |= row << (x * n)
         return cls(n, SubsetMask(n * n, bits))
 
-    @classmethod
-    def full(cls, n: int) -> "Relation":
-        return cls(n, SubsetMask.full(n * n))
-
-    def contains(self, x: int, y: int) -> bool:
-        n = self.point_count
-        return bool(self.pairs.bits >> (x * n + y) & 1)
-
     def row_bits(self, x: int) -> int:
         n = self.point_count
         return self.pairs.bits >> (x * n) & ((1 << n) - 1)

@@ -83,7 +83,7 @@ def test_criterion_03_pinned_index_counterexample():
         idx = pinned.indexing
         x = idx.encode_point((1, 0, 0))
         y = idx.encode_point((0, 0, 0))
-        assert not (t.minimal_neighborhood(x) & t.minimal_neighborhood(y)).is_empty
+        assert t.minimal_neighborhood(x).bits & t.minimal_neighborhood(y).bits
         boxed = product_spec(factors, trivial_filter(3))
         assert f_topology(boxed).is_hausdorff()
         report = verify_proposition("E2.9")

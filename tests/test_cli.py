@@ -287,6 +287,15 @@ class TestExitCodes:
             " byte 0xe9 in position 16: invalid continuation byte\n"
         )
 
+    @pytest.mark.parametrize(
+        "grid", [("--factors", "indiscrete2"), ("--factor-size", "1")], ids=["indiscrete2", "factor-size-1"]
+    )
+    def test_two_on_a_grid_with_no_instances(self, capsys, grid):
+        # P2.7 keeps only non-trivial factors, and neither grid has one
+        code, out, err = run(capsys, "verify", "--prop", "P2.7", *grid)
+        assert code == 2 and out == ""
+        assert err == "error: input: the grid of P2.7 has no instances, so it checks nothing\n"
+
     def test_two_when_the_report_cannot_be_written(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code, out, err = run(capsys, "verify", "--prop", "P2.5", "--out", str(target))

@@ -51,7 +51,6 @@ from fprod.topology import (
     is_continuous,
     sierpinski,
     subspace,
-    topologies_equal,
     topology_leq,
     validate_base,
 )
@@ -387,7 +386,7 @@ class TestFTopologyBase:
         # oracle: brute-force over all open boxes (nonempty opens are 3 per factor)
         assert len(base) == 9
         t = f_topology(spec)
-        assert topologies_equal(t, discrete(4))
+        assert t == discrete(4)
 
     def test_whole_space_filter_gives_indiscrete_base(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b11)))
@@ -603,7 +602,7 @@ def fibre_union(i, sub, idx):
 class TestProjections:
     def test_preimage_examples(self):
         idx = ProductIndexing((2, 2))
-        assert fibre_union(0, mask(2, 0b11), idx).is_full
+        assert fibre_union(0, mask(2, 0b11), idx).bits == 0b1111
         assert fibre_union(0, mask(2, 0), idx).is_empty
         got = fibre_union(1, mask(2, 0b01), idx)
         assert got.elements() == (0, 1)
@@ -749,7 +748,7 @@ class TestEqualizer:
 
     def test_trivial_filter_gives_whole_product(self):
         spec = product_spec(discrete2_factors(2), trivial_filter(2))
-        assert equalizers(spec)[3].is_full
+        assert equalizers(spec)[3].bits == 0b1111
 
     def test_dense_for_every_proper_filter(self):
         for k in (1, 2, 3):
@@ -766,7 +765,7 @@ class TestEqualizer:
                 sigmas = equalizers(spec)
                 for x, others in enumerate(filter_different(spec)):
                     for y in others:
-                        assert (sigmas[x] & sigmas[y]).is_empty
+                        assert not sigmas[x].bits & sigmas[y].bits
 
     def test_filter_different_examples(self):
         spec = product_spec(discrete2_factors(2), principal_filter(mask(2, 0b01)))
@@ -965,12 +964,12 @@ class TestResolvability:
         x, y = 0, 1  # differ exactly at the pinned coordinate
         assert y in filter_different(spec)[x]
         sx, sy = equalizers(spec)[x], equalizers(spec)[y]
-        assert (sx & sy).is_empty
+        assert not sx.bits & sy.bits
         assert t.is_dense(sx) and t.is_dense(sy)
         witness = find_disjoint_dense(t, 2)
         assert witness is not None
         assert all(t.is_dense(w) for w in witness)
-        assert (witness[0] & witness[1]).is_empty
+        assert not witness[0].bits & witness[1].bits
 
     def test_every_pinned_hausdorff_product_is_not_hausdorff(self):
         for k in (2, 3):

@@ -365,7 +365,7 @@ class TestSeparationFaults:
     def test_p31_catches_equalizers_that_pin_every_coordinate(self, monkeypatch):
         def singletons(spec):
             total = spec.indexing.total
-            return [SubsetMask.singleton(total, x) for x in range(total)]
+            return [SubsetMask(total, 1 << x) for x in range(total)]
 
         monkeypatch.setattr(fprod.verifier, "equalizers", singletons)
         assert_fault_caught(monkeypatch, "P3.1", "non_dense_equalizer_at")
@@ -539,7 +539,7 @@ class TestP31Disjointness:
                     for y in sorted({min(different[x]), max(different[x])}):
                         for a, b in ((x, y), (y, x)):
                             sigmas = list(real(spec))
-                            sigmas[a] = sigmas[a] | SubsetMask.singleton(total, b)
+                            sigmas[a] = SubsetMask(total, sigmas[a].bits | 1 << b)
                             monkeypatch.setattr(
                                 fprod.verifier, "equalizers", lambda s, sigmas=sigmas: sigmas
                             )
@@ -559,7 +559,7 @@ class TestP31Disjointness:
             total = spec.indexing.total
             for _ in range(30):
                 sigmas = [
-                    sigma | SubsetMask(total, rng.getrandbits(total) & rng.getrandbits(total))
+                    SubsetMask(total, sigma.bits | rng.getrandbits(total) & rng.getrandbits(total))
                     for sigma in real(spec)
                 ]
                 monkeypatch.setattr(fprod.verifier, "equalizers", lambda s, sigmas=sigmas: sigmas)
