@@ -1,7 +1,7 @@
 """Exhaustive desk-scale verification of the product-construction propositions.
 
-Each proposition or claim id maps to one registry entry: a deterministic
-instance generator and a single-instance check. A run walks the grid in
+Each proposition or claim id maps to one registry entry: its grid stated once
+as counted axes, and a single-instance check. A run plans the grid, walks it in
 canonical order on typed in-memory instances, stops at the first failing
 instance, and reports it as a replayable witness (the witness is the instance
 encoded by the one codec, _encode, so decoding it and re-running the check
@@ -17,7 +17,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
 from operator import or_
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from . import serialize
 from .filters import (
@@ -32,7 +32,9 @@ from .filters import (
     validate_filter_base,
 )
 from .foundations import (
+    DEFAULT_MAX_UNIVERSE,
     InputError,
+    ResourceLimitError,
     SetFamily,
     SubsetMask,
     Universe,
@@ -54,7 +56,6 @@ from .fproduct import (
     f_uniformity_base,
     filter_cores,
     filter_different,
-    product_spec,
     projection_fibres,
 )
 from .topology import (
@@ -109,14 +110,15 @@ def preset_factor(name: str) -> Factor:
 class InstanceGrid:
     """Deterministic instance enumeration bounds for one verification run.
 
-    Each check reads only the fields its registry entry declares (see
-    grid_fields): index_sizes picks the index set sizes, factor_source picks
-    the factors ("fixed" for factor_preset, "all-topologies" for every
-    topology on 1..factor_universe_max points, "all-filters" for the proper
-    filters and "all-uniformity-bases" for the uniformity bases on 2 points),
-    and filter_source selects the index filters ("all", "proper", "trivial",
-    or "named" with named_filters entries that are either "trivial" or
-    comma-joined core labels such as "1,2").
+    Each check reads only the fields its axes read (see grid_fields):
+    index_sizes picks the index set sizes, factor_source picks the factors
+    ("fixed" for factor_preset, "all-topologies" for every topology on
+    1..factor_universe_max points; P4.1-P5.ind fix theirs to "all-filters",
+    the proper filters, or "all-uniformity-bases", the uniformity bases on 2
+    points, and read none of these fields), and filter_source selects the
+    index filters ("all", "proper", "trivial", or "named" with distinct
+    named_filters entries that are either "trivial" or comma-joined core
+    labels such as "1,2").
     """
 
     index_sizes: tuple[int, ...] = (2,)
@@ -132,6 +134,10 @@ class InstanceGrid:
         object.__setattr__(self, "named_filters", tuple(self.named_filters))
         if not self.index_sizes or any(k < 1 for k in self.index_sizes):
             raise InputError("index sizes must be positive")
+        if max(self.index_sizes) > DEFAULT_MAX_UNIVERSE:  # checked before an index universe is built
+            raise ResourceLimitError(
+                f"universe size {max(self.index_sizes)} exceeds cap {DEFAULT_MAX_UNIVERSE}"
+            )
         if self.factor_universe_max < 1:
             raise InputError("factor size must be at least 1")
         if self.max_instances is not None and self.max_instances < 1:
@@ -169,7 +175,11 @@ class PropositionReport:
 
 
 # ---------------------------------------------------------------------------
-# the grid: index filters, factor choices, and the product-instance generator
+# the grid: each entry states it once, and one plan counts, reads and walks it
+
+_WALK_CAP = 1 << 20  # above P4.5 at factor size 4 (605,284), below P2.1 at index size 5
+
+_Block = tuple[int, Sequence[Factor], Sequence[Any]]  # (k, choices, values): see _Plan
 
 
 def _grid_filters(grid: InstanceGrid, n: int) -> list[Filter]:
@@ -182,27 +192,27 @@ def _grid_filters(grid: InstanceGrid, n: int) -> list[Filter]:
         return [trivial_filter(n)]
     if src == "named":
         uni = Universe.indices(n)
-        out = []
+        named: dict[Filter, str] = {}  # each filter -> the entry that named it
         for name in grid.named_filters:
             if name == "trivial":
-                out.append(trivial_filter(n))
+                fil = trivial_filter(n)
             else:
                 labels = [p.strip() for p in name.split(",") if p.strip()]
                 if not labels:
                     raise InputError(f"empty named filter entry {name!r}")
-                out.append(
-                    principal_filter(
-                        SubsetMask.of(n, (uni.index_of(lab) for lab in labels))
-                    )
-                )
-        if not out:
+                fil = principal_filter(SubsetMask.of(n, (uni.index_of(lab) for lab in labels)))
+            if fil in named:
+                raise InputError(f"named filters {named[fil]!r} and {name!r} are the same filter")
+            named[fil] = name
+        if not named:
             raise InputError("filter source 'named' needs at least one named filter")
-        return out
+        return list(named)
     raise InputError(f"unknown filter source {src!r}")
 
 
-def _factor_choices(grid: InstanceGrid) -> list[Factor]:
-    src = grid.factor_source
+def _factor_choices(grid: InstanceGrid, src: str | None = None) -> list[Factor]:
+    """The factors of src, where a check fixes its own, else of the grid's factor_source."""
+    src = src or grid.factor_source
     if src == "fixed":
         return [preset_factor(grid.factor_preset)]
     if src == "all-topologies":
@@ -212,56 +222,82 @@ def _factor_choices(grid: InstanceGrid) -> list[Factor]:
             for t in enumerate_topologies(n)
         ]
     if src == "all-filters":
-        return [
-            Factor(Universe.points(2), filter=f)
-            for f in enumerate_filters(2, include_trivial=False)
-        ]
+        return [Factor(Universe.points(2), filter=f) for f in enumerate_filters(2, include_trivial=False)]
     if src == "all-uniformity-bases":
-        return [
-            Factor(Universe.points(2), uniformity_base=b)
-            for b in enumerate_uniformity_bases(2)
-        ]
+        return [Factor(Universe.points(2), uniformity_base=b) for b in enumerate_uniformity_bases(2)]
     raise InputError(f"unknown factor source {src!r}")
 
 
-def _product_instances(
-    grid: InstanceGrid, keep: Callable[[Factor], bool] = lambda f: True
-) -> Iterator[ProductSpec]:
-    """index_sizes x factor choices (those passing keep) x index filters, lazily."""
-    choices = [f for f in _factor_choices(grid) if keep(f)]
+def _product_axes(
+    grid: InstanceGrid, src: str | None = None, keep: Callable[[Factor], bool] = lambda f: True
+) -> Iterator[_Block]:
+    """Per index size k: each k-tuple of the factor choices passing keep, under each index filter."""
+    pool = [f for f in _factor_choices(grid, src) if keep(f)]
     for k in grid.index_sizes:
-        uni = Universe.indices(k)
-        fils = _grid_filters(grid, k)
-        for combo in itertools.product(choices, repeat=k):
-            spec = ProductSpec(uni, combo)
-            for fil in fils:
-                yield spec.with_index_filter(fil)
+        yield k, pool, _grid_filters(grid, k)
 
 
 def _nontrivial_topology(f: Factor) -> bool:
     return len(f.topology.opens()) > 2  # type: ignore[union-attr]
 
 
-# ---------------------------------------------------------------------------
-# entries with extra fields: generators and checks
+@dataclass(frozen=True)
+class _Plan:
+    """A grid as blocks (k, choices, values), counted before any instance is built:
+    each k-tuple of choices is one spec (None when k is 0), and build(spec, value)
+    is one instance per value, for each spec in turn."""
 
+    blocks: tuple[_Block, ...]
+    build: Callable[[Any, Any], Any]
+    fields: frozenset[str]  # the grid fields read to state the blocks
 
-_P21_INDEX_CAP = 4  # 65,535 families at 4 indexes; 5 would be 4,294,967,295
-
-
-def _p21_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, SetFamily]]:
-    """Each factor choice with each of the 2^(2^k) - 1 nonempty families of index subsets."""
-    if max(grid.index_sizes) > _P21_INDEX_CAP:
-        raise InputError(
-            f"P2.1 walks every family of index subsets, so index sizes stop at "
-            f"{_P21_INDEX_CAP}, got {max(grid.index_sizes)}"
+    @property
+    def count(self) -> int:  # a range's length from its ends: len() stops at sys.maxsize
+        return sum(
+            len(c) ** k * (v.stop - v.start if isinstance(v, range) else len(v)) for k, c, v in self.blocks
         )
+
+    def __iter__(self) -> Iterator[Any]:
+        build = self.build
+        for k, choices, values in self.blocks:
+            uni = Universe.indices(k) if k else None
+            for combo in itertools.product(choices, repeat=k):
+                spec = ProductSpec(uni, combo) if k else None
+                for value in values:
+                    yield build(spec, value)
+
+
+class _Reads:  # a grid that records the name of each field read from it
+    def __init__(self, grid: InstanceGrid) -> None:
+        self._grid, self.fields = grid, set()
+
+    def __getattr__(self, name: str) -> Any:
+        self.fields.add(name)
+        return getattr(self._grid, name)
+
+
+@lru_cache(maxsize=1)  # grid_fields and then _run plan one command's grid once
+def _plan(entry: _Entry, grid: InstanceGrid) -> _Plan:
+    reads = _Reads(grid)
+    return _Plan(tuple(entry.axes(reads)), entry.build, frozenset(reads.fields))
+
+
+# ---------------------------------------------------------------------------
+# entries with extra fields: P2.1's axes, and checks
+
+
+def _p21_axes(grid: InstanceGrid) -> Iterator[_Block]:
+    """Per index size k: each factor k-tuple with each nonempty family of index subsets."""
+    pool = _factor_choices(grid)
     for k in grid.index_sizes:
-        subset_count = 1 << k
-        for combo in itertools.product(_factor_choices(grid), repeat=k):
-            spec = product_spec(combo)
-            for fam_bits in range(1, 1 << subset_count):
-                yield spec, SetFamily(k, [m for m in range(subset_count) if fam_bits >> m & 1])
+        if 1 << k > DEFAULT_MAX_UNIVERSE:  # a family is the bits of a mask over the 2^k index subsets
+            raise ResourceLimitError(f"{1 << k} index subsets exceed the universe cap {DEFAULT_MAX_UNIVERSE}")
+        yield k, pool, range(1, 1 << (1 << k))
+
+
+def _p21_instance(spec: ProductSpec, bits: int) -> tuple[ProductSpec, SetFamily]:
+    k = len(spec.factors)
+    return spec, SetFamily(k, [m for m in range(1 << k) if bits >> m & 1])
 
 
 def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
@@ -277,12 +313,6 @@ def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
     }
 
 
-def _p23_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, Filter]]:
-    for spec in _product_instances(grid):
-        for g in _grid_filters(grid, spec.index_universe.size):
-            yield spec, g
-
-
 def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
     spec, g = inst
     assert spec.index_filter is not None
@@ -293,32 +323,17 @@ def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
     return False, {"filter_leq": lhs, "topology_leq": rhs}
 
 
-def _p25_instances(grid: InstanceGrid) -> Iterator[Filter]:
-    for k in grid.index_sizes:
-        yield from _grid_filters(grid, k)
-
-
 def _p25_check(fil: Filter) -> tuple[bool, dict | None]:
     k = fil.universe_size
     members = fil.members().bits
     misses_each_point = all(any(not (b >> i & 1) for b in members) for i in range(k))
-    full = (1 << k) - 1
-    complements_in = all(fil.member_bits(full ^ (1 << i)) for i in range(k))
-    ok = misses_each_point == complements_in == is_saturated(fil)
-    if ok:
+    complements_in = is_saturated(fil)
+    if misses_each_point == complements_in:
         return True, None
     return False, {
         "member_missing_each_point": misses_each_point,
         "point_complements_are_members": complements_in,
     }
-
-
-def _e29_instances(grid: InstanceGrid) -> Iterator[tuple[ProductSpec, bool]]:
-    for k in grid.index_sizes:
-        factors = tuple(preset_factor("discrete2") for _ in range(k))
-        uni = Universe.indices(k)
-        yield ProductSpec(uni, factors, principal_filter(SubsetMask.of(k, [0]))), False
-        yield ProductSpec(uni, factors, trivial_filter(k)), True
 
 
 def _e29_check(inst: tuple[ProductSpec, bool]) -> tuple[bool, dict | None]:
@@ -339,11 +354,6 @@ def _e29_check(inst: tuple[ProductSpec, bool]) -> tuple[bool, dict | None]:
         [serialize.product_point_label(y, spec), serialize.product_point_label(x, spec)]
     )
     return True, {"inseparable_pair": pair}
-
-
-def _p210_instances(grid: InstanceGrid) -> Iterator[Topology]:
-    for n in range(1, grid.factor_universe_max + 1):
-        yield from enumerate_topologies(n)
 
 
 def _p210_check(t: Topology) -> tuple[bool, dict | None]:
@@ -622,29 +632,27 @@ def _decode(entry: _Entry, witness: Any) -> Any:
 # ---------------------------------------------------------------------------
 # the registry of propositions and claims
 
-# InstanceGrid fields, grouped by the CLI flag that sets them
-_INDEX = frozenset({"index_sizes"})
-_SIZE = frozenset({"factor_universe_max"})
-_FACTORS = frozenset({"factor_source", "factor_preset"})
-_FILTERS = frozenset({"filter_source", "named_filters"})
-
-
 @dataclass(frozen=True)
 class _Entry:
     """One proposition (or, with claim set, one false generalization to refute).
 
-    check takes the typed instances that instances yields; _encode and
-    _decode convert one to and from JSON for witnesses and replay.
+    axes states the grid once, as the blocks of a _Plan, and build makes one
+    instance of a block's spec and one of its values; check takes those typed
+    instances, and _encode and _decode convert one to and from JSON.
     """
 
     check_id: str
     description: str
     notes: tuple[str, ...]
     default_grid: InstanceGrid
-    reads: frozenset[str]
     check: Callable[[Any], tuple[bool, dict | None]]
-    instances: Callable[[InstanceGrid], Iterator[Any]] = _product_instances
+    axes: Callable[[InstanceGrid], Iterator[_Block]] = _product_axes
+    build: Callable[..., Any] = ProductSpec.with_index_filter
     claim: bool = False
+
+    def instances(self, grid: InstanceGrid) -> Iterator[Any]:
+        """The instances of grid, in walk order."""
+        return iter(_plan(self, grid))
 
 
 _REGISTRY: dict[str, _Entry] = {
@@ -657,9 +665,9 @@ _REGISTRY: dict[str, _Entry] = {
             ("grid restricted to non-trivial factors: with a trivial factor topology "
              "boxes cannot realize every distinguished index set",),
             InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski"),
-            _INDEX | _FACTORS,
             _p21_check,
-            _p21_instances,
+            _p21_axes,
+            _p21_instance,
         ),
         _Entry(
             "P2.3",
@@ -667,18 +675,18 @@ _REGISTRY: dict[str, _Entry] = {
             (),
             InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski",
                          filter_source="all"),
-            _INDEX | _FACTORS | _FILTERS,
             _p23_check,
-            _p23_instances,
+            lambda g: ((k, pool, list(itertools.product(fils, fils))) for k, pool, fils in _product_axes(g)),
+            lambda spec, fils: (spec.with_index_filter(fils[0]), fils[1]),  # index filter, second filter
         ),
         _Entry(
             "P2.5",
             "a filter misses each index from some member iff every point complement is a member",
             (_NOTE_SATURATED,),
             InstanceGrid(index_sizes=(1, 2, 3, 4), factor_source="none", filter_source="all"),
-            _INDEX | _FILTERS,
             _p25_check,
-            _p25_instances,
+            lambda g: ((0, (), _grid_filters(g, k)) for k in g.index_sizes),
+            lambda spec, value: value,
         ),
         _Entry(
             "P2.7",
@@ -688,9 +696,8 @@ _REGISTRY: dict[str, _Entry] = {
              "factor are continuous for every index filter"),
             InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-topologies",
                          factor_universe_max=2, filter_source="all"),
-            _INDEX | _SIZE | _FACTORS | _FILTERS,
             _p27_check,
-            partial(_product_instances, keep=_nontrivial_topology),
+            partial(_product_axes, keep=_nontrivial_topology),
         ),
         _Entry(
             "P2.8",
@@ -699,7 +706,6 @@ _REGISTRY: dict[str, _Entry] = {
             (_NOTE_SATURATED,),
             InstanceGrid(index_sizes=(2,), factor_source="all-topologies",
                          factor_universe_max=3, filter_source="trivial"),
-            _INDEX | _SIZE | _FACTORS | _FILTERS,
             _p28_check,
         ),
         _Entry(
@@ -709,9 +715,11 @@ _REGISTRY: dict[str, _Entry] = {
             ("the points differing only at the pinned index share every basic neighborhood",),
             InstanceGrid(index_sizes=(3,), factor_source="fixed", factor_preset="discrete2",
                          filter_source="named", named_filters=("1",)),
-            _INDEX,
             _e29_check,
-            _e29_instances,
+            lambda g: ((k, [preset_factor("discrete2")],  # pinned at the first index, then trivial
+                        (principal_filter(SubsetMask.of(k, [0])), trivial_filter(k)))
+                       for k in g.index_sizes),
+            lambda spec, fil: (spec.with_index_filter(fil), fil.trivial),
         ),
         _Entry(
             "P2.10",
@@ -722,9 +730,9 @@ _REGISTRY: dict[str, _Entry] = {
              "the top of the lattice",),
             InstanceGrid(index_sizes=(1,), factor_source="all-topologies", factor_universe_max=3,
                          filter_source="trivial"),
-            _SIZE,
             _p210_check,
-            _p210_instances,
+            lambda g: ((0, (), enumerate_topologies(n)) for n in range(1, g.factor_universe_max + 1)),
+            lambda spec, value: value,
         ),
         _Entry(
             "P3.1",
@@ -733,7 +741,6 @@ _REGISTRY: dict[str, _Entry] = {
              "the disjointness half needs a proper filter",),
             InstanceGrid(index_sizes=(1, 2, 3), factor_source="fixed", factor_preset="discrete2",
                          filter_source="proper"),
-            _INDEX | _FACTORS | _FILTERS,
             _p31_check,
         ),
         _Entry(
@@ -741,8 +748,8 @@ _REGISTRY: dict[str, _Entry] = {
             "boxes of factor-filter members with accepted distinguished indexes form a filter base",
             (),
             InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-filters", filter_source="all"),
-            _INDEX | _FILTERS,
             _p41_check,
+            partial(_product_axes, src="all-filters"),
         ),
         _Entry(
             "P4.2",
@@ -752,16 +759,16 @@ _REGISTRY: dict[str, _Entry] = {
              "for a non-saturated filter the containment can be strict; see the "
              "projection-filter-identity-for-all-filters counterexample search"),
             InstanceGrid(index_sizes=(1, 2, 3), factor_source="all-filters", filter_source="all"),
-            _INDEX | _FILTERS,
             _p42_check,
+            partial(_product_axes, src="all-filters"),
         ),
         _Entry(
             "P4.3",
             "the box product filter is the smallest filter whose projections are the factor filters",
             (_NOTE_COFINITE,),
             InstanceGrid(index_sizes=(2,), factor_source="all-filters", filter_source="trivial"),
-            _INDEX | _FILTERS,
             _p43_check,
+            partial(_product_axes, src="all-filters"),
         ),
         _Entry(
             "P4.5",
@@ -770,7 +777,6 @@ _REGISTRY: dict[str, _Entry] = {
             (),
             InstanceGrid(index_sizes=(2,), factor_source="all-topologies", factor_universe_max=3,
                          filter_source="all"),
-            _INDEX | _SIZE | _FACTORS | _FILTERS,
             _p45_check,
         ),
         _Entry(
@@ -778,16 +784,16 @@ _REGISTRY: dict[str, _Entry] = {
             "boxes of factor entourages with accepted distinguished indexes form a uniformity base",
             (),
             InstanceGrid(index_sizes=(2,), factor_source="all-uniformity-bases", filter_source="all"),
-            _INDEX | _FILTERS,
             _p52_check,
+            partial(_product_axes, src="all-uniformity-bases"),
         ),
         _Entry(
             "P5.ind",
             "the product uniformity induces the product topology of the induced factor topologies",
             (),
             InstanceGrid(index_sizes=(2,), factor_source="all-uniformity-bases", filter_source="all"),
-            _INDEX | _FILTERS,
             _p5ind_check,
+            partial(_product_axes, src="all-uniformity-bases"),
         ),
         _Entry(
             "hausdorff-for-all-filters",
@@ -795,7 +801,6 @@ _REGISTRY: dict[str, _Entry] = {
             ("false in general; fails at every non-saturated filter",),
             InstanceGrid(index_sizes=(2,), factor_source="fixed", factor_preset="discrete2",
                          filter_source="all"),
-            _INDEX | _FACTORS | _FILTERS,
             _claim_hausdorff_holds,
             claim=True,
         ),
@@ -804,8 +809,8 @@ _REGISTRY: dict[str, _Entry] = {
             "projections of the product filter equal the factor filters for every index filter",
             ("false without saturation: a pinned coordinate projects to the indiscrete filter",),
             InstanceGrid(index_sizes=(2,), factor_source="all-filters", filter_source="all"),
-            _INDEX | _FILTERS,
             _claim_projection_identity_holds,
+            partial(_product_axes, src="all-filters"),
             claim=True,
         ),
         _Entry(
@@ -815,7 +820,6 @@ _REGISTRY: dict[str, _Entry] = {
             (),
             InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="discrete2",
                          filter_source="proper"),
-            _INDEX | _FACTORS | _FILTERS,
             _claim_equalizer_dense_holds,
             claim=True,
         ),
@@ -871,27 +875,25 @@ def default_grid(check_id: str, claim: bool = False) -> InstanceGrid:
 
 
 def grid_fields(check_id: str, grid: InstanceGrid) -> frozenset[str]:
-    """The InstanceGrid fields a proposition or claim reads when it walks grid.
-
-    Every check reads max_instances; factor_universe_max counts only where
-    the factors are enumerated rather than fixed.
-    """
-    reads = _entry(check_id).reads | {"max_instances"}
-    if grid.factor_source == "fixed":
-        reads -= _SIZE
-    return reads
+    """The InstanceGrid fields a proposition or claim reads when it walks grid:
+    those its axes read to plan the walk, and max_instances."""
+    return _plan(_entry(check_id), grid).fields | {"max_instances"}
 
 
 def _run(entry: _Entry, grid: InstanceGrid | None) -> PropositionReport:
     grid = grid if grid is not None else entry.default_grid
-    checked = 0
-    passed, complete = True, True
+    plan = _plan(entry, grid)
+    _plan.cache_clear()  # the plan is this walk's alone
+    planned = plan.count
+    if not planned:
+        raise InputError(f"the grid of {entry.check_id} has no instances, so it checks nothing")
+    if planned > _WALK_CAP and grid.max_instances is None:
+        raise ResourceLimitError(f"the grid of {entry.check_id} plans {planned:,} instances, over the "
+                                 f"walk cap of {_WALK_CAP:,}; an instance budget walks a prefix of it")
+    checked, passed = 0, True
     witness: dict | None = None  # the first failure, else the first exhibit
     with grid_walk():  # the walk's instances share repeated product work
-        for inst in entry.instances(grid):
-            if grid.max_instances is not None and checked >= grid.max_instances:
-                complete = False
-                break
+        for inst in itertools.islice(plan, grid.max_instances):
             ok, detail = entry.check(inst)
             checked += 1
             if not ok or (detail is not None and witness is None):
@@ -899,15 +901,13 @@ def _run(entry: _Entry, grid: InstanceGrid | None) -> PropositionReport:
             if not ok:
                 passed = False
                 break
-    if not checked:
-        raise InputError(f"the grid of {entry.check_id} has no instances, so it checks nothing")
     return PropositionReport(
         prop_id=entry.check_id,
         description=entry.description,
         grid=grid,
         checked=checked,
         passed=passed,
-        complete=complete,
+        complete=not passed or checked == planned,
         witness=witness,
         degenerate_notes=entry.notes,
     )

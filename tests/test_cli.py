@@ -190,11 +190,61 @@ class TestExitCodes:
         assert code == 2
         assert "unknown proposition id" in err
 
-    def test_two_on_a_p21_index_size_above_four(self, capsys):
+    def test_two_on_a_p21_grid_over_the_walk_cap_and_three_within_a_budget(self, capsys):
         # 2^(2^5) - 1 families would be walked; the grid is refused before its first instance
         code, out, err = run(capsys, "verify", "--prop", "P2.1", "--index-size", "5")
         assert (code, out) == (2, "")
-        assert err == "error: input: P2.1 walks every family of index subsets, so index sizes stop at 4, got 5\n"
+        assert err == (
+            "error: resource: the grid of P2.1 plans 4,294,967,295 instances, over the walk cap"
+            " of 1,048,576; an instance budget walks a prefix of it\n"
+        )
+        code, out, _ = run(capsys, "verify", "--prop", "P2.1", "--index-size", "5", "--budget", "5")
+        assert code == 3 and "checked=5 complete=no" in out
+
+    def test_the_walk_cap_fires_before_the_first_check(self, capsys, monkeypatch):
+        entry = verifier._REGISTRY["P4.5"]
+
+        def refused(inst):
+            raise AssertionError("a grid over the walk cap checks no instance")
+
+        monkeypatch.setitem(verifier._REGISTRY, "P4.5", dataclasses.replace(entry, check=refused))
+        argv = ("verify", "--prop", "P4.5", "--index-size", "3", "--factor-size", "4")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "plans 470,910,952 instances, over the walk cap of 1,048,576" in err
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *argv, "--budget", "5")
+        assert code == 3 and "checked=5 complete=no" in out
+
+    @pytest.mark.parametrize(
+        "filters, first, second",
+        [("1;1", "1", "1"), ("1,2;2,1", "1,2", "2,1"), ("trivial;trivial", "trivial", "trivial")],
+    )
+    def test_two_on_two_named_filters_that_are_the_same_filter(self, capsys, filters, first, second):
+        code, out, err = run(capsys, "verify", "--prop", "P3.1", "--index-size", "2", "--filters", filters)
+        assert (code, out) == (2, "")
+        assert err == f"error: input: named filters {first!r} and {second!r} are the same filter\n"
+
+    def test_every_entry_and_grid_flag_keeps_its_exit_code_and_message(self, capsys):
+        """Each (entry, flags) row of tests/grid_flags.json: the exit code and stderr of the run."""
+        variants = {
+            "index-size": ["--index-size", "1"],
+            "factor-size": ["--factor-size", "2"],
+            "factors": ["--factors", "discrete2"],
+            "factors-empty": ["--factors", "indiscrete2"],
+            "filters-trivial": ["--filters", "trivial"],
+            "filters-named": ["--filters", "1"],
+            "budget": ["--budget", "3"],
+            "factors-and-size": ["--factors", "sierpinski", "--factor-size", "2"],
+        }
+        table = json.loads((Path(__file__).parent / "grid_flags.json").read_text())
+        seen = {}
+        for check_id, entry in sorted(verifier._REGISTRY.items()):
+            command = ["search", "--claim"] if entry.claim else ["verify", "--prop"]
+            for name, flags in variants.items():
+                code, _, err = run(capsys, *command, check_id, *flags)
+                seen[f"{check_id} {name}"] = [code, err]
+        assert seen == table
 
     def test_two_on_out_of_scope_prop(self, capsys):
         code, _, err = run(capsys, "verify", "--prop", "P2.12")

@@ -883,33 +883,31 @@ class TestNeighborhoodIdentity:
             built.append(self)
             original_post_init(self)
 
-        def recorded_instances(grid):
-            for spec in entry.instances(grid):
-                yielded.append(spec)
-                yield spec
+        def recorded_build(spec, fil):
+            yielded.append(entry.build(spec, fil))
+            return yielded[-1]
 
         monkeypatch.setattr(fproduct, "topology_from_base_bits", counted_build)
         monkeypatch.setattr(verifier, "filter_cores", counted_cores)
         monkeypatch.setattr(verifier, "f_filter", refused)
         monkeypatch.setattr(ProductSpec, "__post_init__", counted_post_init)
         monkeypatch.setitem(
-            verifier._REGISTRY, "P4.5", dataclasses.replace(entry, instances=recorded_instances)
+            verifier._REGISTRY, "P4.5", dataclasses.replace(entry, build=recorded_build)
         )
         grid = dataclasses.replace(default_grid("P4.5"), max_instances=40)
         report = verify_proposition("P4.5", grid)
-        assert report.passed and report.checked == 40
-        # the 41st spec shows the grid goes on; each factor tuple's spec is
+        assert report.passed and report.checked == 40 and not report.complete
+        # the budget builds no 41st instance; each factor tuple's spec is
         # built once and re-filtered for each of the 4 index filters
-        specs = yielded[:40]
-        assert len(yielded) == 41
+        assert len(yielded) == 40
         assert [spec.factors for spec in built] == [spec.factors for spec in yielded[::4]]
         for i, spec in enumerate(yielded):
             assert spec.factors is built[i // 4].factors and spec.indexing is built[i // 4].indexing
         assert [spec.index_filter for spec in yielded[:4]] == list(enumerate_filters(2, include_trivial=True))
         # one via-base build per distinct accepted family, not per instance
-        assert len(builds) == len({accepted_family(spec) for spec in specs}) < 40
+        assert len(builds) == len({accepted_family(spec) for spec in yielded}) < 40
         # one kernel call per instance, returning one core per point
-        assert kernel_calls == [(spec.indexing.factor_sizes, spec.indexing.total) for spec in specs]
+        assert kernel_calls == [(spec.indexing.factor_sizes, spec.indexing.total) for spec in yielded]
 
     def test_p45_catches_a_kernel_that_ignores_the_index_core(self, monkeypatch):
         from fprod import verifier

@@ -45,9 +45,9 @@ def p45_product_topologies():
     topology on 1..3 points, under every filter on the 2-point index set).
     """
     from fprod.fproduct import f_topology
-    from fprod.verifier import _product_instances, default_grid
+    from fprod.verifier import _REGISTRY, default_grid
 
-    found = {f_topology(spec) for spec in _product_instances(default_grid("P4.5"))}
+    found = {f_topology(spec) for spec in _REGISTRY["P4.5"].instances(default_grid("P4.5"))}
     return sorted(found, key=lambda t: (t.universe_size, t.mins))
 
 

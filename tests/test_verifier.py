@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ import fprod.fproduct
 import fprod.verifier
 from fprod import foundations
 from fprod.filters import Filter, generate_filter, principal_filter, trivial_filter
-from fprod.foundations import InputError, SetFamily, SubsetMask
+from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
 from fprod.fproduct import (
     ProductSpec,
     f_filter,
@@ -32,7 +33,7 @@ from fprod.verifier import (
     _decode,
     _encode,
     _p31_check,
-    _product_instances,
+    _plan,
     default_grid,
     enumerate_filters,
     preset_factor,
@@ -141,15 +142,49 @@ class TestVerifyDefaults:
         assert a == b
 
 
-class TestP21IndexCap:
-    def test_a_grid_with_any_index_size_above_four_yields_nothing(self):
-        grid = dataclasses.replace(default_grid("P2.1"), index_sizes=(3, 5))
-        with pytest.raises(InputError, match="index sizes stop at 4, got 5"):
-            next(_REGISTRY["P2.1"].instances(grid))
+class TestWalkPlan:
+    """Each grid is planned, and counted, before its first instance is built."""
 
-    def test_index_size_four_still_yields_every_family(self):
+    @pytest.mark.parametrize("check_id", sorted(_REGISTRY))
+    def test_the_default_plan_counts_the_golden_walk(self, check_id):
+        golden = json.loads((Path(__file__).parent / "golden" / "instance_digests.json").read_text())
+        entry = _REGISTRY[check_id]
+        planned = _plan(entry, entry.default_grid).count
+        assert planned == golden[check_id]["count"]
+        assert sum(1 for _ in entry.instances(entry.default_grid)) == planned
+        report = (search_counterexample if entry.claim else verify_proposition)(check_id)
+        assert report.complete and (report.checked == planned or not report.passed)
+
+    def test_the_deep_grids_plan_their_ci_counts_without_walking(self):
+        deep = [
+            ("P2.7", dict(factor_universe_max=3), 242234),
+            ("P4.2", dict(index_sizes=(4,)), 1296),
+            ("P5.ind", dict(index_sizes=(3,)), 5832),
+            ("P5.2", dict(index_sizes=(3,)), 5832),
+            ("P2.8", dict(factor_universe_max=4), 151321),
+            ("P2.7", dict(index_sizes=(4,)), 1296),
+            ("P3.1", dict(index_sizes=(4,), factor_source="fixed", factor_preset="discrete3"), 15),
+            ("P2.3", dict(index_sizes=(4,), factor_source="fixed", factor_preset="discrete2"), 256),
+            ("P4.5", dict(index_sizes=(3,)), 314432),
+            ("P2.1", dict(index_sizes=(4,)), 65535),
+        ]
+        for check_id, fields, count in deep:
+            entry = _REGISTRY[check_id]
+            assert _plan(entry, dataclasses.replace(entry.default_grid, **fields)).count == count
+
+    def test_p21_index_size_four_still_yields_every_family(self):
         grid = dataclasses.replace(default_grid("P2.1"), index_sizes=(4,))
         assert sum(1 for _ in _REGISTRY["P2.1"].instances(grid)) == 2 ** 16 - 1
+
+    def test_p21_families_stop_at_64_index_subsets(self):
+        grid = dataclasses.replace(default_grid("P2.1"), index_sizes=(6,))
+        assert _plan(_REGISTRY["P2.1"], grid).count == 2 ** 64 - 1
+        with pytest.raises(ResourceLimitError, match="128 index subsets exceed the universe cap 64"):
+            verify_proposition("P2.1", dataclasses.replace(grid, index_sizes=(7,), max_instances=1))
+
+    def test_an_index_size_above_the_universe_cap_is_refused_by_the_grid(self):
+        with pytest.raises(ResourceLimitError, match="universe size 65 exceeds cap 64"):
+            InstanceGrid(index_sizes=(2, 65), filter_source="trivial")
 
 
 class TestUniformityValidations:
@@ -575,7 +610,7 @@ class TestP45Witness:
         # neither of them point 0, so the witness must name the lower one
         real = fprod.verifier.f_topology_via_base
         checked = 0
-        for spec in itertools.islice(_product_instances(default_grid("P4.5")), 0, None, 97):
+        for spec in itertools.islice(_REGISTRY["P4.5"].instances(default_grid("P4.5")), 0, None, 97):
             total = spec.indexing.total
             if total < 3:
                 continue
@@ -838,7 +873,7 @@ class TestWitnessRoundTrip:
         grids = {g for g in grids if g.factor_source == source}
         checked = 0
         for grid in grids:
-            for spec in _product_instances(grid):
+            for spec in _REGISTRY["P2.8"].instances(grid):  # P2.8's axes read the grid's own factors
                 assert serialize.parse_instance(serialize.spec_to_dict(spec)) == spec
                 checked += 1
         assert checked > 0
