@@ -35,10 +35,7 @@ class Universe:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise InputError("a universe needs at least one element")
-        if len(self.labels) > DEFAULT_MAX_UNIVERSE:
-            raise ResourceLimitError(
-                f"universe size {len(self.labels)} exceeds cap {DEFAULT_MAX_UNIVERSE}"
-            )
+        _capped(len(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise InputError("universe labels must be distinct")
 
@@ -55,12 +52,18 @@ class Universe:
     @classmethod
     def points(cls, n: int) -> "Universe":
         """Universe labelled "0".."n-1", the default for factor spaces."""
-        return cls(tuple(str(i) for i in range(n)))
+        return cls(tuple(str(i) for i in range(_capped(n))))
 
     @classmethod
     def indices(cls, n: int) -> "Universe":
         """Universe labelled "1".."n", the default for index sets."""
-        return cls(tuple(str(i + 1) for i in range(n)))
+        return cls(tuple(str(i + 1) for i in range(_capped(n))))
+
+
+def _capped(n: int) -> int:  # n, checked against the cap before a default universe's labels are built
+    if n > DEFAULT_MAX_UNIVERSE:
+        raise ResourceLimitError(f"universe size {n} exceeds cap {DEFAULT_MAX_UNIVERSE}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -242,6 +245,12 @@ class ProductIndexing:
             tuple((((1 << w) - 1) << (d * w)) * (full // ((1 << (w * s)) - 1)) for d in range(s))
             for w, s in zip(self.weights, self.factor_sizes)
         )
+
+    @cached_property
+    def slices(self) -> tuple[SubsetMask, ...]:
+        """[i] masks the slice of factor i through point 0, the codes x * weights[i] for x < size_i."""
+        sizes = zip(self.weights, self.factor_sizes)
+        return tuple(SubsetMask(self.total, sum(1 << x * w for x in range(s))) for w, s in sizes)
 
     def encode_point(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.factor_sizes):

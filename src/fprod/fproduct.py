@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .filters import Filter, principal_filter
 from .foundations import (
@@ -71,6 +71,7 @@ class ProductSpec:
     factors: tuple[Factor, ...]
     index_filter: Filter | None = None
     _indexing: ProductIndexing = field(init=False, repr=False, compare=False)
+    _rows: dict = field(init=False, repr=False, compare=False)  # the factor tuple's table, see _sides
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -83,13 +84,14 @@ class ProductSpec:
             raise InputError("index filter lives on the wrong universe")
         # built here, so a spec over the product size cap cannot exist
         object.__setattr__(self, "_indexing", shared_indexing(f.universe.size for f in self.factors))
+        object.__setattr__(self, "_rows", {})
 
     @property
     def indexing(self) -> ProductIndexing:
         return self._indexing
 
     def with_index_filter(self, index_filter: Filter | None) -> ProductSpec:
-        """This spec under another index filter, sharing its factors and indexing."""
+        """This spec under another index filter, sharing its factors, indexing and table of rows."""
         if index_filter is not None and index_filter.universe_size != self.index_universe.size:
             raise InputError("index filter lives on the wrong universe")
         spec = object.__new__(ProductSpec)
@@ -136,31 +138,49 @@ def _point_boxes(rows: Sequence[Sequence[int]], factor_sizes: Sequence[int]) -> 
     return tuple(masks)
 
 
-def _minimal_boxes(spec: ProductSpec, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """For each product point x, the box whole on the index-filter core and rows[i][x_i] elsewhere.
-
-    With factor minimal neighbourhoods as rows this is the minimal
-    neighbourhood of x in the product topology; with the rows of factor
-    minimal entourages it is the row of x in the product's minimal entourage.
-    """
-    core = spec._require_index_filter().core.bits  # empty when the filter is trivial
-    return filter_cores(core, rows, spec.indexing.factor_sizes)
+def _whole(s: int) -> tuple[int]:
+    return ((1 << s) - 1,)
 
 
-def _whole_on(d: int, side_lists: Iterable[Sequence[int]], sizes: Sequence[int]) -> tuple:
-    """side_lists with the whole factor alone at the indexes in d. When each list holds its
-    whole factor, these are the boxes whose delta contains d, the boxes a core d accepts."""
-    return tuple(
-        ((1 << s) - 1,) if d >> i & 1 else tuple(sides) for i, (sides, s) in enumerate(zip(side_lists, sizes))
-    )
+# kind -> (the factor attribute it reads, and from that attribute and the factor size: the
+# factor's rows, and what stands for them on a core index, the whole factor once per row
+# (one row per point, so filter_cores keeps one box per point) or alone (a list of sides))
+_KINDS: dict[str, tuple[str, Callable[[Any, int], tuple[tuple[int, ...], tuple[int, ...]]]]] = {
+    "mins": ("topology", lambda t, s: (t.mins, _whole(s) * s)),
+    "opens": ("topology", lambda t, s: (t.opens().bits[1:], _whole(s))),  # bits[0] is the empty set
+    "proper opens": ("topology", lambda t, s: (t.opens().bits[1:-1], _whole(s))),
+    "cores": ("filter", lambda f, s: ((f.core.bits,), _whole(s))),
+    "members": ("filter", lambda f, s: (f.members().bits, _whole(s))),
+    "rows": ("uniformity", lambda u, s: (u.rows, _whole(s) * s)),
+    "entourages": ("uniformity_base", lambda b, s: (tuple(sorted({*b.bits, (1 << s * s) - 1})), _whole(s * s))),
+    "points": ("universe", lambda _, s: (tuple(1 << a for a in range(s)), _whole(s) * s)),
+    "others": ("universe", lambda _, s: (tuple(((1 << s) - 1) ^ 1 << a for a in range(s)), _whole(s) * s)),
+}
 
 
-def _factor_parts(spec: ProductSpec, attr: str, product: str, need: str | None = None) -> list:
-    """Each factor's `attr`, or InputError when a factor lacks it."""
-    parts = [getattr(f, attr) for f in spec.factors]
-    if None in parts:
-        raise InputError(f"every factor needs a {need or product} for the product {product}")
-    return parts
+def _sides(spec: ProductSpec, kind: str, core: int | None = None) -> tuple:
+    """One side list per factor, of one kind of rows (see _KINDS): at each index in core (by
+    default the index-filter core) what stands for the whole factor, elsewhere its own rows.
+    The spec's table, which its with_index_filter copies share, keeps each kind's rows and its
+    side lists under each core read; the empty core gives the rows untouched. A factor lacking
+    the structure raises InputError on every call, since nothing is stored then."""
+    if core is None:
+        core = spec._require_index_filter().core.bits
+    entry = spec._rows.get(kind)
+    if entry is None:
+        attr, rows_of = _KINDS[kind]
+        parts = [getattr(f, attr) for f in spec.factors]
+        if None in parts:
+            product = attr.split("_")[0]
+            need = "uniformity base" if product == "uniformity" else product
+            raise InputError(f"every factor needs a {need} for the product {product}")
+        pairs = tuple(map(rows_of, parts, spec.indexing.factor_sizes))  # (rows, whole) per factor
+        entry = spec._rows[kind] = (pairs, {0: tuple(rows for rows, _ in pairs)})
+    pairs, by_core = entry
+    sides = by_core.get(core)
+    if sides is None:
+        sides = by_core[core] = tuple([pair[core >> i & 1] for i, pair in enumerate(pairs)])
+    return sides
 
 
 def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) -> SetFamily:
@@ -174,22 +194,13 @@ def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) ->
     elsewhere. Boxes with an empty side are dropped; the empty set reappears
     as the empty union.
     """
+    sizes = spec.indexing.factor_sizes
     if delta_family is None:
-        return SetFamily(spec.indexing.total, sorted(_point_boxes(*_accepted_open_sides(spec))))
+        return SetFamily(spec.indexing.total, sorted(_point_boxes(_sides(spec, "opens"), sizes)))
     if delta_family.universe_size != spec.index_universe.size:
         raise InputError("delta family lives on the wrong universe")
-    sizes = spec.indexing.factor_sizes
-    proper = tuple(t.opens().bits[1:-1] for t in _factor_parts(spec, "topology", "topology"))
-    boxes = {b for d in delta_family.bits for b in _point_boxes(_whole_on(d, proper, sizes), sizes)}
+    boxes = {b for d in delta_family.bits for b in _point_boxes(_sides(spec, "proper opens", d), sizes)}
     return SetFamily(spec.indexing.total, sorted(boxes))
-
-
-def _accepted_open_sides(spec: ProductSpec) -> tuple[tuple, tuple[int, ...]]:
-    """The factors' nonempty open sets (bits[0] is the empty one), only the whole
-    factor on the index-filter core: the side lists of the accepted open boxes."""
-    core, sizes = spec._require_index_filter().core.bits, spec.indexing.factor_sizes
-    opens = (t.opens().bits[1:] for t in _factor_parts(spec, "topology", "topology"))
-    return _whole_on(core, opens, sizes), sizes
 
 
 def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topology:
@@ -205,8 +216,7 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     """
     if delta_family is not None:
         return generate_topology(f_topology_base(spec, delta_family))
-    rows = tuple(t.mins for t in _factor_parts(spec, "topology", "topology"))
-    return Topology.unchecked(spec.indexing.total, _minimal_boxes(spec, rows))
+    return Topology.unchecked(spec.indexing.total, filter_cores(spec, "mins"))
 
 
 def f_topology_via_base(spec: ProductSpec) -> Topology:
@@ -216,7 +226,7 @@ def f_topology_via_base(spec: ProductSpec) -> Topology:
     so inside a grid walk the specs with equal accepted side lists share one
     enumeration, point-meet pass, base check and Topology.
     """
-    return _topology_via_boxes(spec.indexing.total, *_accepted_open_sides(spec))
+    return _topology_via_boxes(spec.indexing.total, _sides(spec, "opens"), spec.indexing.factor_sizes)
 
 
 @walk_memoized
@@ -247,13 +257,10 @@ def all_projections_continuous(spec: ProductSpec) -> bool:
     return True
 
 
-def _core_boxes(spec: ProductSpec, core_side) -> list[SubsetMask]:
-    """For each product point x, the box core_side(x_i, s_i) on the index-filter core, whole elsewhere."""
-    core = spec._require_index_filter().core
-    idx = spec.indexing
-    k = len(idx.factor_sizes)
-    rows = tuple(tuple(core_side(a, s) for a in range(s)) for s in idx.factor_sizes)
-    boxes = filter_cores(core.bits ^ ((1 << k) - 1), rows, idx.factor_sizes)
+def _core_boxes(spec: ProductSpec, kind: str) -> list[SubsetMask]:
+    """For each product point x, the box of the `kind` row of x_i on the index core, whole elsewhere."""
+    core, idx = spec._require_index_filter().core.bits, spec.indexing
+    boxes = filter_cores(spec, kind, core ^ ((1 << len(idx.factor_sizes)) - 1))
     return [SubsetMask(idx.total, m) for m in boxes]
 
 
@@ -264,7 +271,7 @@ def equalizers(spec: ProductSpec) -> list[SubsetMask]:
     {x_i} on the core and the whole factor elsewhere. With the trivial index
     filter the core is empty and every equalizer is the whole product.
     """
-    return _core_boxes(spec, lambda a, s: 1 << a)
+    return _core_boxes(spec, "points")
 
 
 def filter_different(spec: ProductSpec) -> list[SubsetMask]:
@@ -273,37 +280,28 @@ def filter_different(spec: ProductSpec) -> list[SubsetMask]:
     That is, y differs from x at every index of the core: the box of digits
     other than x_i on the core, whole elsewhere (all points for the trivial filter).
     """
-    return _core_boxes(spec, lambda a, s: ((1 << s) - 1) ^ (1 << a))
+    return _core_boxes(spec, "others")
 
 
 def f_filter_base(spec: ProductSpec) -> SetFamily:
     """Point sets of all boxes of factor-filter members whose delta is accepted."""
-    core, sizes = spec._require_index_filter().core.bits, spec.indexing.factor_sizes
-    members = tuple(f.members().bits for f in _factor_parts(spec, "filter", "filter"))
-    return SetFamily(spec.indexing.total, sorted(_point_boxes(_whole_on(core, members, sizes), sizes)))
+    sides, idx = _sides(spec, "members"), spec.indexing
+    return SetFamily(idx.total, sorted(_point_boxes(sides, idx.factor_sizes)))
 
 
-def filter_cores(index_core: int, core_rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> tuple[int, ...]:
-    """The product filter's core for each choice of one core per factor from core_rows.
-
-    Each is the box whole on the index core and the chosen factor cores
-    elsewhere; choices run in code order as in _point_boxes, row 0 fastest.
-    Nothing is checked: callers pass one row per factor, read off validated
-    factor structures of a spec that has passed the size cap.
-    """
-    sides = tuple(
-        ((1 << s) - 1,) * len(row) if index_core >> i & 1 else tuple(row)
-        for i, (row, s) in enumerate(zip(core_rows, sizes))
-    )
-    return _point_boxes(sides, sizes)
+def filter_cores(spec: ProductSpec, kind: str, index_core: int | None = None) -> tuple[int, ...]:
+    """The product filter's core for each choice of one row per factor from the `kind` rows (see
+    _KINDS), in code order as in _point_boxes: whole on index_core (by default the index filter's)
+    and the chosen rows elsewhere. Kind "cores" gives the product filter's core; "mins" and "rows"
+    give each point's minimal neighbourhood and minimal-entourage row. The rows come off validated
+    factor structures of a spec that has passed the size cap, so nothing is checked."""
+    return _point_boxes(_sides(spec, kind, index_core), spec.indexing.factor_sizes)
 
 
 def f_filter_core(spec: ProductSpec) -> int:
     """The product filter's core as a point mask: the box whole on the index-filter
     core and each factor filter's core elsewhere (see f_filter)."""
-    index_core = spec._require_index_filter().core.bits
-    cores = tuple((ff.core.bits,) for ff in _factor_parts(spec, "filter", "filter"))
-    (core,) = filter_cores(index_core, cores, spec.indexing.factor_sizes)
+    (core,) = filter_cores(spec, "cores")
     return core
 
 
@@ -330,11 +328,9 @@ def f_uniformity_base(spec: ProductSpec) -> SetFamily:
     product point x in the box (R_0, ..., R_k) is the point box with sides
     R_i-row(x_i), so the relation is built row by row, once per box and walk.
     """
-    core, idx = spec._require_index_filter().core.bits, spec.indexing
-    pair_sizes = squared_indexing(idx).factor_sizes  # enforces the squared-size cap
-    bases = _factor_parts(spec, "uniformity_base", "uniformity", "uniformity base")
-    member_lists = (sorted({*base.bits, (1 << p) - 1}) for p, base in zip(pair_sizes, bases))
-    relations = _entourage_boxes(_whole_on(core, member_lists, pair_sizes), idx.factor_sizes)
+    idx = spec.indexing
+    squared_indexing(idx)  # enforces the squared-size cap
+    relations = _entourage_boxes(_sides(spec, "entourages"), idx.factor_sizes)
     return SetFamily(idx.total * idx.total, relations)
 
 
@@ -351,10 +347,10 @@ def f_uniformity(spec: ProductSpec) -> Uniformity:
 
     Computed in closed form: the accepted boxes meet in one minimal entourage,
     whose row at x is the box whole on the index-filter core and the factor
-    minimal-entourage row of x_i elsewhere. f_uniformity_base is the
-    definitional route and generates the same uniformity.
+    minimal-entourage row of x_i elsewhere, an equivalence by construction, so it
+    builds through Uniformity.unchecked. f_uniformity_base, the definitional route,
+    generates the same uniformity.
     """
     idx = spec.indexing
     squared_indexing(idx)  # enforces the squared-size cap
-    rows = tuple(u.rows for u in _factor_parts(spec, "uniformity", "uniformity", "uniformity base"))
-    return Uniformity(idx.total, _minimal_boxes(spec, rows))
+    return Uniformity.unchecked(idx.total, filter_cores(spec, "rows"))

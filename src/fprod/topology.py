@@ -276,12 +276,19 @@ def subspace(t: Topology, carrier: SubsetMask) -> Topology:
         raise InputError("carrier lives on the wrong universe")
     if carrier.is_empty:
         raise InputError("subspace carrier must be nonempty")
-    elems = carrier.elements()
+    bits = rest = carrier.bits
+    place = {}  # each point's bit -> its bit in the subspace, in ascending order
+    while rest:
+        low = rest & -rest
+        place[low], rest = 1 << len(place), rest ^ low
     traces = []
-    for old in elems:
-        m = t.mins[old]
-        traces.append(sum(1 << new for new, e in enumerate(elems) if m >> e & 1))
-    return Topology.unchecked(len(elems), traces)  # the trace of a preorder is one
+    for low in place:
+        m, trace = t.mins[low.bit_length() - 1] & bits, 0
+        while m:
+            one = m & -m
+            trace, m = trace | place[one], m ^ one
+        traces.append(trace)
+    return Topology.unchecked(len(place), traces)  # the trace of a preorder is one
 
 
 def find_disjoint_dense(t: Topology, n: int) -> tuple[SubsetMask, ...] | None:

@@ -123,6 +123,14 @@ class Uniformity:
         if not _is_equivalence(self.rows):
             raise InputError("a minimal entourage must be an equivalence relation")
 
+    @classmethod
+    def unchecked(cls, point_count: int, rows: Sequence[int]) -> "Uniformity":
+        """These minimal-entourage rows without the constructor's checks, as Topology.unchecked:
+        for f_uniformity's rows, an equivalence by construction (tests/test_agreement.py checks)."""
+        u = object.__new__(cls)
+        u.__dict__.update(point_count=point_count, rows=tuple(rows))
+        return u
+
     def minimal_entourage(self) -> Relation:
         """The smallest entourage, an equivalence relation."""
         return Relation.from_rows(self.rows)

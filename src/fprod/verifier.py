@@ -313,6 +313,16 @@ def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
     }
 
 
+class _Filtered:  # a P2.3 first filter and the spec last put under it, so one per factor tuple
+    def __init__(self, fil: Filter) -> None:
+        self.fil, self.spec = fil, None
+
+    def under(self, spec: ProductSpec) -> ProductSpec:
+        if self.spec is None or self.spec.factors is not spec.factors:
+            self.spec = spec.with_index_filter(self.fil)
+        return self.spec
+
+
 def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
     spec, g = inst
     assert spec.index_filter is not None
@@ -388,15 +398,11 @@ def _p27_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
     """Check each factor is carried homeomorphically onto its slice through point 0."""
-    idx = spec.indexing
-    for i, f in enumerate(spec.factors):
-        assert f.topology is not None
-        w, size = idx.weights[i], f.universe.size
+    for i, (f, carrier) in enumerate(zip(spec.factors, spec.indexing.slices)):
         # point 0 with digit i set to xi is the subspace's point xi, since its code
-        # xi * w ascends with xi: the projection is the identity, and the identity
+        # xi * w_i ascends with xi: the projection is the identity, and the identity
         # is a homeomorphism exactly when the two topologies are equal
-        sub = subspace(t, SubsetMask.of(idx.total, (xi * w for xi in range(size))))
-        if sub != f.topology:
+        if subspace(t, carrier) != f.topology:
             return {"slice_not_homeomorphic_at_factor": i}
     return None
 
@@ -507,9 +513,7 @@ def _p45_check(spec: ProductSpec) -> tuple[bool, dict | None]:
         t = f_topology_via_base(spec)
     except NotABaseError:
         return False, {"box_family_is_base": False}
-    assert spec.index_filter is not None
-    rows = [f.topology.mins for f in spec.factors]  # type: ignore[union-attr]
-    cores = filter_cores(spec.index_filter.core.bits, rows, spec.indexing.factor_sizes)
+    cores = filter_cores(spec, "mins")
     if t.mins == cores:
         return True, None
     code = next(x for x, (got, want) in enumerate(zip(t.mins, cores)) if got != want)
@@ -676,8 +680,9 @@ _REGISTRY: dict[str, _Entry] = {
             InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski",
                          filter_source="all"),
             _p23_check,
-            lambda g: ((k, pool, list(itertools.product(fils, fils))) for k, pool, fils in _product_axes(g)),
-            lambda spec, fils: (spec.with_index_filter(fils[0]), fils[1]),  # index filter, second filter
+            lambda g: ((k, pool, [(first, second) for first in map(_Filtered, fils) for second in fils])
+                       for k, pool, fils in _product_axes(g)),
+            lambda spec, fils: (fils[0].under(spec), fils[1]),  # index filter, second filter
         ),
         _Entry(
             "P2.5",

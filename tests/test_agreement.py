@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from fprod import fproduct
 from fprod.cli import main
 from fprod.filters import Filter, generate_filter
-from fprod.foundations import SetFamily, SubsetMask, Universe
+from fprod.foundations import InputError, SetFamily, SubsetMask, Universe
 from fprod.fproduct import (
     Factor,
     f_filter,
@@ -42,7 +42,7 @@ from fprod.fproduct import (
     product_spec,
 )
 from fprod.topology import Topology, enumerate_topologies, sierpinski
-from fprod.uniformity import Relation, generate_uniformity
+from fprod.uniformity import Relation, Uniformity, generate_uniformity
 from fprod.verifier import _REGISTRY, default_grid, search_counterexample, verify_proposition
 
 import by_delta
@@ -180,25 +180,44 @@ def test_the_sampler_draws_only_topologies(t):
     assert t in enumerate_topologies(t.universe_size)
 
 
-def test_a_dropped_bit_in_the_minimal_boxes_fails_the_agreement_test(monkeypatch):
-    # f_topology builds unchecked, so the agreement test alone must catch a broken kernel
-    original = fproduct._minimal_boxes
+def drop_one_bit_of_the_last_box(monkeypatch, broken_kind):
+    """Make fproduct.filter_cores drop the highest other point from the last point's box of one kind of rows."""
+    original = fproduct.filter_cores
 
-    def drop_one_bit(spec, rows):
-        boxes = list(original(spec, rows))
+    def drop_one_bit(spec, kind, index_core=None):
+        boxes = list(original(spec, kind, index_core))
         x = len(boxes) - 1
         others = boxes[x] & ~(1 << x)
-        if others:
-            boxes[x] ^= 1 << (others.bit_length() - 1)  # drop the highest other point
+        if kind == broken_kind and others:
+            boxes[x] ^= 1 << (others.bit_length() - 1)
         return tuple(boxes)
 
-    monkeypatch.setattr(fproduct, "_minimal_boxes", drop_one_bit)
+    monkeypatch.setattr(fproduct, "filter_cores", drop_one_bit)
+
+
+def test_a_dropped_bit_in_the_minimal_boxes_fails_the_agreement_test(monkeypatch):
+    # f_topology builds unchecked, so the agreement test alone must catch a broken kernel
+    drop_one_bit_of_the_last_box(monkeypatch, "mins")
     spec = product_spec([Factor(Universe.points(2), topology=sierpinski())] * 2, Filter(2, SubsetMask(2, 0)))
     broken = f_topology(spec)  # point (1,1) loses (0,1): still a preorder, so no check objects
     assert Topology(broken.universe_size, broken.mins) == broken
     assert broken != f_topology_via_base(spec)
     with pytest.raises(AssertionError):
         test_f_topology_equals_the_base_route_and_is_a_preorder()
+
+
+def test_a_dropped_bit_in_an_f_uniformity_row_fails_the_agreement_test(monkeypatch):
+    # f_uniformity builds unchecked too, so the agreement test alone must catch a broken row
+    drop_one_bit_of_the_last_box(monkeypatch, "rows")
+    full_square = SetFamily(4, [0b1111])
+    spec = product_spec([Factor(Universe.points(2), uniformity_base=full_square)] * 2, Filter(2, SubsetMask(2, 0)))
+    broken = f_uniformity(spec)  # point 3's row loses point 2: no longer an equivalence
+    assert broken.rows == (0b1111, 0b1111, 0b1111, 0b1011)
+    with pytest.raises(InputError):
+        Uniformity(broken.point_count, broken.rows)
+    assert broken != generate_uniformity(f_uniformity_base(spec))
+    with pytest.raises(AssertionError):
+        test_f_uniformity_equals_the_uniformity_of_its_box_base()
 
 
 class TestFilterCore:
@@ -230,6 +249,15 @@ class TestClosedFormsPassFullValidation:
                 assert enumerate_topologies.__wrapped__(n) == enumerate_topologies(n)
         assert validated == trusted
         assert calls
+
+    def test_the_uniformity_builder_validates_inside_and_trusts_outside(self):
+        not_an_equivalence = (0b01, 0b11)  # 0 lies in the row of 1, but the rows differ
+        with validating_closed_forms() as calls:
+            with pytest.raises(InputError):
+                Uniformity.unchecked(2, not_an_equivalence)
+            report = verify_proposition("P5.ind")
+        assert report.passed and report.checked == 324 and calls  # every f_uniformity row passed Uniformity(...)
+        assert Uniformity.unchecked(2, not_an_equivalence).rows == not_an_equivalence
 
     def test_the_construct_golden(self, capsys):
         folder = Path(__file__).parent / "golden"

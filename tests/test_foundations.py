@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -227,6 +228,17 @@ class TestUniverse:
         assert Universe.points(64).size == 64
         with pytest.raises(ResourceLimitError, match="universe size 65 exceeds cap 64"):
             Universe.points(65)
+
+    @pytest.mark.parametrize("build", [Universe.points, Universe.indices])
+    def test_a_default_universe_over_the_cap_builds_no_label(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^universe size 1000000 exceeds cap 64$"):
+                build(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a million label strings would take tens of MiB
 
 
 class TestIntersectionClosed:

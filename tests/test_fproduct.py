@@ -25,7 +25,6 @@ from fprod.foundations import (
 )
 from fprod.fproduct import (
     _point_boxes,
-    _whole_on,
     Factor,
     ProductSpec,
     all_projections_continuous,
@@ -120,6 +119,11 @@ def box_oracle(sides, sizes):
     return bits
 
 
+def whole_on(d, side_lists, sizes):
+    """side_lists with the whole factor alone at the indexes in d, as fproduct's side lists under a core."""
+    return tuple(((1 << s) - 1,) if d >> i & 1 else tuple(sides) for i, (sides, s) in enumerate(zip(side_lists, sizes)))
+
+
 def delta_of(sides, sizes):
     """δ of a side choice: the indexes where the side is the whole factor."""
     return sum(1 << i for i, (side, s) in enumerate(zip(sides, sizes)) if side == (1 << s) - 1)
@@ -140,10 +144,10 @@ class TestBoxes:
             deltas = [delta_of(c, sizes) for c in in_code_order]
             assert by_delta.deltas(side_lists, sizes) == deltas
             proper = [[side for side in sides if side != (1 << s) - 1] for sides, s in zip(side_lists, sizes)]
-            exact = [_point_boxes(_whole_on(d, proper, sizes), sizes) for d in range(8)]
+            exact = [_point_boxes(whole_on(d, proper, sizes), sizes) for d in range(8)]
             for d in range(8):
                 whole = [box_oracle(c, sizes) for c, e in zip(in_code_order, deltas) if e & d == d]
-                assert list(_point_boxes(_whole_on(d, side_lists, sizes), sizes)) == whole
+                assert list(_point_boxes(whole_on(d, side_lists, sizes), sizes)) == whole
                 assert list(exact[d]) == [box_oracle(c, sizes) for c, e in zip(in_code_order, deltas) if e == d]
             for accepted in range(1 << 8):
                 member = lambda bits: accepted >> bits & 1  # noqa: E731
@@ -268,16 +272,28 @@ class TestBoxBasesAgainstTheOracle:
         assert checked == count
 
     def test_filter_cores_match_one_box_per_choice(self):
+        # the factor minimal neighbourhoods, one row per point, of every topology tuple,
+        # and the factor filter cores, one per factor, of every filter tuple
         size_tuples = [
             sizes for k in (1, 2, 3) for sizes in itertools.product((1, 2), repeat=k)
         ] + [(3, 2)]
+        checked = 0
         for sizes in size_tuples:
-            rows = [list(range(1 << s)) for s in sizes]  # every core, any count per factor
-            for index_core in range(1 << len(sizes)):
-                want = filter_cores_oracle(index_core, rows, sizes)
-                assert list(filter_cores(index_core, rows, sizes)) == want
-                cores = [[r[-1]] for r in rows]  # one core per factor, as f_filter takes them
-                assert list(filter_cores(index_core, cores, sizes)) == [want[-1]]
+            for topologies in itertools.product(*map(enumerate_topologies, sizes)):
+                spec = product_spec([Factor(Universe.points(t.universe_size), topology=t) for t in topologies])
+                rows = [t.mins for t in topologies]
+                for index_core in range(1 << len(sizes)):
+                    assert list(filter_cores(spec, "mins", index_core)) == filter_cores_oracle(index_core, rows, sizes)
+                    checked += 1
+            for cores in itertools.product(*(range(1, 1 << s) for s in sizes)):
+                spec = product_spec(
+                    [Factor(Universe.points(s), filter=principal_filter(mask(s, c))) for s, c in zip(sizes, cores)]
+                )
+                for index_core in range(1 << len(sizes)):
+                    want = filter_cores_oracle(index_core, [[c] for c in cores], sizes)
+                    assert list(filter_cores(spec, "cores", index_core)) == want
+                    checked += 1
+        assert checked == 2242
 
     @pytest.mark.parametrize(
         "index_core, rows, sizes",
@@ -372,6 +388,63 @@ class TestProductSpecIndexing:
                 checked += 1
         assert checked == 3 + 9 + 27 + 81
         assert idx.digit_fibres is idx.digit_fibres  # computed once per indexing
+
+    def test_slices_are_the_codes_of_each_factor_through_point_zero(self):
+        checked = 0
+        for k in range(1, 5):
+            for sizes in itertools.product((1, 2, 3), repeat=k):
+                idx = ProductIndexing(sizes)
+                for i, (w, s) in enumerate(zip(idx.weights, sizes)):
+                    assert idx.slices[i] == SubsetMask.of(idx.total, (x * w for x in range(s)))
+                    assert [idx.decode_point(c) for c in idx.slices[i]] == [
+                        tuple(x if j == i else 0 for j in range(k)) for x in range(s)
+                    ]
+                    checked += 1
+        assert checked == 3 + 2 * 9 + 3 * 27 + 4 * 81
+        assert idx.slices is idx.slices  # computed once per indexing
+
+
+class TestFactorTupleTable:
+    """Each factor tuple's rows, read once and shared by every re-filtered copy of its spec."""
+
+    def test_refiltered_copies_share_one_table_and_read_each_factor_once(self, monkeypatch):
+        reads = collections.Counter()
+        original = Filter.members
+
+        def counted(fil):
+            reads[fil] += 1
+            return original(fil)
+
+        monkeypatch.setattr(Filter, "members", counted)
+        spec = product_spec(filter_factors([0b01, 0b10, 0b11]))
+        copies = [spec.with_index_filter(fil) for fil in enumerate_filters(3, include_trivial=True)]
+        assert all(c._rows is spec._rows for c in copies)
+        for c in copies:
+            assert f_filter_base(c) == box_base_oracle(
+                [original(f.filter).bits for f in c.factors], c.indexing, c.index_filter.member_bits
+            )
+        assert sorted(reads.values()) == [1, 1, 1]  # one read of each factor's members, not one per copy
+
+    def test_equality_and_hash_ignore_the_table(self):
+        spec = product_spec(sierpinski_factors(2), principal_filter(mask(2, 0b01)))
+        fresh = product_spec(sierpinski_factors(2), principal_filter(mask(2, 0b01)))
+        f_topology(spec), f_topology_base(spec), equalizers(spec)
+        assert spec._rows and not fresh._rows
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert fresh.with_index_filter(trivial_filter(2)) == spec.with_index_filter(trivial_filter(2))
+
+    @pytest.mark.parametrize("build, need", [
+        (f_topology, "a topology for the product topology"),
+        (f_topology_via_base, "a topology for the product topology"),
+        (f_filter_core, "a filter for the product filter"),
+        (f_filter_base, "a filter for the product filter"),
+    ])
+    def test_a_factor_without_the_structure_raises_on_every_call(self, build, need):
+        spec = product_spec((preset_factor("discrete2"), filter_factors([0b01])[0]), trivial_filter(2))
+        for _ in range(2):  # nothing is stored by the first call
+            with pytest.raises(InputError, match=f"^every factor needs {need}$"):
+                build(spec)
+        assert spec._rows == {}
 
 
 class TestFTopologyBase:
@@ -868,9 +941,9 @@ class TestNeighborhoodIdentity:
             builds.append(n)
             return original_build(n, bits, contains)
 
-        def counted_cores(index_core, core_rows, sizes):
-            cores = original_cores(index_core, core_rows, sizes)
-            kernel_calls.append((sizes, len(cores)))
+        def counted_cores(spec, kind, index_core=None):
+            cores = original_cores(spec, kind, index_core)
+            kernel_calls.append((spec.indexing.factor_sizes, len(cores)))
             return cores
 
         def refused(*args, **kwargs):
@@ -914,7 +987,7 @@ class TestNeighborhoodIdentity:
 
         original = verifier.filter_cores
         monkeypatch.setattr(
-            verifier, "filter_cores", lambda _core, rows, sizes: original(0, rows, sizes)
+            verifier, "filter_cores", lambda spec, kind, _core=None: original(spec, kind, 0)
         )
         report = verify_proposition("P4.5")
         assert not report.passed and report.witness is not None
@@ -924,8 +997,7 @@ class TestNeighborhoodIdentity:
         from fprod.serialize import parse_instance, product_point_label
 
         spec = parse_instance(report.witness["instance"])
-        rows = [f.topology.mins for f in spec.factors]
-        pairs = zip(f_topology(spec).mins, original(0, rows, spec.indexing.factor_sizes))
+        pairs = zip(f_topology(spec).mins, original(spec, "mins", 0))
         first = next(x for x, (got, want) in enumerate(pairs) if got != want)
         assert detail == {"neighborhood_identity_fails_at": product_point_label(first, spec)}
 
