@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import operator
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce, wraps
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from functools import cached_property, lru_cache, reduce
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_UNIVERSE = 64
 DEFAULT_MAX_PRODUCT = 4096
@@ -302,57 +300,3 @@ def check_fibres(fibres: Sequence[int], dom_size: int, cod_size: int) -> None:
     union = reduce(operator.or_, fibres, 0)
     if union != (1 << dom_size) - 1 or sum(fibres) != union:
         raise InputError("map is not total on the domain universe, or its fibres overlap")
-
-
-# ---------------------------------------------------------------------------
-# work shared within one grid walk
-
-WALK_MEMO_BOUND = 1024  # entries per table; at 256, P2.8 at factor size 4 evicted its factor slices
-
-_F = TypeVar("_F", bound=Callable)
-
-
-class _Walk(threading.local):
-    tables: dict | None = None  # the current walk's tables, one per memoized function
-
-
-_walk = _Walk()
-
-
-@contextmanager
-def grid_walk() -> Iterator[None]:
-    """Scope of one grid walk: inside it, walk_memoized functions share their results.
-
-    The walk's tables are emptied when it ends, however it ends, so nothing is
-    kept from one walk to the next and nothing at all outside a walk. Each
-    thread has its own current walk.
-    """
-    outer, tables = _walk.tables, {}
-    _walk.tables = tables
-    try:
-        yield
-    finally:
-        _walk.tables = outer
-        tables.clear()
-
-
-def walk_memoized(fn: _F) -> _F:
-    """fn, called afresh outside grid_walk(); inside one, each distinct argument
-    tuple (hashable, so pass tuples) is computed once and its result shared.
-
-    A walk keeps at most WALK_MEMO_BOUND results of fn, least recently used
-    evicted first. Results are shared objects, so fn must return immutable
-    ones; a call that raises stores nothing and raises again when repeated.
-    """
-
-    @wraps(fn)
-    def call(*args):
-        tables = _walk.tables
-        if tables is None:
-            return fn(*args)
-        table = tables.get(fn)
-        if table is None:
-            table = tables[fn] = lru_cache(maxsize=WALK_MEMO_BOUND)(fn)
-        return table(*args)
-
-    return call  # type: ignore[return-value]

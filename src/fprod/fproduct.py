@@ -11,26 +11,78 @@ constructions are computed in closed form from one minimal box per point; the
 enumerated box bases stay as the definitional routes that the propositions
 about them read. A filter with core C accepts exactly the boxes whole on C,
 so those bases enumerate only the accepted boxes.
+
+Inside grid_walk() this module's four walk tables keep the point boxes, the
+via-base topologies, the entourage boxes and the projection preimages; no other
+module shares work across a walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from functools import lru_cache, wraps
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .filters import Filter, principal_filter
-from .foundations import (
-    InputError,
-    ProductIndexing,
-    SetFamily,
-    SubsetMask,
-    Universe,
-    shared_indexing,
-    walk_memoized,
-)
-from .topology import Topology, continuous_mins, generate_topology, topology_from_base_bits
-from .uniformity import Relation, Uniformity, generate_uniformity
+from .foundations import InputError, ProductIndexing, SetFamily, SubsetMask, Universe, shared_indexing
+from .topology import Topology, generate_topology, mins_within, point_preimages, topology_from_base_bits
+from .uniformity import Relation, Uniformity, generate_uniformity, induced_topology
+
+# ---------------------------------------------------------------------------
+# work shared within one grid walk
+
+WALK_MEMO_BOUND = 1024  # entries per table; at 256, P2.8 at factor size 4 evicted its factor slices
+
+_F = TypeVar("_F", bound=Callable)
+
+
+class _Walk(threading.local):
+    tables: dict | None = None  # the current walk's tables, one per memoized function
+
+
+_walk = _Walk()
+
+
+@contextmanager
+def grid_walk() -> Iterator[None]:
+    """Scope of one grid walk: inside it, walk_memoized functions share their results.
+
+    The walk's tables are emptied when it ends, however it ends, so nothing is
+    kept from one walk to the next and nothing at all outside a walk. Each
+    thread has its own current walk.
+    """
+    outer, tables = _walk.tables, {}
+    _walk.tables = tables
+    try:
+        yield
+    finally:
+        _walk.tables = outer
+        tables.clear()
+
+
+def walk_memoized(fn: _F) -> _F:
+    """fn, called afresh outside grid_walk(); inside one, each distinct argument
+    tuple (hashable, so pass tuples) is computed once and its result shared.
+
+    A walk keeps at most WALK_MEMO_BOUND results of fn, least recently used
+    evicted first. Results are shared, so fn must return immutable values; a
+    call that raises stores nothing and raises again when repeated.
+    """
+
+    @wraps(fn)
+    def call(*args):
+        tables = _walk.tables
+        if tables is None:
+            return fn(*args)
+        table = tables.get(fn)
+        if table is None:
+            table = tables[fn] = lru_cache(maxsize=WALK_MEMO_BOUND)(fn)
+        return table(*args)
+
+    return call  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -148,6 +200,7 @@ def _whole(s: int) -> tuple[int]:
 _KINDS: dict[str, tuple[str, Callable[[Any, int], tuple[tuple[int, ...], tuple[int, ...]]]]] = {
     "mins": ("topology", lambda t, s: (t.mins, _whole(s) * s)),
     "opens": ("topology", lambda t, s: (t.opens().bits[1:], _whole(s))),  # bits[0] is the empty set
+    "induced opens": ("uniformity", lambda u, s: (induced_topology(u).opens().bits[1:], _whole(s))),
     "proper opens": ("topology", lambda t, s: (t.opens().bits[1:-1], _whole(s))),
     "cores": ("filter", lambda f, s: ((f.core.bits,), _whole(s))),
     "members": ("filter", lambda f, s: (f.members().bits, _whole(s))),
@@ -219,14 +272,16 @@ def f_topology(spec: ProductSpec, delta_family: SetFamily | None = None) -> Topo
     return Topology.unchecked(spec.indexing.total, filter_cores(spec, "mins"))
 
 
-def f_topology_via_base(spec: ProductSpec) -> Topology:
+def f_topology_via_base(spec: ProductSpec, kind: str = "opens") -> Topology:
     """Definitional route: generate_topology(f_topology_base(spec)), minus the SetFamily.
 
+    kind names the factor open sets the boxes take (see _KINDS): "opens" reads
+    each factor's topology, "induced opens" the topology its uniformity induces.
     Under the index filter the accepted boxes are one product of side lists,
     so inside a grid walk the specs with equal accepted side lists share one
     enumeration, point-meet pass, base check and Topology.
     """
-    return _topology_via_boxes(spec.indexing.total, _sides(spec, "opens"), spec.indexing.factor_sizes)
+    return _topology_via_boxes(spec.indexing.total, _sides(spec, kind), spec.indexing.factor_sizes)
 
 
 @walk_memoized
@@ -242,17 +297,22 @@ def projection_fibres(i: int, idx: ProductIndexing) -> tuple[int, ...]:
     return idx.digit_fibres[i]
 
 
+# few keys per walk (12 on the bench deep workload), each read by every product of a factor tuple
+_point_preimages = walk_memoized(point_preimages)
+
+
 def all_projections_continuous(spec: ProductSpec) -> bool:
     """Each projection is continuous from the product topology to its factor's.
 
     The indexing's digit fibres partition the product by construction, so
-    they go to topology.continuous_mins unchecked.
+    they go to the topology kernels unchecked: each product minimal
+    neighbourhood must lie within the preimage of its projection's.
     """
     mins = f_topology(spec).mins
     idx = spec.indexing
     for i, f in enumerate(spec.factors):
         assert f.topology is not None
-        if not continuous_mins(projection_fibres(i, idx), mins, f.topology.mins):
+        if not mins_within(mins, _point_preimages(projection_fibres(i, idx), f.topology.mins)):
             return False
     return True
 

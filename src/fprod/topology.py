@@ -17,14 +17,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .filters import Filter, principal_filter
-from .foundations import (
-    InputError,
-    ResourceLimitError,
-    SetFamily,
-    SubsetMask,
-    check_fibres,
-    walk_memoized,
-)
+from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, check_fibres
 
 _OPENS_CAP = 20  # union closures approach 2**n members
 _ENUM_CAP = 4
@@ -121,12 +114,12 @@ class Topology:
         equivalence rows, enumerate_topologies' transitive vectors and the point
         meets of a base that topology_from_base_bits has checked. Data from
         outside goes through Topology(...); the sampled agreement tests
-        (tests/test_agreement.py) stand in for the check.
-
-        Inside a grid walk (foundations.grid_walk) each distinct vector is built
-        once, and equal vectors give the same object.
+        (tests/test_agreement.py) stand in for the check. Each call builds a new
+        value, as Uniformity.unchecked does: equal vectors give equal topologies.
         """
-        return _shared_topology(universe_size, tuple(mins))
+        t = object.__new__(cls)
+        t.__dict__.update(universe_size=universe_size, mins=tuple(mins))
+        return t
 
     @cached_property
     def base(self) -> SetFamily:
@@ -149,6 +142,8 @@ class Topology:
 
     @cached_property
     def _opens(self) -> SetFamily:
+        """Cached per object, since equal topologies are not shared; a product spec reads
+        its factors' opens once per factor tuple, through its table of rows (fproduct._sides)."""
         n = self.universe_size
         if n > _OPENS_CAP:
             raise ResourceLimitError(f"open-set materialization capped at universe size {_OPENS_CAP}")
@@ -196,14 +191,6 @@ class Topology:
         return all(bits & m for m in self.base.bits)
 
 
-@walk_memoized
-def _shared_topology(universe_size: int, mins: tuple[int, ...]) -> Topology:
-    """A Topology built without __post_init__, so unvalidated."""
-    t = object.__new__(Topology)
-    t.__dict__.update(universe_size=universe_size, mins=mins)
-    return t
-
-
 def generate_topology(base: SetFamily) -> Topology:
     """Topology generated by a covering, point-criterion base."""
     return topology_from_base_bits(base.universe_size, base.bits, base.contains_bits)
@@ -233,26 +220,15 @@ def topology_leq(t1: Topology, t2: Topology) -> bool:
 def is_continuous(fibres: Sequence[int], t_dom: Topology, t_cod: Topology) -> bool:
     """f, given by its fibres (see foundations.map_fibres), maps the minimal
     neighbourhood of each x into that of f(x). The fibres are checked to
-    partition the domain, then continuous_mins decides."""
+    partition the domain; the kernels point_preimages and mins_within decide."""
     check_fibres(fibres, t_dom.universe_size, t_cod.universe_size)
-    return continuous_mins(tuple(fibres), t_dom.mins, t_cod.mins)
+    return mins_within(t_dom.mins, point_preimages(fibres, t_cod.mins))
 
 
-def continuous_mins(fibres: tuple[int, ...], dom_mins: Sequence[int], cod_mins: tuple[int, ...]) -> bool:
-    """The kernel of is_continuous, on the two minimal-neighbourhood vectors: each
-    point x keeps dom_mins[x] inside the preimage of cod_mins[f(x)]. The fibres are
-    trusted to partition the domain, as projection fibres do."""
-    for m, preimage in zip(dom_mins, _point_preimages(fibres, cod_mins)):
-        if m & ~preimage:
-            return False
-    return True
-
-
-@walk_memoized
-def _point_preimages(fibres: tuple[int, ...], cod_mins: tuple[int, ...]) -> tuple[int, ...]:
+def point_preimages(fibres: Sequence[int], cod_mins: Sequence[int]) -> tuple[int, ...]:
     """For each domain point x, in code order, the preimage of cod_mins[f(x)]: the
-    union of the fibres of its points. Inside a grid walk every product on one
-    factor tuple shares the table."""
+    union of the fibres of its points. The fibres are trusted to partition the
+    domain, as projection fibres do."""
     at = [0] * sum(f.bit_count() for f in fibres)
     for fibre, m in zip(fibres, cod_mins):
         preimage = 0
@@ -264,6 +240,15 @@ def _point_preimages(fibres: tuple[int, ...], cod_mins: tuple[int, ...]) -> tupl
             at[low.bit_length() - 1] = preimage
             fibre ^= low
     return tuple(at)
+
+
+def mins_within(mins: Sequence[int], bounds: Sequence[int]) -> bool:
+    """True iff each mins[x] lies inside bounds[x]: with the domain's minimal
+    neighbourhoods and a map's point preimages, iff the map is continuous."""
+    for m, bound in zip(mins, bounds):
+        if m & ~bound:
+            return False
+    return True
 
 
 def subspace(t: Topology, carrier: SubsetMask) -> Topology:

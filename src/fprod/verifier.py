@@ -38,7 +38,6 @@ from .foundations import (
     SetFamily,
     SubsetMask,
     Universe,
-    grid_walk,
     is_intersection_closed,
 )
 from .fproduct import (
@@ -56,6 +55,7 @@ from .fproduct import (
     f_uniformity_base,
     filter_cores,
     filter_different,
+    grid_walk,
     projection_fibres,
 )
 from .topology import (
@@ -134,6 +134,8 @@ class InstanceGrid:
         object.__setattr__(self, "named_filters", tuple(self.named_filters))
         if not self.index_sizes or any(k < 1 for k in self.index_sizes):
             raise InputError("index sizes must be positive")
+        if len(set(self.index_sizes)) != len(self.index_sizes):  # each would walk its block again
+            raise InputError(f"index sizes {list(self.index_sizes)} repeat a size")
         if max(self.index_sizes) > DEFAULT_MAX_UNIVERSE:  # checked before an index universe is built
             raise ResourceLimitError(
                 f"universe size {max(self.index_sizes)} exceeds cap {DEFAULT_MAX_UNIVERSE}"
@@ -489,6 +491,14 @@ def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     return True, None
 
 
+def _p43_axes(grid: InstanceGrid) -> Iterator[_Block]:  # its check walks every filter on the product
+    for k, pool, fils in _product_axes(grid, src="all-filters"):
+        if 2**k > _FILTER_ENUM_CAP:  # each factor has 2 points
+            raise ResourceLimitError(f"P4.3 walks every filter on its {2**k}-point products at index size "
+                                     f"{k}, over the filter enumeration cap of {_FILTER_ENUM_CAP} points")
+        yield k, pool, fils
+
+
 def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     box_core = f_filter_core(spec)
     idx = spec.indexing
@@ -528,13 +538,10 @@ def _p52_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
+    # the boxes of the factors' induced open sets, staged once per factor tuple
     from_uniformity = induced_topology(f_uniformity(spec))
-    topo_factors = tuple(
-        Factor(f.universe, topology=induced_topology(f.uniformity))  # type: ignore[arg-type]
-        for f in spec.factors
-    )
     try:
-        from_factors = f_topology_via_base(ProductSpec(spec.index_universe, topo_factors, spec.index_filter))
+        from_factors = f_topology_via_base(spec, "induced opens")
     except NotABaseError:
         return False, {"box_family_is_base": False}
     if from_uniformity == from_factors:
@@ -773,7 +780,7 @@ _REGISTRY: dict[str, _Entry] = {
             (_NOTE_COFINITE,),
             InstanceGrid(index_sizes=(2,), factor_source="all-filters", filter_source="trivial"),
             _p43_check,
-            partial(_product_axes, src="all-filters"),
+            _p43_axes,
         ),
         _Entry(
             "P4.5",

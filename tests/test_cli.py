@@ -271,11 +271,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: input: factor size must be at least 1\n"
 
-    def test_two_names_the_product_size_that_p43_cannot_enumerate_filters_on(self, capsys):
-        # P4.3 walks every filter on the product, here on 2**3 = 8 points
+    def test_two_names_the_product_size_that_p43_cannot_enumerate_filters_on(self, capsys, monkeypatch):
+        # P4.3 walks every filter on the product, here on 2**3 = 8 points: the plan
+        # refuses the grid before its first instance is checked
+        entry = verifier._REGISTRY["P4.3"]
+        checked = []
+        monkeypatch.setitem(verifier._REGISTRY, "P4.3", dataclasses.replace(entry, check=checked.append))
         code, out, err = run(capsys, "verify", "--prop", "P4.3", "--index-size", "3")
-        assert code == 2 and out == ""
-        assert err == "error: input: filter enumeration supports 1 <= n <= 4, got n = 8\n"
+        assert code == 2 and out == "" and checked == []
+        assert err == ("error: resource: P4.3 walks every filter on its 8-point products at index size 3, "
+                       "over the filter enumeration cap of 4 points\n")
 
     @pytest.mark.parametrize(
         "flags, message",

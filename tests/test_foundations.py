@@ -4,19 +4,17 @@ import tracemalloc
 
 import pytest
 
-from fprod import foundations
+from fprod import fproduct
 from fprod.foundations import (
-    WALK_MEMO_BOUND,
     InputError,
     ProductIndexing,
     ResourceLimitError,
     SetFamily,
     SubsetMask,
     Universe,
-    grid_walk,
     is_intersection_closed,
-    walk_memoized,
 )
+from fprod.fproduct import WALK_MEMO_BOUND, grid_walk, walk_memoized
 
 
 def mixed_radix_order(sizes):
@@ -265,7 +263,7 @@ class TestIntersectionClosed:
 
 
 class TestGridWalk:
-    """walk_memoized shares results inside grid_walk() and keeps nothing outside it."""
+    """fproduct.walk_memoized shares results inside grid_walk() and keeps nothing outside it."""
 
     @staticmethod
     def counted(fn):
@@ -280,7 +278,7 @@ class TestGridWalk:
 
     @staticmethod
     def table_sizes():
-        tables = foundations._walk.tables
+        tables = fproduct._walk.tables
         return None if tables is None else [t.cache_info().currsize for t in tables.values()]
 
     def test_outside_a_walk_every_call_computes_and_nothing_is_kept(self):
@@ -324,7 +322,7 @@ class TestGridWalk:
         with pytest.raises(RuntimeError):
             with grid_walk():
                 ident(1)
-                tables = foundations._walk.tables
+                tables = fproduct._walk.tables
                 raise RuntimeError("check failed")
         assert tables == {} and self.table_sizes() is None
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from fprod import foundations, fproduct
+from fprod import fproduct
 from fprod.cli import main
 from fprod.filters import Filter, fibre_image, generate_filter, principal_filter, pushforward, trivial_filter
 from fprod.foundations import (
@@ -18,7 +18,6 @@ from fprod.foundations import (
     SubsetMask,
     Universe,
     check_fibres,
-    grid_walk,
     is_intersection_closed,
     map_fibres,
     shared_indexing,
@@ -38,12 +37,12 @@ from fprod.fproduct import (
     f_uniformity_base,
     filter_cores,
     filter_different,
+    grid_walk,
     product_spec,
     projection_fibres,
     squared_indexing,
 )
 from fprod.topology import (
-    continuous_mins,
     discrete,
     enumerate_topologies,
     generate_topology,
@@ -205,7 +204,7 @@ class TestPointBoxKernel:
         with grid_walk():
             for _ in range(2):  # the second round's answers come from the walk's memo
                 self.test_seeded_random_rows()
-            table = foundations._walk.tables[_point_boxes.__wrapped__]
+            table = fproduct._walk.tables[_point_boxes.__wrapped__]
             assert table.cache_info().hits >= 400
             self.test_every_row_choice_on_small_sizes()  # more inputs than the bound: evicts
 
@@ -365,7 +364,7 @@ class TestProductSpecIndexing:
 
     def test_cap_fires_before_the_walk_memo_is_read(self):
         with grid_walk():
-            tables = foundations._walk.tables
+            tables = fproduct._walk.tables
             with pytest.raises(ResourceLimitError):
                 product_spec(discrete2_factors(13), trivial_filter(13))
             assert tables == {}
@@ -600,6 +599,28 @@ class TestClosedFormTopology:
         oracle = (by_delta.topology_base(spec) for spec in families.values())
         assert built == collections.Counter((base.universe_size, base.bits) for base in oracle)
 
+    def test_p5ind_builds_no_factor_or_spec_inside_its_check(self, monkeypatch):
+        # its induced factor opens are staged once per factor tuple, in the tuple's table
+        entry, inside, built = _REGISTRY["P5.ind"], [], []
+
+        def check(inst):
+            inside.append(inst)
+            try:
+                return entry.check(inst)
+            finally:
+                inside.pop()
+
+        for cls in (Factor, ProductSpec):
+            def counted(obj, original=cls.__post_init__):
+                if inside:
+                    built.append(type(obj).__name__)
+                original(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setitem(_REGISTRY, "P5.ind", dataclasses.replace(entry, check=check))
+        report = verify_proposition("P5.ind")
+        assert report.passed and report.checked == 324 and built == []
+
     @pytest.mark.parametrize(
         "prop, detail",
         [
@@ -737,18 +758,22 @@ class TestProjections:
                 checked += 1
         assert checked == count
 
-    def test_continuous_mins_answers_as_is_continuous_on_the_p27_grid(self):
-        grid = dataclasses.replace(default_grid("P2.7"), index_sizes=(4,))
+    def test_projection_continuity_is_the_open_preimage_definition_on_the_p27_grid(self):
+        # the definition, read off opens(), against is_continuous and the projection
+        # check, which reads the kernels through the walk-shared preimages
         answers = collections.Counter()
         with grid_walk():
-            for spec in _REGISTRY["P2.7"].instances(grid):
+            for spec in _REGISTRY["P2.7"].instances(default_grid("P2.7")):
                 t = f_topology(spec)
+                product_opens = set(t.opens().bits)
+                oracles = []
                 for i, f in enumerate(spec.factors):
-                    fibres = projection_fibres(i, spec.indexing)
-                    got = continuous_mins(fibres, t.mins, f.topology.mins)
-                    assert got == is_continuous(fibres, t, f.topology)
-                    answers[got] += 1
-        assert sum(answers.values()) == 4 * 1296
+                    oracle = all(fibre_union(i, v, spec.indexing).bits in product_opens for v in f.topology.opens())
+                    assert is_continuous(projection_fibres(i, spec.indexing), t, f.topology) == oracle
+                    oracles.append(oracle)
+                    answers[oracle] += 1
+                assert all_projections_continuous(spec) == all(oracles)
+        assert sum(answers.values()) == 1 * 3 * 2 + 2 * 3**2 * 4 + 3 * 3**3 * 8  # 258 instances
         assert answers[True] and answers[False]
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fprod.foundations import grid_walk
+from fprod.fproduct import grid_walk
 from fprod.verifier import _REGISTRY, _encode
 
 GOLDEN = Path(__file__).parent / "golden" / "instance_digests.json"

@@ -10,10 +10,9 @@ from fprod.foundations import (
     SetFamily,
     SubsetMask,
     Universe,
-    grid_walk,
     map_fibres,
 )
-from fprod.fproduct import Factor, f_uniformity, f_uniformity_base, product_spec
+from fprod.fproduct import Factor, f_uniformity, f_uniformity_base, grid_walk, product_spec
 from fprod.topology import discrete, indiscrete, is_continuous
 from fprod.uniformity import (
     Relation,

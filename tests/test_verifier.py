@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import fprod.cli
 import fprod.fproduct
 import fprod.verifier
-from fprod import foundations
 from fprod.filters import Filter, generate_filter, principal_filter, trivial_filter
 from fprod.foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
 from fprod.fproduct import (
@@ -156,21 +156,14 @@ class TestWalkPlan:
         assert report.complete and (report.checked == planned or not report.passed)
 
     def test_the_deep_grids_plan_their_ci_counts_without_walking(self):
-        deep = [
-            ("P2.7", dict(factor_universe_max=3), 242234),
-            ("P4.2", dict(index_sizes=(4,)), 1296),
-            ("P5.ind", dict(index_sizes=(3,)), 5832),
-            ("P5.2", dict(index_sizes=(3,)), 5832),
-            ("P2.8", dict(factor_universe_max=4), 151321),
-            ("P2.7", dict(index_sizes=(4,)), 1296),
-            ("P3.1", dict(index_sizes=(4,), factor_source="fixed", factor_preset="discrete3"), 15),
-            ("P2.3", dict(index_sizes=(4,), factor_source="fixed", factor_preset="discrete2"), 256),
-            ("P4.5", dict(index_sizes=(3,)), 314432),
-            ("P2.1", dict(index_sizes=(4,)), 65535),
-        ]
-        for check_id, fields, count in deep:
-            entry = _REGISTRY[check_id]
-            assert _plan(entry, dataclasses.replace(entry.default_grid, **fields)).count == count
+        # the rows that tests/deep_grids.py walks outside tier-1, planned here from their flags
+        rows = json.loads((Path(__file__).parent / "deep_grids.json").read_text())
+        assert len(rows) == 11
+        parser = fprod.cli.build_parser()
+        for row in rows:
+            args = parser.parse_args(row["argv"])
+            grid = fprod.cli._grid_from_args(args, args.prop)
+            assert _plan(_REGISTRY[args.prop], grid).count == row["checked"], row["argv"]
 
     def test_p21_index_size_four_still_yields_every_family(self):
         grid = dataclasses.replace(default_grid("P2.1"), index_sizes=(4,))
@@ -198,6 +191,12 @@ class TestWalkPlan:
         assert len(made) == 5 ** 2 * 4  # one spec per (factor tuple, first filter), not per pair
         for i, (spec, second) in enumerate(instances):
             assert spec is made[i // 4] and spec.index_filter == filters[i // 4 % 4] and second == filters[i % 4]
+
+    def test_a_repeated_index_size_is_refused_by_the_grid(self):
+        # else its block is walked once per listing: P2.8 would check 2 * 1,156 instances
+        for sizes in ((2, 2), (1, 2, 1)):
+            with pytest.raises(InputError, match=r"index sizes \[.*\] repeat a size"):
+                dataclasses.replace(default_grid("P2.8"), index_sizes=sizes)
 
     def test_an_index_size_above_the_universe_cap_is_refused_by_the_grid(self):
         with pytest.raises(ResourceLimitError, match="universe size 65 exceeds cap 64"):
@@ -318,12 +317,12 @@ class TestProjectionFaults:
     they read (digit fibres, fibre images, continuity) is broken."""
 
     def test_p27_catches_a_continuity_test_that_ignores_the_codomain(self, monkeypatch):
-        original = fprod.fproduct.continuous_mins
+        original = fprod.fproduct._point_preimages
 
-        def against_the_indiscrete_codomain(fibres, dom_mins, cod_mins):
-            return original(fibres, dom_mins, indiscrete(len(cod_mins)).mins)
+        def against_the_indiscrete_codomain(fibres, cod_mins):
+            return original(fibres, indiscrete(len(cod_mins)).mins)
 
-        monkeypatch.setattr(fprod.fproduct, "continuous_mins", against_the_indiscrete_codomain)
+        monkeypatch.setattr(fprod.fproduct, "_point_preimages", against_the_indiscrete_codomain)
         assert_fault_caught(monkeypatch, "P2.7", "all_projections_continuous")
 
     def test_p27_catches_swapped_projection_fibres(self, monkeypatch):
@@ -705,7 +704,7 @@ class TestGridWalkMemo:
             if len(seen) == raise_at:
                 raise RuntimeError("check raised")
             verdict = entry.check(inst)
-            tables = foundations._walk.tables
+            tables = fprod.fproduct._walk.tables
             seen.append((tables, sum(t.cache_info().currsize for t in tables.values())))
             return verdict
 
@@ -717,7 +716,7 @@ class TestGridWalkMemo:
         tables, _ = seen[-1]
         assert max(entries for _, entries in seen) > 0  # the walk did share work
         assert tables == {}
-        assert foundations._walk.tables is None
+        assert fprod.fproduct._walk.tables is None
 
     def test_memo_is_dropped_when_the_budget_runs_out(self, monkeypatch):
         seen = self.spy_on_the_memo(monkeypatch, "P2.3")
