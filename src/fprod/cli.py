@@ -61,10 +61,10 @@ def _write_out(path: str, text: str, mode: str = "w") -> None:
 
 def _check_writable(path: str) -> None:
     """Fail on an unwritable --out before the command runs, and leave the path as it was."""
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)  # follows a link: a dangling one names no file yet
     _write_out(path, "", mode="a")  # appending nothing keeps an existing file as it is
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))  # the file the probe made, not a link to it
 
 
 def _render_text(body: dict) -> str:

@@ -34,7 +34,10 @@ from .uniformity import Relation, Uniformity, generate_uniformity, induced_topol
 # ---------------------------------------------------------------------------
 # work shared within one grid walk
 
-WALK_MEMO_BOUND = 1024  # entries per table; at 256, P2.8 at factor size 4 evicted its factor slices
+# Entries per table. The bound keeps a deep walk's memory flat (P4.5 at index size 3 peaks at
+# 21 MiB; unbounded tables, 103 MiB) at the price of rebuilding evicted repeats: that walk
+# rebuilds 34,782 of its 275,128 repeated families, P2.7 at factor size 3 30,624 of 205,175.
+WALK_MEMO_BOUND = 1024
 
 _F = TypeVar("_F", bound=Callable)
 
@@ -91,6 +94,7 @@ class Factor:
 
     A filter must be proper. A uniformity is given by a base, validated once
     here; the uniformity it generates is kept as `uniformity` (None without a base).
+    `_rows` keeps the kernel rows gathered from it, by kind (see _stage); `==` ignores it.
     """
 
     universe: Universe
@@ -98,9 +102,13 @@ class Factor:
     filter: Filter | None = None
     uniformity_base: SetFamily | None = None
     uniformity: Uniformity | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.universe.size
+        for label in self.universe.labels:  # "," joins a product point's labels, ";" the points of a set
+            if "," in label or ";" in label:
+                raise InputError(f"factor point label {label!r} contains a separator, ',' or ';'")
         if self.topology is not None and self.topology.universe_size != n:
             raise InputError("factor topology universe mismatch")
         if self.filter is not None:
@@ -113,6 +121,7 @@ class Factor:
                 raise InputError("factor uniformity base must live on the squared universe")
             # write-once, like ProductSpec._indexing; raises InputError on an invalid base
             object.__setattr__(self, "uniformity", generate_uniformity(self.uniformity_base))
+        object.__setattr__(self, "_rows", {})
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,6 @@ class ProductSpec:
     factors: tuple[Factor, ...]
     index_filter: Filter | None = None
     _indexing: ProductIndexing = field(init=False, repr=False, compare=False)
-    _rows: dict = field(init=False, repr=False, compare=False)  # the factor tuple's table, see _sides
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -136,14 +144,13 @@ class ProductSpec:
             raise InputError("index filter lives on the wrong universe")
         # built here, so a spec over the product size cap cannot exist
         object.__setattr__(self, "_indexing", shared_indexing(f.universe.size for f in self.factors))
-        object.__setattr__(self, "_rows", {})
 
     @property
     def indexing(self) -> ProductIndexing:
         return self._indexing
 
     def with_index_filter(self, index_filter: Filter | None) -> ProductSpec:
-        """This spec under another index filter, sharing its factors, indexing and table of rows."""
+        """This spec under another index filter, sharing its factors and indexing."""
         if index_filter is not None and index_filter.universe_size != self.index_universe.size:
             raise InputError("index filter lives on the wrong universe")
         spec = object.__new__(ProductSpec)
@@ -213,27 +220,25 @@ _KINDS: dict[str, tuple[str, Callable[[Any, int], tuple[tuple[int, ...], tuple[i
 
 def _sides(spec: ProductSpec, kind: str, core: int | None = None) -> tuple:
     """One side list per factor, of one kind of rows (see _KINDS): at each index in core (by
-    default the index-filter core) what stands for the whole factor, elsewhere its own rows.
-    The spec's table, which its with_index_filter copies share, keeps each kind's rows and its
-    side lists under each core read; the empty core gives the rows untouched. A factor lacking
-    the structure raises InputError on every call, since nothing is stored then."""
+    default the index-filter core) what stands for the whole factor, elsewhere its own rows,
+    both read from the pair the factor has staged (see _stage)."""
     if core is None:
         core = spec._require_index_filter().core.bits
-    entry = spec._rows.get(kind)
-    if entry is None:
-        attr, rows_of = _KINDS[kind]
-        parts = [getattr(f, attr) for f in spec.factors]
-        if None in parts:
-            product = attr.split("_")[0]
-            need = "uniformity base" if product == "uniformity" else product
-            raise InputError(f"every factor needs a {need} for the product {product}")
-        pairs = tuple(map(rows_of, parts, spec.indexing.factor_sizes))  # (rows, whole) per factor
-        entry = spec._rows[kind] = (pairs, {0: tuple(rows for rows, _ in pairs)})
-    pairs, by_core = entry
-    sides = by_core.get(core)
-    if sides is None:
-        sides = by_core[core] = tuple([pair[core >> i & 1] for i, pair in enumerate(pairs)])
-    return sides
+    return tuple([(f._rows.get(kind) or _stage(f, kind))[core >> i & 1]
+                  for i, f in enumerate(spec.factors)])
+
+
+def _stage(factor: Factor, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The factor's (rows, whole) pair of one kind, gathered once per factor and kept on it.
+    A factor lacking the structure raises InputError on every call, since nothing is stored then."""
+    attr, rows_of = _KINDS[kind]
+    part = getattr(factor, attr)
+    if part is None:
+        product = attr.split("_")[0]
+        need = "uniformity base" if product == "uniformity" else product
+        raise InputError(f"every factor needs a {need} for the product {product}")
+    pair = factor._rows[kind] = rows_of(part, factor.universe.size)
+    return pair
 
 
 def f_topology_base(spec: ProductSpec, delta_family: SetFamily | None = None) -> SetFamily:

@@ -142,8 +142,8 @@ class Topology:
 
     @cached_property
     def _opens(self) -> SetFamily:
-        """Cached per object, since equal topologies are not shared; a product spec reads
-        its factors' opens once per factor tuple, through its table of rows (fproduct._sides)."""
+        """Cached per object, since equal topologies are not shared; a product reads a
+        factor's opens once per factor, through the rows it stages (fproduct._stage)."""
         n = self.universe_size
         if n > _OPENS_CAP:
             raise ResourceLimitError(f"open-set materialization capped at universe size {_OPENS_CAP}")

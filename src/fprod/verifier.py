@@ -278,7 +278,6 @@ class _Reads:  # a grid that records the name of each field read from it
         return getattr(self._grid, name)
 
 
-@lru_cache(maxsize=1)  # grid_fields and then _run plan one command's grid once
 def _plan(entry: _Entry, grid: InstanceGrid) -> _Plan:
     reads = _Reads(grid)
     return _Plan(tuple(entry.axes(reads)), entry.build, frozenset(reads.fields))
@@ -313,16 +312,6 @@ def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
         "family_intersection_closed": closed,
         "box_family_is_base": is_base,
     }
-
-
-class _Filtered:  # a P2.3 first filter and the spec last put under it, so one per factor tuple
-    def __init__(self, fil: Filter) -> None:
-        self.fil, self.spec = fil, None
-
-    def under(self, spec: ProductSpec) -> ProductSpec:
-        if self.spec is None or self.spec.factors is not spec.factors:
-            self.spec = spec.with_index_filter(self.fil)
-        return self.spec
 
 
 def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
@@ -538,7 +527,7 @@ def _p52_check(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _p5ind_check(spec: ProductSpec) -> tuple[bool, dict | None]:
-    # the boxes of the factors' induced open sets, staged once per factor tuple
+    # the boxes of the factors' induced open sets, staged once per factor
     from_uniformity = induced_topology(f_uniformity(spec))
     try:
         from_factors = f_topology_via_base(spec, "induced opens")
@@ -687,9 +676,9 @@ _REGISTRY: dict[str, _Entry] = {
             InstanceGrid(index_sizes=(2, 3), factor_source="fixed", factor_preset="sierpinski",
                          filter_source="all"),
             _p23_check,
-            lambda g: ((k, pool, [(first, second) for first in map(_Filtered, fils) for second in fils])
+            lambda g: ((k, pool, list(itertools.product(fils, repeat=2)))
                        for k, pool, fils in _product_axes(g)),
-            lambda spec, fils: (fils[0].under(spec), fils[1]),  # index filter, second filter
+            lambda spec, fils: (spec.with_index_filter(fils[0]), fils[1]),  # index filter, second filter
         ),
         _Entry(
             "P2.5",
@@ -895,7 +884,6 @@ def grid_fields(check_id: str, grid: InstanceGrid) -> frozenset[str]:
 def _run(entry: _Entry, grid: InstanceGrid | None) -> PropositionReport:
     grid = grid if grid is not None else entry.default_grid
     plan = _plan(entry, grid)
-    _plan.cache_clear()  # the plan is this walk's alone
     planned = plan.count
     if not planned:
         raise InputError(f"the grid of {entry.check_id} has no instances, so it checks nothing")

@@ -8,20 +8,41 @@ P4.5 take about ten seconds each), so they run outside it:
     python tests/deep_grids.py
 
 exits 0 when every grid exits 0 with a passed report that checked its count,
-and 1 otherwise. tests/test_verifier.py plans every row without
-walking it and checks the planned count against the same table.
+and 1 otherwise. Each row's line gives its wall time and the peak resident set
+of its process, and the last line the total wall time. tests/test_verifier.py
+plans every row without walking it and checks the planned count against the
+same table.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 TABLE = Path(__file__).parent / "deep_grids.json"
+
+
+def run_row(argv: list[str]) -> tuple[int, str, str, float, float]:
+    """Exit code, stdout, stderr, wall seconds and peak RSS in MiB of one run.
+
+    The child is reaped by os.wait4, whose rusage is that child's alone; the
+    RUSAGE_CHILDREN maximum would carry over from the largest earlier row.
+    """
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read().decode(), err.read().decode(), wall, usage.ru_maxrss / 1024
 
 
 def main() -> int:
@@ -29,21 +50,21 @@ def main() -> int:
     if fprod is None:
         print("no fprod console script on PATH; install the package first", file=sys.stderr)
         return 1
-    ok = True
+    ok, total = True, 0.0
     for row in json.loads(TABLE.read_text(encoding="utf-8")):
         argv, count = row["argv"], row["checked"]
-        start = time.perf_counter()
-        run = subprocess.run([fprod, *argv, "--json"], capture_output=True, text=True)
-        wall = time.perf_counter() - start
-        if run.returncode != 0:
-            print(f"{' '.join(argv)}: exit {run.returncode}: {run.stderr.strip()}")
+        code, stdout, stderr, wall, rss = run_row([fprod, *argv, "--json"])
+        total += wall
+        if code != 0:
+            print(f"{' '.join(argv)}: exit {code}: {stderr.strip()}")
             ok = False
             continue
-        report = json.loads(run.stdout)["report"]
+        report = json.loads(stdout)["report"]
         good = report["passed"] and report["checked"] == count
         print(f"{' '.join(argv)}: passed={report['passed']}, checked={report['checked']} "
-              f"(want {count}), {wall:.1f} s")
+              f"(want {count}), {wall:.2f} s, {rss:.1f} MiB peak RSS")
         ok = ok and good
+    print(f"total: {total:.1f} s")
     return 0 if ok else 1
 
 

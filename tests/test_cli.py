@@ -389,6 +389,18 @@ class TestExitCodes:
         assert kept.read_text() == "earlier report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
 
+    def test_a_failing_command_through_a_dangling_link_leaves_the_link_alone(self, capsys, tmp_path):
+        link, target = tmp_path / "link.json", tmp_path / "target.json"
+        link.symlink_to(target.name)
+        argv = ("verify", "--prop", "P2.7", "--factors", "indiscrete2", "--out", str(link))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: input: the grid of P2.7 has no instances")
+        assert link.is_symlink() and not target.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
+        code, out, _ = run(capsys, "verify", "--prop", "E2.9", "--out", str(link))
+        assert code == 0 and out == "" and link.is_symlink()
+        assert target.read_text() == (GOLDEN / "verify_e29.txt").read_text()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -566,6 +578,22 @@ class TestConstructCommand:
         code, out, err = run(capsys, "construct", "--instance", str(path), "--what", "f-filter")
         assert code == 2 and out == ""
         assert err.strip() == "error: input: family is not a filter base"
+
+    def test_a_factor_label_with_a_separator_exits_two_with_one_line(self, capsys, tmp_path):
+        # the points a x "b,c" and "a,b" x c would both be labelled (a,b,c)
+        instance = {
+            "index_set": ["1", "2"],
+            "factors": [
+                {"points": ["a", "a,b"], "opens": [["a"], ["a,b"]]},
+                {"points": ["b,c", "c"], "opens": [["b,c"], ["c"]]},
+            ],
+            "index_filter": {"generators": [], "trivial": True},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        code, out, err = run(capsys, "construct", "--instance", str(path), "--what", "f-topology")
+        assert code == 2 and out == ""
+        assert err == "error: input: factor point label 'a,b' contains a separator, ',' or ';'\n"
 
 
 class TestEnumerateCommand:

@@ -403,10 +403,10 @@ class TestProductSpecIndexing:
         assert idx.slices is idx.slices  # computed once per indexing
 
 
-class TestFactorTupleTable:
-    """Each factor tuple's rows, read once and shared by every re-filtered copy of its spec."""
+class TestFactorRows:
+    """Each factor's kernel rows, gathered once and kept on the factor for every spec it is in."""
 
-    def test_refiltered_copies_share_one_table_and_read_each_factor_once(self, monkeypatch):
+    def test_specs_of_tuples_sharing_a_factor_read_its_members_once(self, monkeypatch):
         reads = collections.Counter()
         original = Filter.members
 
@@ -415,35 +415,54 @@ class TestFactorTupleTable:
             return original(fil)
 
         monkeypatch.setattr(Filter, "members", counted)
-        spec = product_spec(filter_factors([0b01, 0b10, 0b11]))
-        copies = [spec.with_index_filter(fil) for fil in enumerate_filters(3, include_trivial=True)]
-        assert all(c._rows is spec._rows for c in copies)
-        for c in copies:
-            assert f_filter_base(c) == box_base_oracle(
-                [original(f.filter).bits for f in c.factors], c.indexing, c.index_filter.member_bits
+        pool = filter_factors([0b01, 0b10, 0b11])
+        specs = [
+            product_spec(combo, fil)
+            for combo in itertools.product(pool, repeat=2)
+            for fil in enumerate_filters(2, include_trivial=True)
+        ]
+        for spec in specs:
+            assert f_filter_base(spec) == box_base_oracle(
+                [original(f.filter).bits for f in spec.factors], spec.indexing, spec.index_filter.member_bits
             )
-        assert sorted(reads.values()) == [1, 1, 1]  # one read of each factor's members, not one per copy
+        assert sorted(reads.values()) == [1, 1, 1]  # one read of each factor's members, not one per spec
 
-    def test_equality_and_hash_ignore_the_table(self):
+    def test_equality_hash_and_repr_ignore_the_staged_rows(self):
         spec = product_spec(sierpinski_factors(2), principal_filter(mask(2, 0b01)))
         fresh = product_spec(sierpinski_factors(2), principal_filter(mask(2, 0b01)))
         f_topology(spec), f_topology_base(spec), equalizers(spec)
-        assert spec._rows and not fresh._rows
+        for staged, bare in zip(spec.factors, fresh.factors):
+            assert set(staged._rows) == {"mins", "opens", "points"} and bare._rows == {}
+            assert staged == bare and hash(staged) == hash(bare) and repr(staged) == repr(bare)
         assert spec == fresh and hash(spec) == hash(fresh)
         assert fresh.with_index_filter(trivial_filter(2)) == spec.with_index_filter(trivial_filter(2))
 
-    @pytest.mark.parametrize("build, need", [
-        (f_topology, "a topology for the product topology"),
-        (f_topology_via_base, "a topology for the product topology"),
-        (f_filter_core, "a filter for the product filter"),
-        (f_filter_base, "a filter for the product filter"),
+    @pytest.mark.parametrize("build, need, lacking", [
+        (f_topology, "a topology for the product topology", 1),
+        (f_topology_via_base, "a topology for the product topology", 1),
+        (f_filter_core, "a filter for the product filter", 0),
+        (f_filter_base, "a filter for the product filter", 0),
     ])
-    def test_a_factor_without_the_structure_raises_on_every_call(self, build, need):
+    def test_a_factor_without_the_structure_raises_on_every_call(self, build, need, lacking):
         spec = product_spec((preset_factor("discrete2"), filter_factors([0b01])[0]), trivial_filter(2))
         for _ in range(2):  # nothing is stored by the first call
             with pytest.raises(InputError, match=f"^every factor needs {need}$"):
                 build(spec)
-        assert spec._rows == {}
+        assert spec.factors[lacking]._rows == {}
+
+    def test_the_p45_walk_gathers_each_kind_once_per_distinct_factor(self, monkeypatch):
+        gathered = collections.Counter()
+        original = fproduct._stage
+
+        def counted(factor, kind):
+            gathered[kind, id(factor)] += 1
+            return original(factor, kind)
+
+        monkeypatch.setattr(fproduct, "_stage", counted)
+        assert verify_proposition("P4.5").checked == 4624
+        # 34 pool factors in 1,156 factor tuples, each tuple under 4 index filters
+        assert collections.Counter(kind for kind, _ in gathered) == {"opens": 34, "mins": 34}
+        assert set(gathered.values()) == {1}
 
 
 class TestFTopologyBase:
@@ -600,7 +619,7 @@ class TestClosedFormTopology:
         assert built == collections.Counter((base.universe_size, base.bits) for base in oracle)
 
     def test_p5ind_builds_no_factor_or_spec_inside_its_check(self, monkeypatch):
-        # its induced factor opens are staged once per factor tuple, in the tuple's table
+        # its induced factor opens are staged once per factor, on the factor
         entry, inside, built = _REGISTRY["P5.ind"], [], []
 
         def check(inst):
@@ -939,6 +958,19 @@ class TestFFilter:
     def test_trivial_factor_filter_rejected(self):
         with pytest.raises(InputError, match="factor filters must be proper"):
             Factor(Universe.points(2), filter=trivial_filter(2))
+
+
+class TestFactorLabels:
+    @pytest.mark.parametrize("label", ["a,b", "a;b", ",", ";"])
+    def test_a_label_with_a_product_label_separator_is_rejected(self, label):
+        # else two product points could share a label, as (a,b,c) from a x b,c and a,b x c
+        message = f"^factor point label '{label}' contains a separator, ',' or ';'$"
+        with pytest.raises(InputError, match=message):
+            Factor(Universe(("a", label)), topology=discrete(2))
+
+    def test_other_labels_are_kept(self):
+        factor = Factor(Universe(("a b", "(x)", "-")), topology=discrete(3))
+        assert factor.universe.labels == ("a b", "(x)", "-")
 
 
 class TestOrderImmersion:

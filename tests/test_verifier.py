@@ -175,23 +175,6 @@ class TestWalkPlan:
         with pytest.raises(ResourceLimitError, match="128 index subsets exceed the universe cap 64"):
             verify_proposition("P2.1", dataclasses.replace(grid, index_sizes=(7,), max_instances=1))
 
-    def test_p23_puts_each_factor_tuple_under_each_first_filter_once(self, monkeypatch):
-        made = []
-        original = fprod.fproduct.ProductSpec.with_index_filter
-
-        def counted(spec, fil):
-            made.append(original(spec, fil))
-            return made[-1]
-
-        monkeypatch.setattr(fprod.fproduct.ProductSpec, "with_index_filter", counted)
-        grid = dataclasses.replace(default_grid("P2.3"), factor_source="all-topologies", index_sizes=(2,))
-        instances = list(_REGISTRY["P2.3"].instances(grid))
-        filters = enumerate_filters(2, include_trivial=True)
-        assert len(instances) == 5 ** 2 * 4 * 4  # the 5 topologies on 1 and 2 points, 4 filters twice
-        assert len(made) == 5 ** 2 * 4  # one spec per (factor tuple, first filter), not per pair
-        for i, (spec, second) in enumerate(instances):
-            assert spec is made[i // 4] and spec.index_filter == filters[i // 4 % 4] and second == filters[i % 4]
-
     def test_a_repeated_index_size_is_refused_by_the_grid(self):
         # else its block is walked once per listing: P2.8 would check 2 * 1,156 instances
         for sizes in ((2, 2), (1, 2, 1)):
