@@ -109,6 +109,8 @@ class Factor:
         for label in self.universe.labels:  # "," joins a product point's labels, ";" the points of a set
             if "," in label or ";" in label:
                 raise InputError(f"factor point label {label!r} contains a separator, ',' or ';'")
+            if label != label.strip():  # a product point's coordinates are read stripped
+                raise InputError(f"factor point label {label!r} has leading or trailing whitespace")
         if self.topology is not None and self.topology.universe_size != n:
             raise InputError("factor topology universe mismatch")
         if self.filter is not None:

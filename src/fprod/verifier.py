@@ -27,7 +27,6 @@ from .filters import (
     filter_leq,
     is_saturated,
     principal_filter,
-    pushforward,
     trivial_filter,
     validate_filter_base,
 )
@@ -45,7 +44,6 @@ from .fproduct import (
     ProductSpec,
     all_projections_continuous,
     equalizers,
-    f_filter,
     f_filter_base,
     f_filter_core,
     f_topology,
@@ -284,6 +282,25 @@ def _plan(entry: _Entry, grid: InstanceGrid) -> _Plan:
 
 
 # ---------------------------------------------------------------------------
+# the two shared readers of the checks: a biconditional's sides, and projections
+
+
+def _iff(**sides: bool) -> tuple[bool, dict | None]:
+    """The verdict of a biconditional given its two sides by name: it holds when they
+    agree, and otherwise its detail is both sides."""
+    lhs, rhs = sides.values()
+    return (True, None) if lhs == rhs else (False, sides)
+
+
+def _projections(spec: ProductSpec, core: int) -> Iterator[tuple[int, int]]:
+    """For each factor, in order: the image of the point mask core under its
+    projection (see filters.fibre_image), and the core of its filter."""
+    idx = spec.indexing
+    for i, f in enumerate(spec.factors):
+        yield fibre_image(projection_fibres(i, idx), core), f.filter.core.bits  # type: ignore[union-attr]
+
+
+# ---------------------------------------------------------------------------
 # entries with extra fields: P2.1's axes, and checks
 
 
@@ -303,38 +320,22 @@ def _p21_instance(spec: ProductSpec, bits: int) -> tuple[ProductSpec, SetFamily]
 
 def _p21_check(inst: tuple[ProductSpec, SetFamily]) -> tuple[bool, dict | None]:
     spec, fam = inst
-    base = f_topology_base(spec, delta_family=fam)
-    is_base = validate_base(base)
-    closed = is_intersection_closed(fam)
-    if is_base == closed:
-        return True, None
-    return False, {
-        "family_intersection_closed": closed,
-        "box_family_is_base": is_base,
-    }
+    return _iff(family_intersection_closed=is_intersection_closed(fam),
+                box_family_is_base=validate_base(f_topology_base(spec, delta_family=fam)))
 
 
 def _p23_check(inst: tuple[ProductSpec, Filter]) -> tuple[bool, dict | None]:
     spec, g = inst
     assert spec.index_filter is not None
-    lhs = filter_leq(spec.index_filter, g)
-    rhs = topology_leq(f_topology(spec), f_topology(spec.with_index_filter(g)))
-    if lhs == rhs:
-        return True, None
-    return False, {"filter_leq": lhs, "topology_leq": rhs}
+    return _iff(filter_leq=filter_leq(spec.index_filter, g),
+                topology_leq=topology_leq(f_topology(spec), f_topology(spec.with_index_filter(g))))
 
 
 def _p25_check(fil: Filter) -> tuple[bool, dict | None]:
     k = fil.universe_size
     members = fil.members().bits
-    misses_each_point = all(any(not (b >> i & 1) for b in members) for i in range(k))
-    complements_in = is_saturated(fil)
-    if misses_each_point == complements_in:
-        return True, None
-    return False, {
-        "member_missing_each_point": misses_each_point,
-        "point_complements_are_members": complements_in,
-    }
+    return _iff(member_missing_each_point=all(any(not (b >> i & 1) for b in members) for i in range(k)),
+                point_complements_are_members=is_saturated(fil))
 
 
 def _e29_check(inst: tuple[ProductSpec, bool]) -> tuple[bool, dict | None]:
@@ -377,14 +378,8 @@ def _p210_check(t: Topology) -> tuple[bool, dict | None]:
 
 def _p27_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     assert spec.index_filter is not None
-    continuous = all_projections_continuous(spec)
-    finer_than_cofinite = spec.index_filter.trivial
-    if continuous == finer_than_cofinite:
-        return True, None
-    return False, {
-        "all_projections_continuous": continuous,
-        "filter_contains_all_cofinite_sets": finer_than_cofinite,
-    }
+    return _iff(all_projections_continuous=all_projections_continuous(spec),
+                filter_contains_all_cofinite_sets=spec.index_filter.trivial)
 
 
 def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
@@ -401,18 +396,11 @@ def _factor_slice_failure(spec: ProductSpec, t: Topology) -> dict | None:
 def _p28_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     assert spec.index_filter is not None
     t = f_topology(spec)
-    product_h = t.is_hausdorff()
     factors_h = all(f.topology.is_hausdorff() for f in spec.factors)  # type: ignore[union-attr]
-    if product_h != factors_h:
-        return False, {
-            "product_hausdorff": product_h,
-            "all_factors_hausdorff": factors_h,
-        }
-    if is_saturated(spec.index_filter):
-        failure = _factor_slice_failure(spec, t)
-        if failure is not None:
-            return False, failure
-    return True, None
+    ok, detail = _iff(product_hausdorff=t.is_hausdorff(), all_factors_hausdorff=factors_h)
+    if ok and is_saturated(spec.index_filter):
+        detail = _factor_slice_failure(spec, t)
+    return detail is None, detail
 
 
 def _non_dense_equalizer(
@@ -468,11 +456,7 @@ def _p42_check(spec: ProductSpec) -> tuple[bool, dict | None]:
     # core, so core_leq and == against the factor filter's core decide it
     assert spec.index_filter is not None
     saturated = is_saturated(spec.index_filter)
-    core = f_filter_core(spec)
-    idx = spec.indexing
-    for i, f in enumerate(spec.factors):
-        image = fibre_image(projection_fibres(i, idx), core)
-        want = f.filter.core.bits  # type: ignore[union-attr]
+    for i, (image, want) in enumerate(_projections(spec, f_filter_core(spec))):
         if not core_leq(image, want):
             return False, {"projection_not_contained_at_factor": i}
         if saturated and image != want:
@@ -489,18 +473,13 @@ def _p43_axes(grid: InstanceGrid) -> Iterator[_Block]:  # its check walks every 
 
 
 def _p43_check(spec: ProductSpec) -> tuple[bool, dict | None]:
-    box_core = f_filter_core(spec)
-    idx = spec.indexing
-    fibres = [projection_fibres(i, idx) for i in range(len(spec.factors))]
-    wants = [f.filter.core.bits for f in spec.factors]  # type: ignore[union-attr]
-    for g in enumerate_filters(idx.total, include_trivial=True):
-        if all(fibre_image(fib, g.core.bits) == want for fib, want in zip(fibres, wants)):
-            if not core_leq(box_core, g.core.bits):
-                return False, {
-                    "smaller_filter_with_matching_projections": serialize.filter_to_dict(
-                        g, Universe.points(idx.total)
-                    )
-                }
+    box_core, n = f_filter_core(spec), spec.indexing.total
+    for g in enumerate_filters(n, include_trivial=True):
+        matching = all(image == want for image, want in _projections(spec, g.core.bits))
+        if matching and not core_leq(box_core, g.core.bits):
+            return False, {
+                "smaller_filter_with_matching_projections": serialize.filter_to_dict(g, Universe.points(n))
+            }
     return True, None
 
 
@@ -553,15 +532,13 @@ def _claim_hausdorff_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
 
 
 def _claim_projection_identity_holds(spec: ProductSpec) -> tuple[bool, dict | None]:
-    core = f_filter_core(spec)
-    idx = spec.indexing
-    for i, f in enumerate(spec.factors):
-        fibres = projection_fibres(i, idx)
-        if fibre_image(fibres, core) != f.filter.core.bits:  # type: ignore[union-attr]
-            projected = pushforward(fibres, f_filter(spec))
+    for i, (image, want) in enumerate(_projections(spec, f_filter_core(spec))):
+        if image != want:
+            f = spec.factors[i]
+            n = f.universe.size
             return False, {
                 "factor": i,
-                "projected_filter": serialize.filter_to_dict(projected, f.universe),
+                "projected_filter": serialize.filter_to_dict(Filter(n, SubsetMask(n, image)), f.universe),
                 "factor_filter": serialize.filter_to_dict(f.filter, f.universe),
             }
     return True, None

@@ -1,11 +1,12 @@
-"""Walk the deep grids of tests/deep_grids.json through the installed `fprod` console
-script, and assert that each passes with its instance count.
+"""Walk the deep grids of tests/deep_grids.json through `python -m fprod.cli`, and
+assert that each passes with its instance count.
 
 Each row is the argv of one `fprod verify` run and the instance count its
 report must give. The grids are deeper than tier-1 walks (P2.7, P2.8 and
-P4.5 take about ten seconds each), so they run outside it:
+P4.5 take two to nine seconds each on a shared 2-CPU machine), so they run
+outside it, with fprod importable (installed, or from the source tree):
 
-    python tests/deep_grids.py
+    PYTHONPATH=src python tests/deep_grids.py
 
 exits 0 when every grid exits 0 with a passed report that checked its count,
 and 1 otherwise. Each row's line gives its wall time and the peak resident set
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,14 +46,10 @@ def run_row(argv: list[str]) -> tuple[int, str, str, float, float]:
 
 
 def main() -> int:
-    fprod = shutil.which("fprod")
-    if fprod is None:
-        print("no fprod console script on PATH; install the package first", file=sys.stderr)
-        return 1
     ok, total = True, 0.0
     for row in json.loads(TABLE.read_text(encoding="utf-8")):
         argv, count = row["argv"], row["checked"]
-        code, stdout, stderr, wall, rss = run_row([fprod, *argv, "--json"])
+        code, stdout, stderr, wall, rss = run_row([sys.executable, "-m", "fprod.cli", *argv, "--json"])
         total += wall
         if code != 0:
             print(f"{' '.join(argv)}: exit {code}: {stderr.strip()}")

@@ -443,6 +443,44 @@ class TestCheckCommand:
         )
         assert code == 2
 
+    def test_resolvable_needs_n(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--instance", str(GOLDEN / "ex29.json"), "--prop", "resolvable"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: input: check resolvable needs --n\n"
+
+    @pytest.mark.parametrize("points, labels", [
+        ("(0,0,0)", ["(0,0,0)"]),
+        ("( 0, 1 ,0 ); (1,1,1)", ["(0,1,0)", "(1,1,1)"]),  # coordinates are read stripped
+    ])
+    def test_dense_reads_parenthesized_points(self, capsys, points, labels):
+        code, out, _ = run(
+            capsys, "check", "--instance", str(GOLDEN / "ex29.json"),
+            "--prop", "dense", "--set", points, "--json",
+        )
+        assert code == 0
+        assert json_body(out)["report"]["detail"] == {"set": labels}
+
+    @pytest.mark.parametrize("point", ["(0,0)", "0,0,0,0"])
+    def test_dense_rejects_a_point_with_the_wrong_coordinate_count(self, capsys, point):
+        code, out, err = run(
+            capsys, "check", "--instance", str(GOLDEN / "ex29.json"), "--prop", "dense", "--set", point
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: input: point {point!r} needs 3 coordinates\n"
+
+    def test_resolvable_text_lists_the_dense_family(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--instance", str(GOLDEN / "ex29.json"), "--prop", "resolvable", "--n", "2"
+        )
+        assert code == 0
+        assert out == (
+            "check resolvable: true\n"
+            'dense family: [["(0,0,0)", "(0,0,1)", "(0,1,0)", "(0,1,1)"], '
+            '["(1,0,0)", "(1,0,1)", "(1,1,0)", "(1,1,1)"]]\n'
+        )
+
     def test_resolvable(self, capsys):
         code, out, _ = run(
             capsys,
@@ -595,6 +633,22 @@ class TestConstructCommand:
         assert code == 2 and out == ""
         assert err == "error: input: factor point label 'a,b' contains a separator, ',' or ';'\n"
 
+    def test_a_factor_label_with_outer_whitespace_exits_two_with_one_line(self, capsys, tmp_path):
+        # its point ( a,c) would be listed by construct but could not be named in --set
+        instance = {
+            "index_set": ["1", "2"],
+            "factors": [
+                {"points": [" a", "b"], "opens": [[" a"], ["b"]]},
+                {"points": ["c", "d"], "opens": [["c"], ["d"]]},
+            ],
+            "index_filter": {"generators": [], "trivial": True},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        code, out, err = run(capsys, "construct", "--instance", str(path), "--what", "f-topology")
+        assert code == 2 and out == ""
+        assert err == "error: input: factor point label ' a' has leading or trailing whitespace\n"
+
 
 class TestEnumerateCommand:
     def test_topologies_size_2(self, capsys):
@@ -614,6 +668,11 @@ class TestEnumerateCommand:
         )
         assert code == 0
         assert "not intersection-closed" in out
+
+    def test_d_complements_needs_d(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--what", "d-complements", "--size", "3")
+        assert code == 2 and out == ""
+        assert err == "error: input: enumerate d-complements needs --d\n"
 
     def test_d_complements_above_the_member_cap_exits_2(self, capsys):
         code, out, err = run(

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -968,6 +969,13 @@ class TestFactorLabels:
         with pytest.raises(InputError, match=message):
             Factor(Universe(("a", label)), topology=discrete(2))
 
+    @pytest.mark.parametrize("label", [" a", "a ", "\ta", "a\n", " "])
+    def test_a_label_with_outer_whitespace_is_rejected(self, label):
+        # a product point's coordinates are read stripped, so " a" could not be named
+        message = f"^factor point label {re.escape(repr(label))} has leading or trailing whitespace$"
+        with pytest.raises(InputError, match=message):
+            Factor(Universe((label, "b")), topology=discrete(2))
+
     def test_other_labels_are_kept(self):
         factor = Factor(Universe(("a b", "(x)", "-")), topology=discrete(3))
         assert factor.universe.labels == ("a b", "(x)", "-")
@@ -1019,7 +1027,7 @@ class TestNeighborhoodIdentity:
 
         monkeypatch.setattr(fproduct, "topology_from_base_bits", counted_build)
         monkeypatch.setattr(verifier, "filter_cores", counted_cores)
-        monkeypatch.setattr(verifier, "f_filter", refused)
+        monkeypatch.setattr(fproduct, "f_filter", refused)
         monkeypatch.setattr(ProductSpec, "__post_init__", counted_post_init)
         monkeypatch.setitem(
             verifier._REGISTRY, "P4.5", dataclasses.replace(entry, build=recorded_build)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fprod import serialize
+from fprod.cli import main
 from fprod.filters import Filter
 from fprod.foundations import InputError, SubsetMask, Universe
 from fprod.fproduct import Factor, f_filter, f_topology, product_spec
@@ -120,6 +121,58 @@ class TestFactorMemo:
             serialize.parse_instance(instance([unknown_key, bad_base, unknown_key]))
         with pytest.raises(InputError, match="not a topology base"):
             serialize.parse_instance(instance([bad_base, unknown_key, bad_base]))
+
+
+def one_factor(**fields):
+    """An instance of one factor with these fields over the points 0 and 1."""
+    return {"index_set": ["1"], "factors": [{"points": ["0", "1"], **fields}]}
+
+
+def index_filter(value):
+    return {"index_set": ["1"], "factors": [factor(["0"])], "index_filter": value}
+
+
+# a malformed document per schema check that parse_instance reaches, with its message
+MALFORMED = [
+    ([], "an instance must be a JSON object"),
+    ({"index_set": [], "factors": [], "extra": 1}, "unknown instance keys: ['extra']"),
+    ({"index_set": ["1"]}, "an instance needs 'index_set' and 'factors'"),
+    ({"index_set": [1], "factors": []}, "'index_set' must be a list of labels"),
+    ({"index_set": ["1"], "factors": {}}, "'factors' must be a list"),
+    ({"index_set": ["1"], "factors": ["0"]}, "a factor must be an object"),
+    ({"index_set": ["1"], "factors": [{"points": ["0"], "topology": []}]},
+     "unknown factor keys: ['topology']"),
+    ({"index_set": ["1"], "factors": [{"opens": []}]}, "a factor needs a 'points' list"),
+    ({"index_set": ["1"], "factors": [{"points": [0]}]}, "factor 'points' must be a list of labels"),
+    (one_factor(opens="0"), "a set family must be a list of subsets"),
+    (one_factor(opens=["0"]), "a subset must be a list of labels, got '0'"),
+    (one_factor(opens=[["0", "0"]]), "duplicate labels in subset ['0', '0']"),
+    (one_factor(filter=[]), "a factor filter needs at least one generator"),
+    (one_factor(uniformity_base=[]), "a factor uniformity base must be a nonempty list of relations"),
+    (one_factor(uniformity_base=["0"]), "a relation must be a list of [x, y] label pairs"),
+    (one_factor(uniformity_base=[[["0"]]]), "a relation pair must be [x, y], got ['0']"),
+    (index_filter([]), "a filter must be an object with generators/trivial"),
+    (index_filter({"core": []}), "unknown filter keys: ['core']"),
+    (index_filter({"trivial": 1}), "filter 'trivial' must be a boolean"),
+    (index_filter({"generators": [["1"]], "trivial": True}), "a trivial filter takes no generators"),
+]
+
+
+class TestMalformedInstances:
+    @pytest.mark.parametrize("doc, message", MALFORMED)
+    def test_each_schema_check_raises_its_message(self, doc, message):
+        with pytest.raises(InputError) as raised:
+            serialize.parse_instance(doc)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("doc, message", MALFORMED)
+    def test_construct_exits_two_with_one_input_line(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code = main(["construct", "--instance", str(path), "--what", "f-topology"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: input: {message}\n"
 
 
 def labels_oracle(mask, labels):

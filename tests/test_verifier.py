@@ -336,6 +336,84 @@ class TestProjectionFaults:
         assert_fault_caught(monkeypatch, "P4.3", "smaller_filter_with_matching_projections")
 
 
+def hausdorff_only_up_to_three_points(monkeypatch):
+    """A fault on the product side of P2.8: a space above 3 points (no factor of its
+    default grid) is never Hausdorff."""
+    original = fprod.verifier.Topology.is_hausdorff
+    monkeypatch.setattr(
+        fprod.verifier.Topology, "is_hausdorff", lambda t: original(t) if t.universe_size <= 3 else False
+    )
+
+
+def projected_at_point_zero(monkeypatch):
+    """A fault of the product filter: its core is the point (0,...,0) alone, in the
+    verifier and in fproduct's f_filter alike."""
+    for module in (fprod.verifier, fprod.fproduct):
+        monkeypatch.setattr(module, "f_filter_core", lambda spec: 1)
+
+
+def dropping_the_lowest_image_point(monkeypatch):
+    original = fprod.verifier.fibre_image
+
+    def dropped(fibres, core_bits):
+        image = original(fibres, core_bits)
+        return image & (image - 1) or image
+
+    monkeypatch.setattr(fprod.verifier, "fibre_image", dropped)
+
+
+def whole_codomain_images(monkeypatch):
+    monkeypatch.setattr(fprod.verifier, "fibre_image", lambda fibres, core_bits: (1 << len(fibres)) - 1)
+
+
+def swapped_first_two_fibres(monkeypatch):
+    original = fprod.verifier.projection_fibres
+    monkeypatch.setattr(fprod.verifier, "projection_fibres", swap_first_two_fibres(original))
+
+
+def returning(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(fprod.verifier, name, lambda *args: value)
+
+
+class TestFailingDetail:
+    """Each biconditional fails with exactly its two sides as detail, and each
+    projection check with its factor index or smaller filter, when one side is
+    broken; the first witness is pinned by its position in the walk, and replays
+    to the same detail."""
+
+    @pytest.mark.parametrize("check_id, fault, checked, detail", [
+        ("P2.1", returning("is_intersection_closed", False), 8,
+         {"family_intersection_closed": False, "box_family_is_base": True}),
+        ("P2.1", returning("validate_base", False), 8,
+         {"family_intersection_closed": True, "box_family_is_base": False}),
+        ("P2.3", returning("topology_leq", False), 1, {"filter_leq": True, "topology_leq": False}),
+        ("P2.3", returning("filter_leq", False), 1, {"filter_leq": False, "topology_leq": True}),
+        ("P2.5", returning("is_saturated", False), 2,
+         {"member_missing_each_point": True, "point_complements_are_members": False}),
+        ("P2.7", returning("all_projections_continuous", False), 2,
+         {"all_projections_continuous": False, "filter_contains_all_cofinite_sets": True}),
+        ("P2.8", hausdorff_only_up_to_three_points, 36,
+         {"product_hausdorff": False, "all_factors_hausdorff": True}),
+        ("P4.2", dropping_the_lowest_image_point, 1, {"projection_not_contained_at_factor": 0}),
+        ("P4.2", whole_codomain_images, 2, {"saturated_projection_identity_fails_at_factor": 0}),
+        ("P4.3", swapped_first_two_fibres, 1,
+         {"smaller_filter_with_matching_projections": {"generators": [["1"]], "trivial": False}}),
+        ("projection-filter-identity-for-all-filters", lambda mp: None, 1,
+         {"factor": 0, "projected_filter": {"generators": [["0", "1"]], "trivial": False},
+          "factor_filter": {"generators": [["0"]], "trivial": False}}),
+        ("projection-filter-identity-for-all-filters", projected_at_point_zero, 5,
+         {"factor": 1, "projected_filter": {"generators": [["0"]], "trivial": False},
+          "factor_filter": {"generators": [["1"]], "trivial": False}}),
+    ])
+    def test_first_witness_names_the_failing_sides(self, monkeypatch, check_id, fault, checked, detail):
+        fault(monkeypatch)
+        run = search_counterexample if _REGISTRY[check_id].claim else verify_proposition
+        report = run(check_id)
+        assert not report.passed and report.checked == checked
+        assert report.witness["detail"] == detail
+        assert replay_witness(check_id, report.witness) == (False, detail)
+
+
 class TestOrderFaults:
     """P2.3, P2.5 and P2.10 fail, with a replayable witness, when the order or
     saturation test they read is broken."""
