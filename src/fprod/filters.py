@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask, check_fibres
+from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
 
 _MEMBER_CAP = 16  # materializing members is 2**(n - |core|); keep universes small
 
@@ -85,11 +85,6 @@ def trivial_filter(n: int) -> Filter:
     return Filter(n, SubsetMask.empty(n))
 
 
-def frechet_filter(n: int) -> Filter:
-    """The filter of cofinite sets; on a finite universe this is the trivial filter."""
-    return trivial_filter(n)
-
-
 def d_complements_family(n: int, d: int) -> tuple[SetFamily, str]:
     """Subsets whose complement has fewer than d elements, with a degeneration note.
 
@@ -112,16 +107,6 @@ def d_complements_family(n: int, d: int) -> tuple[SetFamily, str]:
             "the construction is only meaningful for infinite index sets"
         )
     return fam, note
-
-
-def is_ultrafilter(f: Filter) -> bool:
-    """True iff f is proper and contains A or the complement of A for every A.
-
-    On a finite universe this holds exactly when the minimal member is a
-    singleton. The trivial filter satisfies the disjunction vacuously but is
-    rejected for not being proper.
-    """
-    return f.is_proper and len(f.core) == 1
 
 
 def is_saturated(f: Filter) -> bool:
@@ -147,8 +132,8 @@ def core_leq(f_core: int, g_core: int) -> bool:
 def fibre_image(fibres: Sequence[int], core_bits: int) -> int:
     """The mask of the codomain points whose fibre meets core_bits: the image of that set.
 
-    The kernel of pushforward, on ints; fibres are trusted to partition the
-    domain (see foundations.check_fibres), as projection fibres do.
+    Fibres are trusted to partition the domain (see foundations.check_fibres),
+    as projection fibres do.
     """
     image = 0
     for v, fibre in enumerate(fibres):
@@ -156,16 +141,3 @@ def fibre_image(fibres: Sequence[int], core_bits: int) -> int:
             image |= 1 << v
     return image
 
-
-def pushforward(fibres: Sequence[int], fil: Filter) -> Filter:
-    """The filter on the codomain generated by the images of the members.
-
-    The map is given by its fibres (see foundations.map_fibres), checked here
-    to partition the domain. A principal filter pushes to the principal filter
-    at fibre_image of its core, nonempty because the fibres cover the core; the
-    trivial filter's empty core has the empty image, so it pushes to the
-    trivial filter.
-    """
-    check_fibres(fibres, fil.universe_size, len(fibres))
-    n = len(fibres)
-    return Filter(n, SubsetMask(n, fibre_image(fibres, fil.core.bits)))

@@ -1,4 +1,4 @@
-"""Relations, uniformities, entourage balls, induced topologies.
+"""Relations, uniformities, induced topologies.
 
 A relation on an n-point universe is a subset of the pair universe of size
 n*n, pair (x, y) at bit x*n + y; only Relation knows this layout. On a finite
@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Sequence
 
 from .foundations import InputError, ResourceLimitError, SetFamily, SubsetMask
-from .topology import Topology, is_continuous
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,6 @@ class Relation:
 
 def diagonal(n: int) -> Relation:
     return Relation.from_pairs(n, ((x, x) for x in range(n)))
-
-
-def entourage_ball(u: Relation, x: int) -> SubsetMask:
-    """The row of u at x: all points u-near to x."""
-    if not 0 <= x < u.point_count:
-        raise InputError(f"point {x} out of range")
-    return SubsetMask(u.point_count, u.row_bits(x))
 
 
 def _is_equivalence(rows: Sequence[int]) -> bool:
@@ -168,15 +161,6 @@ def induced_topology(u: Uniformity) -> Topology:
     so they are a preorder and need no validation.
     """
     return Topology.unchecked(u.point_count, u.rows)
-
-
-def is_uniformly_continuous(fibres: Sequence[int], u_dom: Uniformity, u_cod: Uniformity) -> bool:
-    """f x f maps the minimal domain entourage into the minimal codomain one.
-
-    That is, f maps each row into the row of f(x): the induced topologies'
-    continuity. The map is given by its fibres, as for is_continuous.
-    """
-    return is_continuous(fibres, induced_topology(u_dom), induced_topology(u_cod))
 
 
 @lru_cache(maxsize=None)

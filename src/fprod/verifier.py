@@ -837,16 +837,6 @@ def _entry(check_id: str, claim: bool | None = None) -> _Entry:
     )
 
 
-def proposition_catalog() -> dict[str, dict]:
-    """All known proposition ids with status and description."""
-    out: dict[str, dict] = {}
-    for pid in _ids(False):
-        out[pid] = {"status": "verifiable", "description": _REGISTRY[pid].description}
-    for pid, reason in sorted(OUT_OF_SCOPE.items()):
-        out[pid] = {"status": "out-of-scope", "description": reason}
-    return out
-
-
 def default_grid(check_id: str, claim: bool = False) -> InstanceGrid:
     """The grid a proposition (or, with claim, a claim) walks when given none."""
     return _entry(check_id, claim).default_grid

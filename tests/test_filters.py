@@ -6,13 +6,11 @@ from fprod.filters import (
     Filter,
     core_leq,
     d_complements_family,
+    fibre_image,
     filter_leq,
-    frechet_filter,
     generate_filter,
     is_saturated,
-    is_ultrafilter,
     principal_filter,
-    pushforward,
     trivial_filter,
     validate_filter_base,
 )
@@ -24,7 +22,7 @@ from fprod.foundations import (
     check_fibres,
     map_fibres,
 )
-from fprod.verifier import enumerate_filters
+from fprod.verifier import OUT_OF_SCOPE, _NOTE_COFINITE, _NOTE_SATURATED, enumerate_filters
 
 
 def fam(n, *bit_sets):
@@ -110,39 +108,42 @@ class TestPrincipalAndTrivial:
             assert trivial_filter(n).trivial and not trivial_filter(n).is_proper
             assert not any(f.trivial for f in enumerate_filters(n, include_trivial=False))
 
-    def test_frechet_is_trivial_on_finite_universes(self):
-        assert frechet_filter(3) == trivial_filter(3)
-        assert frechet_filter(1) == trivial_filter(1)
-        # cofinality oracle on every subset of a 5-universe
-        f = frechet_filter(5)
-        for bits in range(1 << 5):
-            complement_is_finite = True  # all subsets of a finite set are finite
-            assert f.member_bits(bits) == complement_is_finite
 
+class TestOutOfScopeLemmas:
+    """The finite-index facts behind the out-of-scope reasons and the degenerate
+    notes, on every filter on 1 to 4 indexes, read through member_bits."""
 
-class TestUltrafilter:
-    def test_point_filter(self):
-        assert is_ultrafilter(principal_filter(SubsetMask.of(2, [0])))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_ultrafilters_are_the_point_filters(self, n):
+        # C2.13 needs a free ultrafilter: a proper filter holding A or its complement for every A
+        assert "C2.13" in OUT_OF_SCOPE
+        full = (1 << n) - 1
+        ultra = [
+            f for f in enumerate_filters(n, include_trivial=True)
+            if not f.member_bits(0) and all(f.member_bits(a) or f.member_bits(full ^ a) for a in range(1 << n))
+        ]
+        points = [principal_filter(SubsetMask.of(n, [i])) for i in range(n)]
+        assert ultra == points  # enumerate_filters ascends by core
 
-    def test_two_point_core_is_not(self):
-        f = principal_filter(SubsetMask.of(3, [0, 1]))
-        assert not is_ultrafilter(f)
-        assert not f.member_bits(0b001)
-        assert not f.member_bits(0b110)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_only_filter_holding_every_point_complement_is_the_trivial_filter(self, n):
+        # P2.12 and P2.15 need a saturated filter other than the cofinite one
+        assert {"P2.12", "P2.15"} <= OUT_OF_SCOPE.keys() and "saturated" in _NOTE_SATURATED
+        full = (1 << n) - 1
+        saturated = [
+            f for f in enumerate_filters(n, include_trivial=True)
+            if all(f.member_bits(full ^ (1 << i)) for i in range(n))
+        ]
+        assert saturated == [trivial_filter(n)]
 
-    def test_trivial_rejected_despite_disjunction(self):
-        t = trivial_filter(3)
-        for bits in range(8):
-            assert t.member_bits(bits) or t.member_bits(0b111 ^ bits)
-        assert not is_ultrafilter(t)
-
-    def test_matches_disjunction_oracle_exhaustively(self):
-        for f in enumerate_filters(3, include_trivial=False):
-            oracle = all(
-                f.member_bits(b) or f.member_bits(0b111 ^ b)
-                for b in range(8)
-            )
-            assert is_ultrafilter(f) == oracle
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_cofinite_filter_is_the_trivial_filter(self, n):
+        # every subset of a finite universe has a finite complement
+        assert "cofinite" in _NOTE_COFINITE
+        cofinite = tuple(range(1 << n))
+        holding = [f for f in enumerate_filters(n, include_trivial=True) if all(map(f.member_bits, cofinite))]
+        assert holding == [trivial_filter(n)]
+        assert trivial_filter(n).members().bits == cofinite
 
 
 class TestSaturated:
@@ -211,40 +212,29 @@ def pushforward_oracle(f_map, cod_size, fil):
     return principal_filter(SubsetMask.of(cod_size, (f_map[x] for x in fil.core)))
 
 
-class TestPushforward:
+class TestFibreImage:
     def test_constant_map(self):
-        f = principal_filter(SubsetMask.of(2, [0]))
-        out = pushforward(map_fibres((1, 1), 2), f)
-        assert out == principal_filter(SubsetMask.of(2, [1]))
+        assert fibre_image(map_fibres((1, 1), 2), 0b01) == 0b10
 
     def test_identity(self):
-        for f in enumerate_filters(3, include_trivial=True):
-            assert pushforward(map_fibres((0, 1, 2), 3), f) == f
+        for fil in enumerate_filters(3, include_trivial=True):
+            assert fibre_image(map_fibres((0, 1, 2), 3), fil.core.bits) == fil.core.bits
 
-    def test_surjection_keeps_ultrafilter(self):
+    def test_surjection_sends_a_point_to_its_image(self):
         # a,b -> x; c -> y
-        f = principal_filter(SubsetMask.of(3, [0]))
-        out = pushforward(map_fibres((0, 0, 1), 2), f)
-        assert out == principal_filter(SubsetMask.of(2, [0]))
-        assert is_ultrafilter(out)
+        fibres = map_fibres((0, 0, 1), 2)
+        assert [fibre_image(fibres, 1 << i) for i in range(3)] == [0b01, 0b01, 0b10]
 
-    def test_preserves_ultrafilters_exhaustively(self):
+    def test_point_cores_have_point_images_exhaustively(self):
+        # the image of a point filter is a point filter
         for n, m in [(2, 2), (3, 2), (3, 3)]:
-            for f in enumerate_filters(n, include_trivial=False):
-                if not is_ultrafilter(f):
-                    continue
-                for f_map in itertools.product(range(m), repeat=n):
-                    assert is_ultrafilter(pushforward(map_fibres(f_map, m), f))
+            for f_map in itertools.product(range(m), repeat=n):
+                fibres = map_fibres(f_map, m)
+                assert [fibre_image(fibres, 1 << i) for i in range(n)] == [1 << v for v in f_map]
 
-    def test_trivial_pushes_to_trivial(self):
-        assert pushforward(map_fibres((0, 0), 2), trivial_filter(2)) == trivial_filter(2)
-
-    def test_malformed_map_rejected(self):
-        f = trivial_filter(2)
-        with pytest.raises(InputError):
-            pushforward(map_fibres((0,), 2), f)
-        with pytest.raises(InputError):
-            pushforward(map_fibres((0, 5), 2), f)
+    def test_full_core_images_to_the_range(self):
+        assert fibre_image(map_fibres((0, 0), 2), 0b11) == 0b01
+        assert fibre_image(map_fibres((1, 0, 1), 2), 0b111) == 0b11
 
     def test_agrees_with_the_image_of_the_core(self):
         checked = 0
@@ -252,22 +242,10 @@ class TestPushforward:
             for fil in enumerate_filters(n, include_trivial=True):
                 for m in range(1, 4):
                     for f_map in itertools.product(range(m), repeat=n):
-                        got = pushforward(map_fibres(f_map, m), fil)
-                        assert got == pushforward_oracle(f_map, m, fil)
+                        got = fibre_image(map_fibres(f_map, m), fil.core.bits)
+                        assert got == pushforward_oracle(f_map, m, fil).core.bits
                         checked += 1
         assert checked == 2 * 6 + 4 * 14 + 8 * 36 + 16 * 98  # filters with trivial, times maps
-
-    def test_fibres_that_do_not_partition_the_domain_are_rejected(self):
-        f = principal_filter(SubsetMask.of(2, [0]))
-        for fibres in [
-            (0b01, 0b11),  # point 0 has two images
-            (0b01, 0b00),  # point 1 has none
-            (0b101, 0b010),  # a point outside the domain
-            (-1, 0b100),  # a negative mask
-            (),  # no codomain
-        ]:
-            with pytest.raises(InputError):
-                pushforward(fibres, f)
 
 
 class TestMapFibres:
@@ -293,6 +271,17 @@ class TestMapFibres:
             assert accepted == is_map
         with pytest.raises(InputError, match="one per codomain point"):
             check_fibres((0b11,), 2, 2)
+
+    def test_fibres_that_do_not_partition_the_domain_are_rejected(self):
+        for fibres in [
+            (0b01, 0b11),  # point 0 has two images
+            (0b01, 0b00),  # point 1 has none
+            (0b101, 0b010),  # a point outside the domain
+            (-1, 0b100),  # a negative mask
+            (),  # no codomain
+        ]:
+            with pytest.raises(InputError):
+                check_fibres(fibres, 2, 2)
 
 
 class TestPrincipality:

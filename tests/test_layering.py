@@ -116,3 +116,49 @@ def test_the_distinct_spec_counter_can_call_its_function_with_two_positional_arg
     layer, name = tracing_constant("_DISTINCT").split(".")
     fn = getattr(importlib.import_module(f"fprod.{layer}"), name)
     inspect.signature(fn).bind(object(), None)  # TypeError if the second parameter is gone
+
+
+# Public names that no code in src/ loads, each kept for a reader outside it.
+UNREACHED = {
+    "map_fibres": "turns a map of values into the fibres is_continuous takes",
+    "is_continuous": "the definitional reference that tests hold all_projections_continuous to",
+    "product_spec": "the README session builds its products with it",
+    "replay_witness": "the documented way to re-run a reported witness",
+    "Topology.is_open": "bench/tracing.py's MEMBERS wraps it",
+    "Topology.neighborhoods_filter": "bench/tracing.py's MEMBERS wraps it",
+    "Uniformity.member": "bench/tracing.py's MEMBERS wraps it",
+}
+
+
+def public_definitions(module: str) -> list[tuple[str, str]]:
+    """(qualified name, loaded name) for every public module-level function and
+    class of a module and every public method of its classes."""
+    out = []
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+    return out
+
+
+def loaded_names(module: str) -> set[str]:
+    """Every name a module reads, as a bare name or as an attribute."""
+    out = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_every_public_name_is_reached_from_src_or_allowed_with_a_reason():
+    modules = [m for m in MODULES if m != "__init__"]
+    loaded = set().union(*(loaded_names(m) for m in modules))
+    defined = [q for m in modules for q, name in public_definitions(m) if name not in loaded]
+    assert sorted(defined) == sorted(UNREACHED)

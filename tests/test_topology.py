@@ -31,6 +31,7 @@ from fprod.topology import (
     topology_leq,
     validate_base,
 )
+from fprod.verifier import OUT_OF_SCOPE, _REGISTRY
 
 
 def small_topologies():
@@ -50,6 +51,15 @@ def p45_product_topologies():
 
     found = {f_topology(spec) for spec in _REGISTRY["P4.5"].instances(default_grid("P4.5"))}
     return sorted(found, key=lambda t: (t.universe_size, t.mins))
+
+
+def separated_by_opens(t):
+    """The Hausdorff definition read off opens(): distinct points have disjoint open neighbourhoods."""
+    opens = t.opens().bits
+    return all(
+        any(u >> x & 1 and v >> y & 1 and not u & v for u in opens for v in opens)
+        for x, y in itertools.combinations(range(t.universe_size), 2)
+    )
 
 
 def disjoint_dense_search(t, n):
@@ -362,13 +372,7 @@ class TestSeparation:
             assert t.is_hausdorff() == (not meeting)
             assert t.inseparable_pair() == (meeting[0] if meeting else None)
             if n <= 4:
-                opens = t.opens().bits
-                separated = all(
-                    any(u >> x & 1 and v >> y & 1 and not u & v for u in opens for v in opens)
-                    for x in range(n)
-                    for y in range(x + 1, n)
-                )
-                assert t.is_hausdorff() == separated
+                assert t.is_hausdorff() == separated_by_opens(t)
         assert len(topologies) == 1 + 4 + 29 + 355 + 1121
 
     def test_inseparable_pair_agrees_with_the_pair_scan_on_larger_products(self):
@@ -645,3 +649,37 @@ class TestEnumeration:
         keys = [tuple(m.bits for m in t.opens()) for t in topos]
         assert len(set(keys)) == len(keys)
         assert keys == sorted(keys)
+
+
+class TestOutOfScopeLemmas:
+    """The finite-space facts behind C2.11, L2.14 and P2.10's note, read off opens()."""
+
+    def test_the_hausdorff_topologies_are_the_discrete_ones(self):
+        # C2.11 compares Hausdorff compact topologies, so it needs a non-discrete one
+        assert "C2.11" in OUT_OF_SCOPE
+        assert "every finite Hausdorff space is discrete" in _REGISTRY["P2.10"].notes[0]
+        topologies = small_topologies()
+        for t in topologies:
+            assert separated_by_opens(t) == (t == discrete(t.universe_size))
+        assert len(topologies) == 389
+
+    def test_every_open_cover_has_a_subcover_of_at_most_n_members(self):
+        # L2.14 needs a non-compact space; P2.10's note rests on every finite space being compact
+        assert "L2.14" in OUT_OF_SCOPE
+        assert "every finite space is compact" in _REGISTRY["P2.10"].notes[0]
+        covers = 0
+        for n in range(1, 4):
+            full = (1 << n) - 1
+            for t in enumerate_topologies(n):
+                opens = t.opens().bits
+                for r in range(len(opens) + 1):
+                    for cover in itertools.combinations(opens, r):
+                        if functools.reduce(operator.or_, cover, 0) != full:
+                            continue
+                        assert any(
+                            functools.reduce(operator.or_, sub, 0) == full
+                            for k in range(n + 1)
+                            for sub in itertools.combinations(cover, k)
+                        )
+                        covers += 1
+        assert covers == 716

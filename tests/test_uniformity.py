@@ -10,19 +10,16 @@ from fprod.foundations import (
     SetFamily,
     SubsetMask,
     Universe,
-    map_fibres,
 )
 from fprod.fproduct import Factor, f_uniformity, f_uniformity_base, grid_walk, product_spec
-from fprod.topology import discrete, indiscrete, is_continuous
+from fprod.topology import discrete, indiscrete
 from fprod.uniformity import (
     Relation,
     Uniformity,
     diagonal,
-    entourage_ball,
     enumerate_uniformity_bases,
     generate_uniformity,
     induced_topology,
-    is_uniformly_continuous,
     validate_uniformity_base,
 )
 from fprod.verifier import _REGISTRY, default_grid, enumerate_filters
@@ -343,16 +340,18 @@ class TestGenerateUniformity:
 
 
 class TestEntourageBalls:
+    """The ball of an entourage at x is its row at x."""
+
     def test_diagonal_ball(self):
-        assert entourage_ball(diagonal(3), 1) == SubsetMask.of(3, [1])
+        assert diagonal(3).row_bits(1) == 0b010
 
     def test_full_ball(self):
-        assert entourage_ball(Relation(2, SubsetMask.full(4)), 0) == SubsetMask.full(2)
+        assert Relation(2, SubsetMask.full(4)).row_bits(0) == 0b11
 
     def test_asymmetric_rows(self):
         u = rel(2, [(0, 0), (1, 1), (0, 1)])
-        assert entourage_ball(u, 0) == SubsetMask.of(2, [0, 1])
-        assert entourage_ball(u, 1) == SubsetMask.of(2, [1])
+        assert u.row_bits(0) == 0b11
+        assert u.row_bits(1) == 0b10
 
 
 class TestInducedTopology:
@@ -374,68 +373,10 @@ class TestInducedTopology:
             for bits in range(1 << n):
                 g = SubsetMask(n, bits)
                 oracle = all(
-                    any(not entourage_ball(m, x).bits & ~bits for m in members)
+                    any(not m.row_bits(x) & ~bits for m in members)
                     for x in g
                 )
                 assert t.is_open(g) == oracle
-
-
-class TestUniformContinuity:
-    def test_identity(self):
-        u = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
-        assert is_uniformly_continuous(map_fibres((0, 1), 2), u, u)
-
-    def test_into_coarsest(self):
-        dom = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
-        cod = generate_uniformity(SetFamily.of(4, [SubsetMask.full(4)]))
-        for f_map in itertools.product(range(2), repeat=2):
-            assert is_uniformly_continuous(map_fibres(f_map, 2), dom, cod)
-
-    def test_identity_from_coarse_to_fine_fails(self):
-        coarse = generate_uniformity(SetFamily.of(4, [SubsetMask.full(4)]))
-        fine = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
-        assert not is_uniformly_continuous(map_fibres((0, 1), 2), coarse, fine)
-
-    def test_matches_base_walking_definition_on_two_points(self):
-        # for every V in the codomain base, some U in the domain base maps into V
-        bases = enumerate_uniformity_bases(2)
-        checked = 0
-        for dom_base, cod_base in itertools.product(bases, repeat=2):
-            u_dom, u_cod = generate_uniformity(dom_base), generate_uniformity(cod_base)
-            for f_map in itertools.product(range(2), repeat=2):
-                oracle = all(
-                    any(
-                        all(
-                            v.bits >> (f_map[x] * 2 + f_map[y]) & 1
-                            for x, y in Relation(2, u).pair_list()
-                        )
-                        for u in dom_base
-                    )
-                    for v in cod_base
-                )
-                assert is_uniformly_continuous(map_fibres(f_map, 2), u_dom, u_cod) == oracle
-                checked += 1
-        assert checked == 9 * 9 * 4
-
-    def test_rejects_a_map_off_either_universe(self):
-        u = generate_uniformity(SetFamily.of(4, [diagonal(2).pairs]))
-        with pytest.raises(InputError, match="not total on the domain"):
-            is_uniformly_continuous(map_fibres((0,), 2), u, u)
-        with pytest.raises(InputError, match="out of codomain range"):
-            is_uniformly_continuous(map_fibres((0, 2), 2), u, u)
-
-    def test_implies_topological_continuity(self):
-        spaces = []
-        for n in (2, 3):
-            for blocks in all_partitions(n):
-                spaces.append(partition_uniformity(n, blocks))
-        for u_dom, u_cod in itertools.product(spaces, repeat=2):
-            n, m = u_dom.point_count, u_cod.point_count
-            t_dom, t_cod = induced_topology(u_dom), induced_topology(u_cod)
-            for f_map in itertools.product(range(m), repeat=n):
-                fibres = map_fibres(f_map, m)
-                if is_uniformly_continuous(fibres, u_dom, u_cod):
-                    assert is_continuous(fibres, t_dom, t_cod)
 
 
 def diagonal_base_factor():

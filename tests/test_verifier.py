@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import itertools
@@ -37,7 +38,6 @@ from fprod.verifier import (
     default_grid,
     enumerate_filters,
     preset_factor,
-    proposition_catalog,
     replay_witness,
     search_counterexample,
     verify_proposition,
@@ -809,14 +809,16 @@ class TestCatalog:
             verify_proposition("P9.9")
 
     def test_catalog_is_total(self):
-        catalog = proposition_catalog()
-        assert set(catalog) == {
+        # an unknown id lists every known proposition id, verifiable ones first
+        with pytest.raises(InputError) as err:
+            verify_proposition("P9.9")
+        known = ast.literal_eval(str(err.value).split("known ids: ", 1)[1])
+        assert len(known) == 19 and set(known) == {
             "P2.1", "P2.3", "P2.5", "P2.7", "P2.8", "E2.9", "P2.10", "P3.1",
             "P4.1", "P4.2", "P4.3", "P4.5", "P5.2", "P5.ind",
             "C2.11", "P2.12", "C2.13", "L2.14", "P2.15",
         }
-        assert catalog["P2.12"]["status"] == "out-of-scope"
-        assert catalog["P2.3"]["status"] == "verifiable"
+        assert known[-5:] == sorted(OUT_OF_SCOPE) == ["C2.11", "C2.13", "L2.14", "P2.12", "P2.15"]
 
 
 class TestSearch:
